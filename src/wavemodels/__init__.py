@@ -27,6 +27,7 @@ from .errors import (
     RiemannOrderingError,
     SingularSymbolError,
     StepSizeUnderflowError,
+    WavemodelsError,
 )
 from .hyperbolic import (
     CharacteristicFan,

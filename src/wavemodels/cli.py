@@ -22,11 +22,11 @@ import sys
 import numpy as np
 
 from .dispersive import AbcdParams, classify_abcd
-from .errors import ConvergenceError
+from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import InitialData, ScenarioError, compare, load_scenario, run
+from .scenarios import InitialData, compare, load_scenario, run
 from .spectral import Grid, SpectralField
 from .traveling import (
     boussinesq_solitary_solve,
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, ConvergenceError, FileNotFoundError) as err:
+    except (WavemodelsError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,24 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules.
+
+Every class derives from WavemodelsError, so a caller can catch all of the
+library's errors at once, and also from ValueError or RuntimeError, so
+handlers written for those still apply.
+"""
 
 
-class GridMismatchError(ValueError):
+class WavemodelsError(Exception):
+    """Base class of every error the library raises on purpose."""
+
+
+class GridMismatchError(WavemodelsError, ValueError):
     """Two fields that must share a grid do not."""
 
 
-class MultiplierDomainError(ValueError):
+class MultiplierDomainError(WavemodelsError, ValueError):
     """A Fourier symbol evaluated to a non-finite value on the grid."""
 
 
-class CavitationError(RuntimeError):
+class CavitationError(WavemodelsError, RuntimeError):
     """The water column depth H + zeta reached zero: hyperbolicity is lost.
 
     Carries ``partial_trajectory`` when raised mid-run so callers can
@@ -21,27 +30,27 @@ class CavitationError(RuntimeError):
         self.partial_trajectory = partial_trajectory
 
 
-class BreakingError(RuntimeError):
+class BreakingError(WavemodelsError, RuntimeError):
     """A wavebreaking time was reached (characteristics cross)."""
 
 
-class RiemannOrderingError(ValueError):
+class RiemannOrderingError(WavemodelsError, ValueError):
     """r_plus <= r_minus at some node: no water state corresponds."""
 
 
-class SingularSymbolError(ValueError):
+class SingularSymbolError(WavemodelsError, ValueError):
     """A dispersion-relation denominator vanishes at a real wavenumber."""
 
 
-class IllPosedError(ValueError):
+class IllPosedError(WavemodelsError, ValueError):
     """Model parameters fail the linear well-posedness screen."""
 
 
-class ResonanceError(RuntimeError):
+class ResonanceError(WavemodelsError, RuntimeError):
     """The traveling-wave linear operator vanishes at a grid wavenumber."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(WavemodelsError, RuntimeError):
     """An iterative solver failed to converge.
 
     ``history`` holds per-iteration diagnostics (e.g. the Petviashvili
@@ -53,5 +62,5 @@ class ConvergenceError(RuntimeError):
         self.history = history if history is not None else []
 
 
-class StepSizeUnderflowError(RuntimeError):
+class StepSizeUnderflowError(WavemodelsError, RuntimeError):
     """Time-step refinement hit the minimum step without meeting tolerance."""

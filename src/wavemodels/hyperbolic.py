@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakingError, CavitationError, RiemannOrderingError
+from .errors import BreakingError, CavitationError, ConvergenceError, RiemannOrderingError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative
 from .stepping import DtControl, HaltEvent, Trajectory, resolve_substeps, snapshot_times
@@ -228,6 +228,47 @@ def characteristic_fan(u0, p: PhysicalParams, foot_points, grid: Grid | None = N
     )
 
 
+def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
+    """u0(x0) at the feet x0 with x0 + (c0 + 1.5 u0(x0)) t = target.
+
+    ``phi`` is the foot-point map sampled at the increasing nodes ``xs``
+    and must be increasing too.  The cell of (xs, phi) holding each target
+    brackets its foot, and linear interpolation in that cell is the first
+    guess.  Newton steps on phi' = 1 + 1.5 t u0' are safeguarded as in
+    ``rtsafe`` (Numerical Recipes, section 9.4): a step that leaves the
+    closed bracket, or fails to halve the previous step, becomes a
+    bisection.  Only unconverged points are iterated; a point is done once
+    its step is at most ``tol``.
+    """
+    j = np.clip(np.searchsorted(phi, target, side="right") - 1, 0, xs.size - 2)
+    lo, hi = xs[j], xs[j + 1]
+    x = np.interp(target, phi, xs)
+    u = np.empty_like(x)
+    last = hi - lo
+    active = np.arange(x.size)
+    for _ in range(100):
+        xa = x[active]
+        ua, dua = u_fn(xa), du_fn(xa)
+        f = xa + (c0 + 1.5 * ua) * t - target[active]
+        below = f < 0.0
+        lo[active] = np.where(below, xa, lo[active])
+        hi[active] = np.where(below, hi[active], xa)
+        la, ha = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - f / (1.0 + 1.5 * t * dua)
+        # closed test: landing on a bracket end is a root, not a failure
+        newton = (xn >= la) & (xn <= ha) & (np.abs(xn - xa) <= 0.5 * last[active])
+        xn = np.where(newton, xn, 0.5 * (la + ha))
+        step = np.abs(xn - xa)
+        x[active] = xn
+        u[active] = ua + dua * (xn - xa)  # error O(step^2); the last step is <= tol
+        last[active] = step
+        active = active[step > tol]
+        if active.size == 0:
+            return u
+    raise ConvergenceError(f"foot points unconverged at {active.size} query point(s)")
+
+
 def hopf_characteristic_solve(
     u0,
     p: PhysicalParams,
@@ -239,59 +280,64 @@ def hopf_characteristic_solve(
     """Solve the transport equation d_t u + (c0 + 3u/2) d_x u = 0 exactly.
 
     For each query x the unique foot point x0 with
-    x = x0 + (c0 + 1.5 u0(x0)) t is found by bisection of the monotone
-    foot-point map, and u(t, x) = u0(x0) is returned.
+    x = x0 + (c0 + 1.5 u0(x0)) t is found by safeguarded Newton iteration
+    on the monotone foot-point map, to within 1e-10 L, and u(t, x) = u0(x0)
+    is returned.  The map is first sampled densely: for a SpectralField on
+    one period of its interpolant upsampled to at least 4096 nodes (the
+    map gains exactly L per period), for a callable over a window sized by
+    probing its velocity range.  The samples bracket every foot and give
+    the first guesses.
 
     Raises BreakingError when t is at or past the crossing time, or when
-    the foot-point map is found non-monotone on a dense scan.
+    the sampled foot-point map is not increasing.
     """
     query = np.atleast_1d(np.asarray(query_points, dtype=float))
-    if isinstance(u0, SpectralField):
-        ueval = u0.evaluate
-        length_scale = u0.grid.length[0]
-    else:
-        if grid is None:
-            raise ValueError("a grid is required with a callable profile")
-        ueval = lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
-        length_scale = grid.length[0]
-
     t_star = breaking_time(u0, grid=grid, u0_prime=u0_prime)
     if t >= t_star:
         raise BreakingError(
             f"characteristics cross at T* = {t_star}; requested t = {t}"
         )
+    du_fn, _ = _profile_derivative(u0, grid, u0_prime)
 
-    # Bracket all foot points, then bisect the monotone map simultaneously.
-    # Two probe passes so the sampled velocity range covers the feet even
-    # when they sit far behind the queries (non-periodic profiles).
-    lo_q, hi_q = float(np.min(query)), float(np.max(query))
-    pad = max(1e-9 * length_scale, 1e-12)
-    window = (lo_q - p.c0 * t - 2.0 * length_scale, hi_q + length_scale)
-    for _ in range(2):
-        probe = ueval(np.linspace(window[0], window[1], 4096))
-        smin = p.c0 + 1.5 * float(np.min(probe))
-        smax = p.c0 + 1.5 * float(np.max(probe))
-        lo = query - smax * t - pad
-        hi = query - smin * t + pad
-        window = (
-            min(window[0], float(np.min(lo)) - length_scale),
-            max(window[1], float(np.max(hi)) + length_scale),
-        )
+    periodic = isinstance(u0, SpectralField)
+    if periodic:
+        u_fn = u0.evaluate
+        length_scale = u0.grid.length[0]
+        fine = u0.upsample(max(4096, u0.grid.nodes[0]))
+        # close the period so the wrap-around pair is checked too
+        xs = np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale)
+        uvals = np.append(fine.values, fine.values[0])
+    else:
+        u_fn = lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
+        length_scale = grid.length[0]
+        # Two probe passes so the sampled velocity range covers the feet
+        # even when they sit far behind the queries (non-periodic profiles).
+        lo_q, hi_q = float(np.min(query)), float(np.max(query))
+        pad = max(1e-9 * length_scale, 1e-12)
+        window = (lo_q - p.c0 * t - 2.0 * length_scale, hi_q + length_scale)
+        for _ in range(2):
+            probe = u_fn(np.linspace(window[0], window[1], 4096))
+            smin = p.c0 + 1.5 * float(np.min(probe))
+            smax = p.c0 + 1.5 * float(np.max(probe))
+            lo = query - smax * t - pad
+            hi = query - smin * t + pad
+            window = (
+                min(window[0], float(np.min(lo)) - length_scale),
+                max(window[1], float(np.max(hi)) + length_scale),
+            )
+        xs = np.linspace(float(np.min(lo)), float(np.max(hi)), 4096)
+        uvals = u_fn(xs)
 
-    scan = np.linspace(float(np.min(lo)), float(np.max(hi)), 4096)
-    phi_scan = scan + (p.c0 + 1.5 * ueval(scan)) * t
-    if np.any(np.diff(phi_scan) <= 0.0):
+    phi = xs + (p.c0 + 1.5 * uvals) * t
+    if np.any(np.diff(phi) <= 0.0):
         raise BreakingError("foot-point map is not monotone: breaking detected")
-
-    tol = 1e-10 * length_scale
-    while float(np.max(hi - lo)) > tol:
-        mid = 0.5 * (lo + hi)
-        phi = mid + (p.c0 + 1.5 * ueval(mid)) * t - query
-        neg = phi < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    feet = 0.5 * (lo + hi)
-    out = np.asarray(ueval(feet), dtype=float)
+    # phi(x0 + L) = phi(x0) + L on a periodic profile, so every query moves
+    # into the sampled period by whole periods; u at its foot is unchanged.
+    shift = 0.0
+    if periodic:
+        shift = length_scale * np.floor((query - phi[0]) / length_scale)
+    out = _foot_points(query - shift, xs, phi, u_fn, du_fn, p.c0, t,
+                       1e-10 * length_scale)
     return out if np.ndim(query_points) else float(out[0])
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridMismatchError
 from .physics import PhysicalParams
@@ -240,7 +239,7 @@ class RayAsymptotics:
 
 
 def _find_stationary_wavenumber(c_abs: float, p: PhysicalParams) -> float:
-    """Solve omega'(xi_c) = |c| for 0 < |c| < c0 by bracketed root-finding."""
+    """Solve omega'(xi_c) = |c| for 0 < |c| < c0 by bracketed bisection."""
     lo = 1e-12 / p.H
     hi = 1.0 / p.H
     for _ in range(200):
@@ -249,7 +248,16 @@ def _find_stationary_wavenumber(c_abs: float, p: PhysicalParams) -> float:
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the stationary wavenumber")
-    return brentq(lambda xi: omega_prime(xi, p) - c_abs, lo, hi, xtol=1e-14, rtol=1e-15)
+    # omega' falls from c0 at xi = 0 towards 0, so it crosses |c| once.
+    for _ in range(200):
+        if hi - lo <= 1e-14 + 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if omega_prime(mid, p) > c_abs:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def ray_asymptotics(c: float, zeta0_hat, psi0_hat, p: PhysicalParams) -> RayAsymptotics:

@@ -29,7 +29,7 @@ from .dispersive import (
     classify_abcd,
     scalar_evolve,
 )
-from .errors import CavitationError
+from .errors import BreakingError, CavitationError, WavemodelsError
 from .hyperbolic import (
     SVState,
     breaking_time,
@@ -75,7 +75,7 @@ OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 _FMT = "{:.17g}"  # all emitted floats carry 17 significant digits
 
 
-class ScenarioError(ValueError):
+class ScenarioError(WavemodelsError, ValueError):
     """Configuration is structurally or physically invalid."""
 
 
@@ -358,7 +358,9 @@ def _evolve_series(sc: Scenario):
         snaps, kept = [], []
         halt = None
         for t in times:
-            if t >= t_star:
+            try:
+                u_t = hopf_characteristic_solve(u0, p, t, xs) if t > 0 else u0.values
+            except BreakingError:  # at or past t_star, or a non-monotone foot map
                 du0 = derivative(u0, 0, 1).values
                 j = int(np.argmin(du0))
                 foot = xs[j]
@@ -370,7 +372,6 @@ def _evolve_series(sc: Scenario):
                     breaking_time_estimate=t_star,
                 )
                 break
-            u_t = hopf_characteristic_solve(u0, p, t, xs) if t > 0 else u0.values
             z_t = simple_wave_elevation(u_t, p)
             snaps.append({"zeta_m": z_t, "u_m_per_s": u_t})
             kept.append(t)

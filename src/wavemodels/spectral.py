@@ -163,21 +163,43 @@ class SpectralField:
     def evaluate(self, points) -> np.ndarray:
         """Band-limited evaluation at arbitrary 1D coordinates.
 
-        Uses the trigonometric interpolant of the samples; the real part is
-        taken, which treats the Nyquist mode as a pure cosine.
+        Sums the trigonometric interpolant of the samples over the N/2 + 1
+        real-FFT modes: interior modes count twice (for their conjugates)
+        and the Nyquist mode once, as a pure cosine.
         """
         if self.grid.dim != 1:
             raise NotImplementedError("off-grid evaluation only supported in 1D")
         points = np.atleast_1d(np.asarray(points, dtype=float))
         L = self.grid.length[0]
         n = self.grid.nodes[0]
-        xi = self.grid.wavenumbers(0)
+        coef = np.fft.rfft(self.values) / n
+        coef[1 : n // 2] *= 2.0
+        xi = (2.0 * np.pi / L) * np.arange(n // 2 + 1)
         out = np.empty(points.size)
         for start in range(0, points.size, 1024):  # cap the phase-matrix size
             block = points[start : start + 1024]
             phase = np.exp(1j * np.outer(block + 0.5 * L, xi))
-            out[start : start + 1024] = (phase @ self.hat).real / n
+            out[start : start + 1024] = (phase @ coef).real
         return out
+
+    def upsample(self, nodes: int) -> "SpectralField":
+        """The trigonometric interpolant sampled on ``nodes`` points per period.
+
+        Zero-pads the real-FFT spectrum, so the values agree with
+        ``evaluate`` at the finer nodes.  The Nyquist coefficient is halved
+        because the finer grid splits that cosine between modes +-N/2.
+        """
+        if self.grid.dim != 1:
+            raise NotImplementedError("upsampling only supported in 1D")
+        n = self.grid.nodes[0]
+        if nodes < n:
+            raise ValueError(f"cannot upsample {n} nodes to {nodes}")
+        padded = np.zeros(nodes // 2 + 1, dtype=complex)
+        padded[: n // 2 + 1] = np.fft.rfft(self.values)
+        if nodes > n:
+            padded[n // 2] *= 0.5
+        fine = np.fft.irfft(padded, nodes) * (nodes / n)
+        return SpectralField(Grid(self.grid.length[0], nodes), fine)
 
     def same_grid(self, other: "SpectralField") -> bool:
         return self.grid == other.grid

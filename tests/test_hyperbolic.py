@@ -134,6 +134,33 @@ class TestHopfCharacteristics:
         residual = u + np.sin(q - (P.c0 + 1.5 * u) * t)
         assert np.max(np.abs(residual)) < 1e-8
 
+    def test_implicit_relation_residual_at_half_breaking_time(self):
+        g = Grid(2 * np.pi, 512)
+        u0 = SpectralField.from_function(g, lambda x: -np.sin(x))
+        t = 0.5 * breaking_time(u0)
+        q = np.linspace(-3.0, 3.0, 101)
+        u = hopf_characteristic_solve(u0, P, t, q)
+        residual = u + np.sin(q - (P.c0 + 1.5 * u) * t)
+        assert np.max(np.abs(residual)) < 1e-12
+
+    def test_feet_on_grid_nodes_take_one_sweep(self, monkeypatch):
+        g = Grid(2 * np.pi, 512)
+        u0 = SpectralField.from_function(g, lambda x: -np.sin(x))
+        t = 0.5 * breaking_time(u0)
+        q = g.axis_coordinates(0) + (P.c0 + 1.5 * u0.values) * t
+        calls = []
+        evaluate = SpectralField.evaluate
+
+        def counted(self, points):
+            if self is u0:
+                calls.append(np.size(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(SpectralField, "evaluate", counted)
+        u = hopf_characteristic_solve(u0, P, t, q)
+        assert calls == [q.size]  # one Newton sweep, no bisection, no re-evaluation
+        assert np.max(np.abs(u - u0.values)) < 1e-14
+
     def test_gradient_blows_up_near_breaking(self):
         g = Grid(2 * np.pi, 512)
         u0 = SpectralField.from_function(g, lambda x: -np.sin(x))
@@ -156,6 +183,17 @@ class TestHopfCharacteristics:
             lambda x: np.full_like(x, 0.1), P, 1.0, np.array([0.5]), grid=g
         )
         assert out[0] == pytest.approx(0.1, abs=1e-10)
+
+    @pytest.mark.parametrize("u0_prime", [None, lambda x: -0.5 * np.cos(x)])
+    def test_callable_profile_matches_spectral_field(self, u0_prime):
+        g = Grid(2 * np.pi, 256)
+        u0 = SpectralField.from_function(g, lambda x: -0.5 * np.sin(x))
+        t = 0.5 * breaking_time(u0)
+        q = np.linspace(-10.0, 10.0, 301)
+        ref = hopf_characteristic_solve(u0, P, t, q)
+        out = hopf_characteristic_solve(lambda x: -0.5 * np.sin(x), P, t, q,
+                                        grid=g, u0_prime=u0_prime)
+        assert np.max(np.abs(out - ref)) < 1e-12
 
 
 class TestCharacteristicFan:

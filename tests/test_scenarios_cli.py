@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from wavemodels import Grid, PhysicalParams, SpectralField, breaking_time, simple_wave_velocity
+from wavemodels import (
+    BreakingError,
+    Grid,
+    PhysicalParams,
+    SpectralField,
+    breaking_time,
+    simple_wave_velocity,
+)
+from wavemodels import scenarios
 from wavemodels.scenarios import (
     ComparisonReport,
     InitialData,
@@ -156,6 +164,24 @@ class TestRun:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["halt"]["reason"] == "breaking"
         assert manifest["exit_code"] == 2
+
+    def test_hopf_breaking_below_t_star_halts(self, tmp_path, monkeypatch):
+        # the foot-point scan may detect breaking just before the computed T*
+        def breaks(*args):
+            raise BreakingError("foot-point map is not monotone: breaking detected")
+
+        monkeypatch.setattr(scenarios, "hopf_characteristic_solve", breaks)
+        sc = Scenario(
+            model="hopf",
+            grid=Grid(200.0, 256),
+            initial=InitialData(kind="simple_wave", amplitude=0.05, width_parameter=1.0),
+            t_end=2.0,
+            output_stride=2,
+        )
+        result = run(sc, output_dir=tmp_path)
+        assert result.exit_code == 2
+        assert result.halt.reason == "breaking"
+        assert len(result.snapshot_paths) == 1  # only t = 0 precedes the halt
 
     def test_saint_venant_cavitation_exit_code(self, tmp_path):
         # strong expansion over a shallow trough collapses the depth mid-run
@@ -369,6 +395,21 @@ class TestCli:
         r = cli("run", "--config", str(cfg))
         assert r.returncode == 1
         assert "error:" in r.stderr
+
+    def test_library_error_exit_code(self, tmp_path):
+        # a 1e-11 m domain drives the boussinesq CFL step below its floor
+        cfg = tmp_path / "tiny.json"
+        write_config(
+            cfg,
+            model="boussinesq",
+            abcd={"a": -1.0 / 3.0, "b": 1.0 / 3.0, "c": 0.0, "d": 1.0 / 3.0},
+            grid={"length": 1e-11, "nodes": 256},
+            output={"stride": 2, "directory": str(tmp_path / "out")},
+        )
+        r = cli("run", "--config", str(cfg))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: time step underflow")
+        assert len(r.stderr.splitlines()) == 1
 
     def test_boussinesq_scenario_end_to_end(self, tmp_path):
         cfg = tmp_path / "bq.json"

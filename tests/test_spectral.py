@@ -98,6 +98,17 @@ class TestTransformContract:
         exact = np.sin(3 * pts) + 0.5 * np.cos(pts)
         assert np.max(np.abs(f.evaluate(pts) - exact)) < 1e-12
 
+    def test_nyquist_mode_is_a_cosine_off_grid(self):
+        g = Grid(7.0, 32)
+        L, n = g.length[0], g.nodes[0]
+        k_nyq = np.pi * n / L
+        f = SpectralField(g, np.cos(k_nyq * (g.axis_coordinates(0) + 0.5 * L)))
+        pts = np.array([-3.4, -1.01, 0.123, 2.5, 9.9])
+        assert np.max(np.abs(f.evaluate(pts) - np.cos(k_nyq * (pts + 0.5 * L)))) < 1e-12
+        fine = f.upsample(4096)
+        xf = fine.grid.axis_coordinates(0)
+        assert np.max(np.abs(fine.values - np.cos(k_nyq * (xf + 0.5 * L)))) < 1e-12
+
 
 class TestApplyMultiplier:
     def test_identity_leaves_field_unchanged(self):
