@@ -22,7 +22,6 @@ from .errors import (
     ConvergenceError,
     GridMismatchError,
     IllPosedError,
-    MultiplierDomainError,
     ResonanceError,
     RiemannOrderingError,
     SingularSymbolError,
@@ -59,18 +58,7 @@ from .linear import (
     sample_ray_envelope,
 )
 from .physics import PhysicalParams
-from .spectral import (
-    Grid,
-    Multiplier,
-    SpectralField,
-    apply_multiplier,
-    dealias,
-    derivative,
-    gravity_wave_symbol,
-    identity_symbol,
-    power_symbol,
-    whitham_symbol,
-)
+from .spectral import Grid, SpectralField, derivative
 from .stepping import DtControl, HaltEvent, Trajectory
 from .traveling import (
     ContinuationResult,

@@ -8,8 +8,8 @@ Subcommands:
   shocktime   print the wavebreaking time of a velocity profile
   classify    print the well-posedness verdict of abcd parameters
 
-Exit codes: 0 success, 1 invalid input, 2 physical halt (breaking or
-cavitation) with partial output.
+Exit codes: 0 success, 1 invalid input, 2 halt (breaking, cavitation, or a
+non-finite state) with partial output.
 """
 
 from __future__ import annotations

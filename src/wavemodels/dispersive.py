@@ -28,9 +28,10 @@ from .errors import (
     SingularSymbolError,
     StepSizeUnderflowError,
 )
+from .linear import phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .stepping import DtControl, Trajectory, resolve_substeps, snapshot_times
+from .stepping import DtControl, HaltEvent, Trajectory, integrate, snapshot_times
 
 __all__ = [
     "AbcdParams",
@@ -62,7 +63,7 @@ class AbcdParams:
 
     def __post_init__(self):
         total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0 / 3.0) > _CONSTRAINT_TOL:
+        if not abs(total - 1.0 / 3.0) <= _CONSTRAINT_TOL:  # NaN fails too
             raise ValueError(
                 f"a+b+c+d must equal 1/3 (zero surface tension); got {total!r}"
             )
@@ -230,16 +231,13 @@ def abcd_evolve(
         raise ValueError("time stepping is 1D only")
     ctrl = dt_control or DtControl()
 
-    z = state.zeta.values.copy()
-    u = state.u.values.copy()
-    if float(np.min(p.H + z)) <= 0.0:
+    y0 = np.stack([state.zeta.values, state.u.values])
+    if float(np.min(p.H + y0[0])) <= 0.0:
         raise CavitationError("initial data violates non-cavitation")
 
-    kk = grid.wavenumbers(0)
-    ik = 1j * kk
-    ik[grid.nodes[0] // 2] = 0.0
-    k2 = kk**2
-    mu2 = (p.H * kk) ** 2
+    ik = grid.ik[0]
+    k2 = grid.k2
+    mu2 = (p.H * grid.wavenumbers(0)) ** 2
     inv_b = 1.0 / (1.0 + params.b * mu2)
     inv_d = 1.0 / (1.0 + params.d * mu2)
     lin_zu = 1.0 - params.a * mu2  # factor on u in the mass flux
@@ -252,52 +250,36 @@ def abcd_evolve(
     w2_grid = np.maximum(p.g * p.H * k2 * lin_zu * lin_uz * inv_b * inv_d, 0.0)
     omega_max = float(np.sqrt(np.max(w2_grid)))
 
-    def rhs(z_arr, u_arr):
-        h = p.H + z_arr
-        u_hat = fft(u_arr)
-        hu_hat = mask * fft(h * u_arr)
+    def rhs(y):
+        z, u = y
+        out = np.empty_like(y)
+        u_hat = fft(u)
+        hu_hat = mask * fft((p.H + z) * u)
         # mass flux: h u + a H^3 u_xx, then d_x and the b-elliptic inverse
-        dz_hat = -ik * (hu_hat - params.a * p.H**3 * k2 * u_hat) * inv_b
+        out[0] = ifft(-ik * (hu_hat - params.a * p.H**3 * k2 * u_hat) * inv_b).real
         ux = ifft(ik * u_hat).real
-        du_hat = (-p.g * ik * lin_uz * fft(z_arr) - mask * fft(u_arr * ux)) * inv_d
-        return ifft(dz_hat).real, ifft(du_hat).real
+        out[1] = ifft((-p.g * ik * lin_uz * fft(z) - mask * fft(u * ux)) * inv_d).real
+        return out
 
-    traj = Trajectory()
-    traj.states.append(
-        BoussinesqState(SpectralField(grid, z.copy()), SpectralField(grid, u.copy()),
-                        state.time)
-    )
-    times = snapshot_times(t_end, n_out)
-    t_now = 0.0
-    for t_target in times[1:]:
-        vmax = p.c0 + 1.5 * float(np.max(np.abs(u)))
-        dt_raw = min(ctrl.cfl * dx / vmax, ctrl.dt_max)
+    def step(y):
+        dt_stable = ctrl.cfl * dx / (p.c0 + 1.5 * float(np.max(np.abs(y[1]))))
         if omega_max > 0.0:
-            dt_raw = min(dt_raw, ctrl.cfl * math.pi / omega_max)
-        if ctrl.dt is not None:
-            if ctrl.dt > dt_raw:
-                raise ValueError(f"explicit dt {ctrl.dt} violates stability bound {dt_raw}")
-            dt_raw = ctrl.dt
-        if dt_raw < 1e-14:
-            raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
-        m, dt = resolve_substeps(t_target - t_now, dt_raw)
-        for _ in range(m):
-            k1z, k1u = rhs(z, u)
-            k2z, k2u = rhs(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
-            k3z, k3u = rhs(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
-            k4z, k4u = rhs(z + dt * k3z, u + dt * k3u)
-            z = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            t_now += dt
-            if float(np.min(p.H + z)) <= 0.0:
-                raise CavitationError(
-                    f"cavitation at t = {state.time + t_now}", partial_trajectory=traj
-                )
-        traj.states.append(
-            BoussinesqState(SpectralField(grid, z.copy()), SpectralField(grid, u.copy()),
-                            state.time + t_now)
-        )
-    return traj
+            dt_stable = min(dt_stable, ctrl.cfl * math.pi / omega_max)
+        return ctrl.explicit_step(dt_stable, "stability bound")
+
+    def check(y, t):
+        depth = p.H + y[0]
+        if float(np.min(depth)) > 0.0:
+            return None
+        ux = ifft(ik * fft(y[1])).real
+        return HaltEvent("cavitation", t, float(xs[int(np.argmin(depth))]),
+                         float(np.max(np.abs(ux))))
+
+    def snapshot(y, t):
+        return BoussinesqState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
+
+    return integrate(y0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
+                     check=check)
 
 
 def abcd_linear_evolve(
@@ -317,8 +299,9 @@ def abcd_linear_evolve(
     zhat, uhat = state.zeta.hat, state.u.hat
     cos_wt = np.cos(w * t)
     sinc = t * np.sinc(w * t / np.pi)  # sin(wt)/w with the w=0 limit t
-    new_z = cos_wt * zhat - 1j * kk * alpha * sinc * uhat
-    new_u = cos_wt * uhat - 1j * kk * beta * sinc * zhat
+    ik = grid.ik[0]
+    new_z = cos_wt * zhat - ik * alpha * sinc * uhat
+    new_u = cos_wt * uhat - ik * beta * sinc * zhat
     return BoussinesqState(
         zeta=SpectralField.from_hat(grid, new_z),
         u=SpectralField.from_hat(grid, new_u),
@@ -328,74 +311,38 @@ def abcd_linear_evolve(
 
 def whitham_multiplier_values(k, p: PhysicalParams):
     """sqrt(tanh(H|k|)/(H|k|)) on an array of wavenumbers, 1 at k = 0."""
-    k = np.asarray(k, dtype=float)
-    mu = p.H * np.abs(k)
-    out = np.ones_like(mu)
-    nz = mu != 0.0
-    out[nz] = np.sqrt(np.tanh(mu[nz]) / mu[nz])
-    return out
-
-
-def _scalar_linear_symbol(model: str, kk: np.ndarray, p: PhysicalParams) -> np.ndarray:
-    """Purely imaginary symbol L(k) of the exactly-integrated linear part."""
-    if model == "kdv":
-        return -1j * p.c0 * kk * (1.0 - (p.H * kk) ** 2 / 6.0)
-    # whitham and whitham2 share the linear propagator c_p(|k|) d_x
-    return -1j * p.c0 * kk * whitham_multiplier_values(kk, p)
+    return phase_velocity(np.abs(np.asarray(k, dtype=float)), p) / p.c0
 
 
 def _scalar_run(state, p, t_end, dt, n_out):
+    """One integrating-factor RK4 run of a scalar model at the step dt."""
     grid = state.grid
-    kk = grid.wavenumbers(0)
-    ik = 1j * kk
-    ik[grid.nodes[0] // 2] = 0.0
+    ik = grid.ik[0]
     mask = grid.dealias_mask()
     fft, ifft = np.fft.fft, np.fft.ifft
     model = state.model
-    lin = _scalar_linear_symbol(model, kk, p)
+    if model == "kdv":
+        lin = -p.c0 * ik * (1.0 - p.H**2 * grid.k2 / 6.0)
+    else:  # whitham and whitham2 share the linear propagator c_p(|k|) d_x
+        lin = -ik * phase_velocity(grid.wavenumber_magnitude(), p)
     sqrt_gH = math.sqrt(p.g * p.H)
 
-    def nonlinear_hat(zhat, t_abs):
+    def nonlinear_hat(zhat):
         z = ifft(zhat).real
         if model == "whitham2":
             depth = p.H + z
             if float(np.min(depth)) <= 0.0:
-                raise CavitationError(f"cavitation at t = {t_abs}")
+                raise CavitationError("depth H + zeta reached zero")
             coeff = 3.0 * np.sqrt(p.g * depth) - 3.0 * sqrt_gH
             zx = ifft(ik * zhat).real
             return -(mask * fft(coeff * zx))
         return -(3.0 * p.c0 / (4.0 * p.H)) * ik * (mask * fft(z * z))
 
-    traj = Trajectory()
-    traj.states.append(
-        ScalarWaveState(SpectralField(grid, state.zeta.values.copy()), state.time, model)
-    )
-    zhat = fft(state.zeta.values)
-    times = snapshot_times(t_end, n_out)
-    t_now = 0.0
-    for t_target in times[1:]:
-        m, h = resolve_substeps(t_target - t_now, dt)
-        e_half = np.exp(0.5 * h * lin)
-        e_full = e_half * e_half
-        for _ in range(m):
-            t_abs = state.time + t_now
-            try:
-                n1 = nonlinear_hat(zhat, t_abs)
-                n2 = nonlinear_hat(e_half * (zhat + 0.5 * h * n1), t_abs)
-                n3 = nonlinear_hat(e_half * zhat + 0.5 * h * n2, t_abs)
-                n4 = nonlinear_hat(e_full * zhat + h * e_half * n3, t_abs)
-            except CavitationError as err:
-                err.partial_trajectory = traj
-                raise
-            zhat = e_full * zhat + (h / 6.0) * (
-                e_full * n1 + 2.0 * e_half * (n2 + n3) + n4
-            )
-            t_now += h
-        traj.states.append(
-            ScalarWaveState(SpectralField(grid, ifft(zhat).real),
-                            state.time + t_now, model)
-        )
-    return traj
+    def snapshot(zhat, t):
+        return ScalarWaveState(SpectralField(grid, ifft(zhat).real), t, model)
+
+    return integrate(fft(state.zeta.values), state.time, snapshot_times(t_end, n_out),
+                     lambda zhat: dt, nonlinear_hat, snapshot, factor=lin)
 
 
 def scalar_evolve(
@@ -438,9 +385,11 @@ def scalar_evolve(
     for _ in range(14):
         dt *= 0.5
         finer = _scalar_run(state, p, t_end, dt, n_out)
-        diff = float(
-            np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
-        )
+        diff = math.inf  # a halted run has no final state to compare
+        if traj.halt is None and finer.halt is None:
+            diff = float(
+                np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
+            )
         traj = finer
         if diff < ctrl.refine_tol:
             return traj

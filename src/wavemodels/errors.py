@@ -14,10 +14,6 @@ class GridMismatchError(WavemodelsError, ValueError):
     """Two fields that must share a grid do not."""
 
 
-class MultiplierDomainError(WavemodelsError, ValueError):
-    """A Fourier symbol evaluated to a non-finite value on the grid."""
-
-
 class CavitationError(WavemodelsError, RuntimeError):
     """The water column depth H + zeta reached zero: hyperbolicity is lost.
 

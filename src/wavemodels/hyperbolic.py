@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BreakingError, CavitationError, ConvergenceError, RiemannOrderingError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative
-from .stepping import DtControl, HaltEvent, Trajectory, resolve_substeps, snapshot_times
+from .stepping import DtControl, HaltEvent, Trajectory, integrate, snapshot_times
 
 __all__ = [
     "SVState",
@@ -170,28 +170,29 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 
 def _profile_derivative(u0, grid: Grid | None, u0_prime):
-    """Return (derivative callable, scan points) for a velocity profile.
+    """Return (derivative callable, scan points, derivative at those points).
 
-    SpectralField profiles use the spectral derivative with trigonometric
-    interpolation between nodes.  Callables use the supplied ``u0_prime``
-    or central differences, scanned over the grid extent.
+    SpectralField profiles use the spectral derivative: its node values
+    directly, trigonometric interpolation between nodes.  Callables use the
+    supplied ``u0_prime`` or central differences, scanned over the grid
+    extent.
     """
     if isinstance(u0, SpectralField):
         du = derivative(u0, axis=0, order=1)
-        xs = u0.grid.axis_coordinates(0)
-        return (lambda x: du.evaluate(x)), xs
+        return du.evaluate, u0.grid.axis_coordinates(0), du.values
     if grid is None:
         raise ValueError("a grid is required to scan a callable profile")
     xs = grid.axis_coordinates(0)
     if u0_prime is not None:
-        return (lambda x: np.asarray(u0_prime(np.asarray(x, dtype=float)))), xs
-    h = 1e-6 * max(grid.spacing[0], 1.0)
+        dfn = lambda x: np.asarray(u0_prime(np.asarray(x, dtype=float)))
+    else:
+        h = 1e-6 * max(grid.spacing[0], 1.0)
 
-    def fd(x):
-        x = np.asarray(x, dtype=float)
-        return (np.asarray(u0(x + h)) - np.asarray(u0(x - h))) / (2.0 * h)
+        def dfn(x):
+            x = np.asarray(x, dtype=float)
+            return (np.asarray(u0(x + h)) - np.asarray(u0(x - h))) / (2.0 * h)
 
-    return fd, xs
+    return dfn, xs, np.asarray(dfn(xs), dtype=float)
 
 
 def breaking_time(u0, grid: Grid | None = None, u0_prime=None) -> float:
@@ -201,8 +202,10 @@ def breaking_time(u0, grid: Grid | None = None, u0_prime=None) -> float:
     is located by a grid scan refined with golden-section minimization;
     ties go to the smallest x.
     """
-    dfn, xs = _profile_derivative(u0, grid, u0_prime)
-    dvals = np.asarray(dfn(xs), dtype=float)
+    return _crossing_time(*_profile_derivative(u0, grid, u0_prime))
+
+
+def _crossing_time(dfn, xs, dvals) -> float:
     i = int(np.argmin(dvals))  # first occurrence wins ties
     dx = xs[1] - xs[0]
     xa, xb = xs[i] - dx, xs[i] + dx
@@ -292,12 +295,12 @@ def hopf_characteristic_solve(
     the sampled foot-point map is not increasing.
     """
     query = np.atleast_1d(np.asarray(query_points, dtype=float))
-    t_star = breaking_time(u0, grid=grid, u0_prime=u0_prime)
+    du_fn, xs_scan, du_scan = _profile_derivative(u0, grid, u0_prime)
+    t_star = _crossing_time(du_fn, xs_scan, du_scan)
     if t >= t_star:
         raise BreakingError(
             f"characteristics cross at T* = {t_star}; requested t = {t}"
         )
-    du_fn, _ = _profile_derivative(u0, grid, u0_prime)
 
     periodic = isinstance(u0, SpectralField)
     if periodic:
@@ -341,14 +344,6 @@ def hopf_characteristic_solve(
     return out if np.ndim(query_points) else float(out[0])
 
 
-def _sv_rhs(z, u, p, ik, mask, fft, ifft):
-    h = p.H + z
-    dz = -ifft(ik * (mask * fft(h * u))).real
-    ux = ifft(ik * fft(u)).real
-    du = -p.g * ifft(ik * fft(z)).real - ifft(mask * fft(u * ux)).real
-    return dz, du
-
-
 def sv_evolve(
     state: SVState,
     p: PhysicalParams,
@@ -370,86 +365,56 @@ def sv_evolve(
     if grid.dim != 1:
         raise ValueError("time stepping is 1D only; 2D exposes eigenvalues only")
     ctrl = dt_control or DtControl()
-    z = state.zeta.values.copy()
-    u = state.u.values.copy()
-    _check_non_cavitating(p.H + z)
+    y0 = np.stack([state.zeta.values, state.u.values])
+    _check_non_cavitating(p.H + y0[0])
 
-    xi = grid.wavenumbers(0)
-    ik = 1j * xi
-    ik[grid.nodes[0] // 2] = 0.0  # odd-derivative Nyquist convention
+    ik = grid.ik[0]
     mask = grid.dealias_mask()
     fft, ifft = np.fft.fft, np.fft.ifft
     xs = grid.axis_coordinates(0)
     dx = grid.spacing[0]
 
-    def grad_max(u_arr):
-        ux = ifft(ik * fft(u_arr)).real
+    def rhs(y):
+        z, u = y
+        out = np.empty_like(y)
+        out[0] = -ifft(ik * (mask * fft((p.H + z) * u))).real
+        ux = ifft(ik * fft(u)).real
+        out[1] = -p.g * ifft(ik * fft(z)).real - ifft(mask * fft(u * ux)).real
+        return out
+
+    def step(y):
+        vmax = float(np.max(np.abs(y[1]) + np.sqrt(p.g * (p.H + y[0]))))
+        return ctrl.explicit_step(ctrl.cfl * dx / vmax, "CFL bound")
+
+    def grad_max(u):
+        ux = ifft(ik * fft(u)).real
         j = int(np.argmax(np.abs(ux)))
         return float(np.abs(ux[j])), float(xs[j])
 
-    g0, _ = grad_max(u)
+    g0, _ = grad_max(y0[1])
     threshold = blowup_threshold if blowup_threshold is not None else 200.0 * (g0 + 1.0)
     # Sub-threshold crossing times; each extrapolates to the breaking time
     # via t_cross + (2/3)/level, the compression law of a gradient blow-up.
     levels = [threshold / 8.0, threshold / 4.0, threshold / 2.0, threshold]
     crossings: dict[float, float] = {}
 
-    traj = Trajectory()
-    traj.states.append(
-        SVState(SpectralField(grid, z.copy()), SpectralField(grid, u.copy()), state.time)
-    )
+    def check(y, t):
+        depth = p.H + y[0]
+        gmax, loc = grad_max(y[1])
+        if float(np.min(depth)) <= 0.0:
+            return HaltEvent("cavitation", t, float(xs[int(np.argmin(depth))]), gmax)
+        for level in levels:
+            if level not in crossings and gmax >= level > g0:
+                crossings[level] = t
+        if not gmax > threshold:  # NaN too: the non-finite guard ends that run
+            return None
+        estimates = sorted(
+            t_c + 2.0 / (3.0 * level) for level, t_c in crossings.items()
+        ) or [t + 2.0 / (3.0 * gmax)]
+        return HaltEvent("breaking", t, loc, gmax, estimates[len(estimates) // 2])
 
-    times = snapshot_times(t_end, n_out)
-    t_now = 0.0
-    for t_target in times[1:]:
-        vmax = float(np.max(np.abs(u) + np.sqrt(p.g * (p.H + z))))
-        dt_raw = min(ctrl.cfl * dx / vmax, ctrl.dt_max)
-        if ctrl.dt is not None:
-            if ctrl.dt > dt_raw:
-                raise ValueError(
-                    f"explicit dt {ctrl.dt} violates the CFL bound {dt_raw}"
-                )
-            dt_raw = ctrl.dt
-        m, dt = resolve_substeps(t_target - t_now, dt_raw)
-        for _ in range(m):
-            k1z, k1u = _sv_rhs(z, u, p, ik, mask, fft, ifft)
-            k2z, k2u = _sv_rhs(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u, p, ik, mask, fft, ifft)
-            k3z, k3u = _sv_rhs(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u, p, ik, mask, fft, ifft)
-            k4z, k4u = _sv_rhs(z + dt * k3z, u + dt * k3u, p, ik, mask, fft, ifft)
-            z = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            t_now += dt
+    def snapshot(y, t):
+        return SVState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
 
-            depth_min = float(np.min(p.H + z))
-            if depth_min <= 0.0:
-                gmax, loc = grad_max(u)
-                traj.halt = HaltEvent("cavitation", state.time + t_now,
-                                      float(xs[int(np.argmin(p.H + z))]), gmax)
-                raise CavitationError(
-                    f"cavitation at t = {state.time + t_now}", partial_trajectory=traj
-                )
-            gmax, loc = grad_max(u)
-            for level in levels:
-                if level not in crossings and gmax >= level > g0:
-                    crossings[level] = state.time + t_now
-            if gmax > threshold:
-                traj.states.append(
-                    SVState(SpectralField(grid, z), SpectralField(grid, u),
-                            state.time + t_now)
-                )
-                estimates = sorted(
-                    t_c + 2.0 / (3.0 * level) for level, t_c in crossings.items()
-                ) or [state.time + t_now + 2.0 / (3.0 * gmax)]
-                traj.halt = HaltEvent(
-                    reason="breaking",
-                    time=state.time + t_now,
-                    location=loc,
-                    max_gradient=gmax,
-                    breaking_time_estimate=estimates[len(estimates) // 2],
-                )
-                return traj
-        traj.states.append(
-            SVState(SpectralField(grid, z.copy()), SpectralField(grid, u.copy()),
-                    state.time + t_now)
-        )
-    return traj
+    return integrate(y0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
+                     check=check)

@@ -13,6 +13,8 @@ the surface deformation over time.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -79,6 +81,11 @@ class ScenarioError(WavemodelsError, ValueError):
     """Configuration is structurally or physically invalid."""
 
 
+def _require_finite(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+
+
 def _reject_unknown(section: dict, allowed: set, where: str):
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -104,6 +111,10 @@ class InitialData:
             raise ScenarioError(
                 f"initial.companion must be one of {_COMPANIONS}, got {self.companion!r}"
             )
+        for name in ("amplitude", "width_parameter", "center"):
+            _require_finite(getattr(self, name), f"initial.{name}")
+        if self.speed is not None:
+            _require_finite(self.speed, "initial.speed")
         if self.width_parameter <= 0.0:
             raise ScenarioError("initial.width_parameter must be positive")
 
@@ -153,8 +164,13 @@ class Scenario:
                 raise ScenarioError(
                     f"abcd parameters are ill-posed (witness k = {verdict.witness_wavenumber})"
                 )
+        _require_finite(self.t_end, "t_end")
         if self.t_end < 0.0:
             raise ScenarioError("t_end must be nonnegative")
+        if isinstance(self.output_stride, bool) or not isinstance(
+            self.output_stride, numbers.Integral
+        ):
+            raise ScenarioError(f"output.stride must be an integer, got {self.output_stride!r}")
         if self.output_stride < 1:
             raise ScenarioError("output.stride must be at least 1")
         if self.grid is None:
@@ -387,16 +403,8 @@ def _evolve_series(sc: Scenario):
             traj = scalar_evolve(state0, p, sc.t_end, None, n_out=sc.output_stride)
     except CavitationError as err:
         traj = err.partial_trajectory
-        if traj is None:
+        if traj is None:  # the initial data already cavitates
             raise
-        halt = traj.halt or HaltEvent(
-            reason="cavitation",
-            time=traj.states[-1].time if traj.states else 0.0,
-            location=float("nan"),
-            max_gradient=float("nan"),
-        )
-        snaps = [_columns_for(sc, s) for s in traj.states]
-        return [s.time for s in traj.states], snaps, halt
 
     snaps = [_columns_for(sc, s) for s in traj.states]
     return [s.time for s in traj.states], snaps, traj.halt
@@ -442,8 +450,8 @@ def _halt_to_dict(halt: HaltEvent | None):
 def run(scenario: Scenario, output_dir=None) -> RunResult:
     """Run a scenario; write snapshot CSVs and a manifest.
 
-    Exit code 0 on completion, 2 on a physical halt (breaking or
-    cavitation) with partial output.  The output directory resolves as:
+    Exit code 0 on completion, 2 on a halt (breaking, cavitation, or a
+    non-finite state) with partial output.  The output directory resolves as:
     WAVEMODELS_OUTDIR environment variable, then the ``output_dir``
     argument, then the scenario's output.directory, then the cwd.
     """

@@ -1,34 +1,26 @@
-"""Periodic grids, Fourier transforms, multipliers, and dealiasing.
+"""Periodic grids, Fourier transforms, grid symbols, and spectral derivatives.
 
 Everything downstream (propagators, time steppers, traveling-wave solvers)
-is built on the three operations here: apply a Fourier multiplier, take a
-spectral derivative, and dealias a product.  Grids are uniform and periodic,
-with nodes x_j = -L/2 + j*dx so that x = 0 is the grid point N/2 and the
-wavenumbers form the standard symmetric set {2*pi*k/L : k = -N/2 .. N/2-1}.
+is built on the symbols a ``Grid`` caches: signed wavenumbers, i*k with the
+Nyquist mode zeroed, |xi|^2, |xi|, and the 2/3-rule dealiasing mask.  Grids
+are uniform and periodic, with nodes x_j = -L/2 + j*dx so that x = 0 is the
+grid point N/2 and the wavenumbers form the standard symmetric set
+{2*pi*k/L : k = -N/2 .. N/2-1}.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatchError, MultiplierDomainError
+from .errors import GridMismatchError
 
-__all__ = [
-    "Grid",
-    "SpectralField",
-    "Multiplier",
-    "apply_multiplier",
-    "dealias",
-    "derivative",
-    "identity_symbol",
-    "gravity_wave_symbol",
-    "whitham_symbol",
-    "power_symbol",
-]
+__all__ = ["Grid", "SpectralField", "derivative"]
 
 
 def _as_tuple(value, dim, cast):
@@ -38,6 +30,21 @@ def _as_tuple(value, dim, cast):
     if len(out) != dim:
         raise ValueError(f"expected {dim} per-axis values, got {len(out)}")
     return out
+
+
+def _node_count(value) -> int:
+    """An integral node count; 16.0 passes, 16.7, NaN and strings do not."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"node count must be an integer, got {value!r}")
+    return int(value)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "length", _as_tuple(length, dim, float))
-        object.__setattr__(self, "nodes", _as_tuple(nodes, dim, int))
+        object.__setattr__(self, "nodes", _as_tuple(nodes, dim, _node_count))
         for L in self.length:
             if not (L > 0.0 and math.isfinite(L)):
                 raise ValueError(f"grid length must be positive, got {L}")
@@ -90,22 +97,51 @@ class Grid:
         axes = [self.axis_coordinates(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
+    # Spectral symbols, built once per grid and shared read-only by every
+    # operator on it.
+
+    @cached_property
+    def _axis_wavenumbers(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _read_only(2.0 * np.pi * np.fft.fftfreq(n, d=L / n))
+            for L, n in zip(self.length, self.nodes)
+        )
+
     def wavenumbers(self, axis: int = 0) -> np.ndarray:
         """Signed wavenumbers 2*pi*k/L along one axis, FFT ordering."""
-        L, n = self.length[axis], self.nodes[axis]
-        return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
+        return self._axis_wavenumbers[axis]
 
     def wavenumber_mesh(self) -> tuple[np.ndarray, ...]:
         """Per-axis wavenumber arrays broadcast to the grid shape."""
-        ks = [self.wavenumbers(a) for a in range(self.dim)]
-        return tuple(np.meshgrid(*ks, indexing="ij"))
+        return tuple(np.meshgrid(*self._axis_wavenumbers, indexing="ij"))
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Symbols i*xi_a of d/dx_a, stacked over axes: shape (dim, *shape).
+
+        The Nyquist mode of each axis is zeroed (real-output convention for
+        odd derivatives).
+        """
+        out = 1j * np.stack(self.wavenumber_mesh())
+        for a, n in enumerate(self.nodes):
+            out[a].swapaxes(0, a)[n // 2] = 0.0
+        return _read_only(out)
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|xi|^2 on the grid: the symbol of -Laplacian."""
+        return _read_only(sum(k * k for k in self.wavenumber_mesh()))
+
+    @cached_property
+    def _magnitude(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.k2))
 
     def wavenumber_magnitude(self) -> np.ndarray:
-        mesh = self.wavenumber_mesh()
-        return np.sqrt(sum(k * k for k in mesh))
+        """|xi| on the grid."""
+        return self._magnitude
 
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep integer modes |k| <= floor(N/3) per axis."""
+    @cached_property
+    def _dealias_mask(self) -> np.ndarray:
         mask = np.ones(self.shape, dtype=bool)
         for a, n in enumerate(self.nodes):
             modes = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
@@ -113,7 +149,11 @@ class Grid:
             shape = [1] * self.dim
             shape[a] = n
             mask &= keep.reshape(shape)
-        return mask
+        return _read_only(mask)
+
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask: keep integer modes |k| <= floor(N/3) per axis."""
+        return self._dealias_mask
 
     @property
     def cell_volume(self) -> float:
@@ -239,96 +279,21 @@ class SpectralField:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Fourier multiplier with a real, even symbol of |xi|.
-
-    ``symbol`` must accept an array of wavenumber magnitudes (all >= 0)
-    and return finite values, with removable singularities such as
-    tanh(H|xi|)/(H|xi|) at xi = 0 handled by explicit limits.
-    """
-
-    symbol: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-    def __call__(self, xi_mag: np.ndarray) -> np.ndarray:
-        return np.asarray(self.symbol(np.asarray(xi_mag, dtype=float)), dtype=float)
-
-
-def identity_symbol() -> Multiplier:
-    return Multiplier(lambda xi: np.ones_like(xi), "1")
-
-
-def gravity_wave_symbol(H: float) -> Multiplier:
-    """|xi| tanh(H |xi|): the flat-bottom surface-wave operator symbol."""
-    return Multiplier(lambda xi: xi * np.tanh(H * xi), f"|xi| tanh({H} |xi|)")
-
-
-def whitham_symbol(H: float) -> Multiplier:
-    """sqrt(tanh(H|xi|)/(H|xi|)), with value 1 at xi = 0."""
-
-    def sym(xi):
-        mu = H * xi
-        out = np.ones_like(mu)
-        nz = mu != 0.0
-        out[nz] = np.sqrt(np.tanh(mu[nz]) / mu[nz])
-        return out
-
-    return Multiplier(sym, f"sqrt(tanh({H} |xi|)/({H} |xi|))")
-
-
-def power_symbol(exponent: float) -> Multiplier:
-    def sym(xi):
-        if exponent >= 0:
-            return xi**exponent
-        out = np.zeros_like(xi)
-        nz = xi != 0.0
-        out[nz] = xi[nz] ** exponent
-        return out
-
-    return Multiplier(sym, f"|xi|^{exponent}")
-
-
-def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
-    """Return the field with coefficients m(|xi|) * fhat(xi).
-
-    Raises
-    ------
-    MultiplierDomainError
-        If the symbol is non-finite at some grid wavenumber; the message
-        names the offending |xi|.
-    """
-    xi_mag = f.grid.wavenumber_magnitude()
-    sym = m(xi_mag)
-    bad = ~np.isfinite(sym)
-    if np.any(bad):
-        offending = float(xi_mag[bad].flat[0])
-        raise MultiplierDomainError(
-            f"symbol {m.label!r} is non-finite at |xi| = {offending!r}"
-        )
-    return SpectralField.from_hat(f.grid, sym * f.hat)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients with integer mode |k| > floor(N/3) per axis."""
-    return SpectralField.from_hat(f.grid, f.hat * f.grid.dealias_mask())
-
-
 def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
     """Spectral derivative (i xi)^order along ``axis``.
 
     The Nyquist mode is zeroed for odd orders (real-output convention).
     Orders above 4 are outside the supported range.
     """
-    if not 0 <= axis < f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
+    grid = f.grid
+    if not 0 <= axis < grid.dim:
+        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
     if not 1 <= order <= 4:
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    n = f.grid.nodes[axis]
-    xi = f.grid.wavenumbers(axis)
-    factor = (1j * xi) ** order
     if order % 2 == 1:
-        factor[n // 2] = 0.0
-    shape = [1] * f.grid.dim
-    shape[axis] = n
-    return SpectralField.from_hat(f.grid, factor.reshape(shape) * f.hat)
+        factor = grid.ik[axis] ** order
+    else:
+        shape = [1] * grid.dim
+        shape[axis] = grid.nodes[axis]
+        factor = (-grid.wavenumbers(axis) ** 2).reshape(shape) ** (order // 2)
+    return SpectralField.from_hat(grid, factor * f.hat)

@@ -1,9 +1,20 @@
-"""Shared time-stepping plumbing: step control, trajectories, halt records."""
+"""The one RK4 driver of every evolution model, with step control and halt records.
+
+``integrate`` advances y' = L y + N(y) with the integrating-factor RK4 of
+Kassam & Trefethen (2005, SIAM J. Sci. Comput. 26) for a diagonal linear
+symbol L; without one (L = 0) the scheme is classical RK4.  Models supply
+only the stage right-hand side N, a step bound and a halt test.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+from .errors import CavitationError, StepSizeUnderflowError
 
 
 @dataclass(frozen=True)
@@ -28,12 +39,24 @@ class DtControl:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
 
+    def explicit_step(self, dt_stable: float, bound: str) -> float:
+        """Step of an explicit scheme whose largest stable step is dt_stable.
+
+        min(dt_stable, dt_max), or the pinned ``dt`` if it respects that.
+        """
+        dt_raw = min(dt_stable, self.dt_max)
+        if self.dt is None:
+            return dt_raw
+        if self.dt > dt_raw:
+            raise ValueError(f"explicit dt {self.dt} violates the {bound} {dt_raw}")
+        return self.dt
+
 
 @dataclass(frozen=True)
 class HaltEvent:
     """Why and where a run stopped before reaching its end time."""
 
-    reason: str  # "breaking" or "cavitation"
+    reason: str  # "breaking", "cavitation" or "non_finite"
     time: float
     location: float
     max_gradient: float
@@ -76,3 +99,69 @@ def snapshot_times(t_end: float, n_intervals: int) -> list[float]:
     if t_end == 0.0:
         return [0.0]
     return [t_end * j / n_intervals for j in range(n_intervals + 1)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite guard reports these
+def integrate(
+    y0: np.ndarray,
+    t0: float,
+    times: list,
+    step: Callable[[np.ndarray], float],
+    rhs: Callable[[np.ndarray], np.ndarray],
+    snapshot: Callable[[np.ndarray, float], object],
+    factor: np.ndarray | None = None,
+    check: Callable[[np.ndarray, float], HaltEvent | None] | None = None,
+) -> Trajectory:
+    """Advance y0 from t0 through the output offsets ``times`` (times[0] = 0).
+
+    Each output interval is split into equal steps no larger than
+    ``step(y)``, evaluated on the state at the interval's start.  ``rhs``
+    is the stage right-hand side N(y); ``factor`` is the diagonal linear
+    symbol L integrated exactly, or None for explicit RK4.  ``snapshot``
+    turns an array and an absolute time into a stored state.
+
+    ``check(y, t)`` runs after every step.  A cavitation halt raises
+    CavitationError; any other halt keeps the state it fired on and ends
+    the run.  CavitationError raised by ``rhs`` is re-raised with the halt
+    record.  Either way the exception carries ``partial_trajectory``.  A
+    state with a non-finite value at the end of an output interval ends
+    the run with reason ``non_finite``; that state is not kept.
+    """
+    traj = Trajectory([snapshot(y0, t0)])
+    y = y0
+    t_now = 0.0
+    for t_target in times[1:]:
+        dt_raw = step(y)
+        if not dt_raw >= 1e-14:
+            raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
+        m, h = resolve_substeps(t_target - t_now, dt_raw)
+        e_half = 1.0 if factor is None else np.exp(0.5 * h * factor)
+        e_full = e_half * e_half
+        two_e_half = 2.0 * e_half
+        for _ in range(m):
+            try:
+                k1 = rhs(y)
+                k2 = rhs(e_half * (y + 0.5 * h * k1))
+                k3 = rhs(e_half * y + 0.5 * h * k2)
+                k4 = rhs(e_full * y + h * e_half * k3)
+            except CavitationError as err:
+                traj.halt = HaltEvent("cavitation", t0 + t_now, math.nan, math.nan)
+                raise CavitationError(
+                    f"cavitation at t = {t0 + t_now}", partial_trajectory=traj
+                ) from err
+            # with e = 1.0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
+            y = e_full * y + (h / 6.0) * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
+            t_now += h
+            halt = None if check is None else check(y, t0 + t_now)
+            if halt is None:
+                continue
+            traj.halt = halt
+            if halt.reason == "cavitation":
+                raise CavitationError(f"cavitation at t = {halt.time}", partial_trajectory=traj)
+            traj.states.append(snapshot(y, halt.time))
+            return traj
+        if not np.all(np.isfinite(y)):
+            traj.halt = HaltEvent("non_finite", t0 + t_now, math.nan, math.nan)
+            return traj
+        traj.states.append(snapshot(y, t0 + t_now))
+    return traj

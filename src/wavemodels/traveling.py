@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersive import AbcdParams, classify_abcd, whitham_multiplier_values
+from .dispersive import AbcdParams, classify_abcd
 from .errors import ConvergenceError, IllPosedError, ResonanceError
+from .linear import phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .traveling_newton import newton_even_coupled
+from .traveling_newton import newton_even_coupled, steady_residual
 
 __all__ = [
     "TravelingWaveSolution",
@@ -98,23 +99,25 @@ def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalP
     if model == "kdv":
         return speed - p.c0 * (1.0 - (p.H * kk) ** 2 / 6.0)
     if model == "whitham":
-        return speed - p.c0 * whitham_multiplier_values(kk, p)
+        return speed - phase_velocity(np.abs(kk), p)
     raise ValueError(f"unsupported traveling-wave model {model!r}")
 
 
-def kdv_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
+def _scalar_steady_residual(model: str, zeta: SpectralField, speed: float, p: PhysicalParams):
     """Pointwise residual of the once-integrated steady equation."""
-    kk = zeta.grid.wavenumbers(0)
-    lin = _steady_linear_symbol("kdv", speed, kk, p)
+    lin = _steady_linear_symbol(model, speed, zeta.grid.wavenumbers(0), p)
     n = (3.0 * p.c0 / (4.0 * p.H)) * zeta.values**2
     return np.fft.ifft(lin * zeta.hat).real - n
+
+
+def kdv_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
+    """Pointwise residual of the once-integrated steady KdV equation."""
+    return _scalar_steady_residual("kdv", zeta, speed, p)
 
 
 def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
-    kk = zeta.grid.wavenumbers(0)
-    lin = _steady_linear_symbol("whitham", speed, kk, p)
-    n = (3.0 * p.c0 / (4.0 * p.H)) * zeta.values**2
-    return np.fft.ifft(lin * zeta.hat).real - n
+    """Pointwise residual of the once-integrated steady Whitham equation."""
+    return _scalar_steady_residual("whitham", zeta, speed, p)
 
 
 def _symmetrize_centered(values: np.ndarray) -> np.ndarray:
@@ -174,10 +177,7 @@ def petviashvili_solve(
             raise ConvergenceError(f"iteration diverged at step {it}", m_history)
         if delta < tol:
             zeta = SpectralField(grid, z)
-            residual_fn = (
-                kdv_steady_residual if model == "kdv" else whitham_steady_residual
-            )
-            res = float(np.max(np.abs(residual_fn(zeta, speed, p))))
+            res = float(np.max(np.abs(_scalar_steady_residual(model, zeta, speed, p))))
             return TravelingWaveSolution(zeta, None, speed, res, it)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (last update {delta})", m_history
@@ -233,18 +233,7 @@ def boussinesq_steady_residual(
     r2 = -c (u - d H^2 u'') + g (zeta + c_param H^2 zeta'') + u^2 / 2
     with zero integration constants (decay gauge).
     """
-    kk = zeta.grid.wavenumbers(0)
-    k2 = kk**2
-    zxx = np.fft.ifft(-k2 * zeta.hat).real
-    uxx = np.fft.ifft(-k2 * u.hat).real
-    z, uu = zeta.values, u.values
-    r1 = -speed * (z - params.b * p.H**2 * zxx) + (p.H + z) * uu + params.a * p.H**3 * uxx
-    r2 = (
-        -speed * (uu - params.d * p.H**2 * uxx)
-        + p.g * (z + params.c * p.H**2 * zxx)
-        + 0.5 * uu**2
-    )
-    return r1, r2
+    return steady_residual(zeta.values, u.values, params, speed, p, zeta.grid)
 
 
 def boussinesq_solitary_solve(

@@ -16,11 +16,23 @@ from .physics import PhysicalParams
 from .spectral import Grid
 
 
+def steady_residual(z, u, params, speed: float, p: PhysicalParams, grid: Grid):
+    """Residuals (r1, r2) of the once-integrated steady system at (z, u)."""
+    zxx = np.fft.ifft(-grid.k2 * np.fft.fft(z)).real
+    uxx = np.fft.ifft(-grid.k2 * np.fft.fft(u)).real
+    r1 = -speed * (z - params.b * p.H**2 * zxx) + (p.H + z) * u + params.a * p.H**3 * uxx
+    r2 = (
+        -speed * (u - params.d * p.H**2 * uxx)
+        + p.g * (z + params.c * p.H**2 * zxx)
+        + 0.5 * u**2
+    )
+    return r1, r2
+
+
 def _second_derivative_matrix(grid: Grid) -> np.ndarray:
     n = grid.nodes[0]
-    k2 = grid.wavenumbers(0) ** 2
     eye_hat = np.fft.fft(np.eye(n), axis=0)
-    return np.fft.ifft(-k2[:, None] * eye_hat, axis=0).real
+    return np.fft.ifft(-grid.k2[:, None] * eye_hat, axis=0).real
 
 
 def _fold_columns(block: np.ndarray, n: int) -> np.ndarray:
@@ -51,17 +63,6 @@ def newton_even_coupled(
     n = grid.nodes[0]
     m = n // 2
     fold = np.minimum(np.arange(n), n - np.arange(n))
-    k2 = grid.wavenumbers(0) ** 2
-    fft, ifft = np.fft.fft, np.fft.ifft
-
-    def full_residual(z, u):
-        zxx = ifft(-k2 * fft(z)).real
-        uxx = ifft(-k2 * fft(u)).real
-        r1 = -speed * (z - params.b * p.H**2 * zxx) + (p.H + z) * u \
-            + params.a * p.H**3 * uxx
-        r2 = -speed * (u - params.d * p.H**2 * uxx) \
-            + p.g * (z + params.c * p.H**2 * zxx) + 0.5 * u**2
-        return r1, r2
 
     d2 = _second_derivative_matrix(grid)
     eye = np.eye(n)
@@ -76,7 +77,7 @@ def newton_even_coupled(
 
     for it in range(1, max_iter + 1):
         z, u = vz[fold], vu[fold]
-        r1, r2 = full_residual(z, u)
+        r1, r2 = steady_residual(z, u, params, speed, p, grid)
         res_inf = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res_inf < tol:
             return z, u, res_inf, it - 1
@@ -99,7 +100,7 @@ def newton_even_coupled(
         while True:
             z_try = (vz + step * dz)[fold]
             u_try = (vu + step * du)[fold]
-            t1, t2 = full_residual(z_try, u_try)
+            t1, t2 = steady_residual(z_try, u_try, params, speed, p, grid)
             res_try = max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
             if res_try < res_inf or res_try < tol:
                 vz = vz + step * dz
@@ -112,7 +113,7 @@ def newton_even_coupled(
                 )
 
     z, u = vz[fold], vu[fold]
-    r1, r2 = full_residual(z, u)
+    r1, r2 = steady_residual(z, u, params, speed, p, grid)
     res_inf = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     if res_inf < tol:
         return z, u, res_inf, max_iter

@@ -226,6 +226,16 @@ class TestScalarEvolve:
         traj = scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, 1.0, DtControl(dt=1e-3), n_out=2)
         assert traj.final_state.time == pytest.approx(1.0)
 
+    def test_non_finite_run_halts_without_keeping_the_state(self):
+        # dt = 0.5 is far beyond what the nonlinear term tolerates here
+        g = Grid(200.0, 1024)
+        z0 = SpectralField.from_function(g, lambda x: 0.5 * np.exp(-(x**2)))
+        traj = scalar_evolve(ScalarWaveState(z0, 0.0, "whitham"), P, 10.0,
+                             DtControl(dt=0.5), n_out=10)
+        assert traj.halt is not None and traj.halt.reason == "non_finite"
+        assert traj.halt.time > traj.final_state.time
+        assert all(np.all(np.isfinite(s.zeta.values)) for s in traj.states)
+
     def test_model_name_validated(self):
         g = Grid(100.0, 256)
         with pytest.raises(ValueError, match="model"):

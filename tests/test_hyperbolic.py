@@ -116,6 +116,20 @@ class TestBreakingTime:
         u0 = SpectralField.from_function(g, lambda x: -0.05 * np.sin(x))
         assert breaking_time(u0) == pytest.approx(2.0 / (3.0 * 0.05), rel=1e-10)
 
+    def test_node_scan_reads_derivative_values(self, monkeypatch):
+        g = Grid(2 * np.pi, 512)
+        u0 = SpectralField.from_function(g, lambda x: -np.sin(x))
+        sizes = []
+        evaluate = SpectralField.evaluate
+
+        def counted(self, points):
+            sizes.append(np.size(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(SpectralField, "evaluate", counted)
+        assert breaking_time(u0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert sizes and set(sizes) == {1}  # golden-section points only
+
 
 class TestHopfCharacteristics:
     def test_constant_profile_translates(self):

@@ -10,6 +10,7 @@ import pytest
 
 from wavemodels import (
     BreakingError,
+    DtControl,
     Grid,
     PhysicalParams,
     SpectralField,
@@ -205,6 +206,31 @@ class TestRun:
         assert result.exit_code == 2
         assert result.halt.reason == "cavitation"
 
+    def test_non_finite_state_exit_code(self, tmp_path, monkeypatch):
+        # pin a step far too large for the data, so the run overflows
+        evolve = scenarios.scalar_evolve
+        monkeypatch.setattr(
+            scenarios, "scalar_evolve",
+            lambda state, p, t_end, ctrl, n_out: evolve(state, p, t_end, DtControl(dt=0.5), n_out),
+        )
+        sc = Scenario(
+            model="whitham",
+            grid=Grid(200.0, 1024),
+            initial=InitialData(amplitude=0.5),
+            t_end=10.0,
+            output_stride=10,
+        )
+        result = run(sc, output_dir=tmp_path)
+        assert result.exit_code == 2
+        assert result.halt.reason == "non_finite"
+        assert 1 <= len(result.snapshot_paths) < 11
+        for path in result.snapshot_paths:
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(data))
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["halt"]["reason"] == "non_finite"
+        assert manifest["exit_code"] == 2
+
     def test_file_initial_data_round_trip(self, tmp_path):
         grid = Grid(100.0, 128)
         xs = grid.axis_coordinates(0)
@@ -395,6 +421,24 @@ class TestCli:
         r = cli("run", "--config", str(cfg))
         assert r.returncode == 1
         assert "error:" in r.stderr
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"initial": {"kind": "gaussian", "amplitude": 0.01, "width_parameter": math.nan}},
+            {"t_end": math.inf},
+            {"grid": {"length": 200.0, "nodes": 16.7}},
+        ],
+        ids=["nan_width", "infinite_t_end", "fractional_nodes"],
+    )
+    def test_non_finite_or_fractional_input_exit_code(self, tmp_path, overrides):
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, output={"stride": 2, "directory": str(tmp_path / "out")}, **overrides)
+        r = cli("run", "--config", str(cfg))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert len(r.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_library_error_exit_code(self, tmp_path):
         # a 1e-11 m domain drives the boussinesq CFL step below its floor

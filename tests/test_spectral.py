@@ -1,28 +1,19 @@
-"""Tests for the spectral substrate: grids, transforms, multipliers, dealiasing."""
-
-import math
+"""Tests for the spectral substrate: grids, their symbols, transforms, derivatives."""
 
 import numpy as np
 import pytest
 
-from wavemodels import (
-    Grid,
-    Multiplier,
-    MultiplierDomainError,
-    SpectralField,
-    apply_multiplier,
-    dealias,
-    derivative,
-    gravity_wave_symbol,
-    identity_symbol,
-    power_symbol,
-)
+from wavemodels import Grid, SpectralField, derivative
 
 RNG = np.random.default_rng(20260808)
 
 
 def random_field(grid):
     return SpectralField(grid, RNG.standard_normal(grid.shape))
+
+
+def dealias(f):
+    return SpectralField.from_hat(f.grid, f.grid.dealias_mask() * f.hat)
 
 
 class TestGrid:
@@ -54,6 +45,45 @@ class TestGrid:
         g = Grid((100.0, 50.0), (64, 32), dim=2)
         assert g.spacing == (100.0 / 64, 50.0 / 32)
         assert g.wavenumber_magnitude().shape == (64, 32)
+
+    @pytest.mark.parametrize("nodes", [16.7, float("nan"), float("inf"), "16", True])
+    def test_rejects_non_integral_node_counts(self, nodes):
+        with pytest.raises(ValueError, match="integer"):
+            Grid(1.0, nodes)
+
+    def test_integral_float_node_count_accepted(self):
+        assert Grid(1.0, 16.0).nodes == (16,)
+
+
+class TestGridSymbols:
+    def test_ik_is_read_only_and_matches_first_derivative(self):
+        g = Grid(50.0, 256)
+        f = random_field(g)
+        assert not g.ik.flags.writeable
+        with pytest.raises(ValueError):
+            g.ik[0, 1] = 0.0
+        out = SpectralField.from_hat(g, g.ik[0] * f.hat)
+        assert np.max(np.abs(out.values - derivative(f).values)) == 0.0
+
+    def test_2d_ik_zeroes_each_axis_nyquist_only(self):
+        g = Grid((2 * np.pi, 4.0), (32, 16), dim=2)
+        kx, ky = g.wavenumber_mesh()
+        expect_x, expect_y = 1j * kx, 1j * ky
+        expect_x[16, :] = 0.0
+        expect_y[:, 8] = 0.0
+        assert g.ik.shape == (2, 32, 16)
+        assert np.array_equal(g.ik[0], expect_x)
+        assert np.array_equal(g.ik[1], expect_y)
+
+    def test_symbols_cached_once_and_read_only(self):
+        g = Grid((100.0, 50.0), (64, 32), dim=2)
+        for get in (lambda: g.ik, lambda: g.k2, g.wavenumber_magnitude,
+                    g.dealias_mask, lambda: g.wavenumbers(1)):
+            assert get() is get()
+            assert not get().flags.writeable
+        kx, ky = g.wavenumber_mesh()
+        assert np.array_equal(g.k2, kx**2 + ky**2)
+        assert np.array_equal(g.wavenumber_magnitude(), np.sqrt(kx**2 + ky**2))
 
 
 class TestTransformContract:
@@ -110,51 +140,6 @@ class TestTransformContract:
         assert np.max(np.abs(fine.values - np.cos(k_nyq * (xf + 0.5 * L)))) < 1e-12
 
 
-class TestApplyMultiplier:
-    def test_identity_leaves_field_unchanged(self):
-        f = random_field(Grid(200.0, 256))
-        out = apply_multiplier(f, identity_symbol())
-        assert np.max(np.abs(out.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-
-    def test_gravity_wave_symbol_on_single_mode(self):
-        # G0 cos(x) on L=2pi with H=1 scales by tanh(1) = 0.7615941559557649
-        g = Grid(2 * np.pi, 128)
-        f = SpectralField.from_function(g, np.cos)
-        out = apply_multiplier(f, gravity_wave_symbol(1.0))
-        assert np.max(np.abs(out.values - math.tanh(1.0) * f.values)) < 1e-12
-
-    def test_power_symbol_is_laplacian_eigenvalue(self):
-        g = Grid(2 * np.pi, 128)
-        f = SpectralField.from_function(g, lambda x: np.sin(2 * x))
-        out = apply_multiplier(f, power_symbol(2.0))
-        assert np.max(np.abs(out.values - 4.0 * f.values)) < 1e-12 * np.max(np.abs(out.values))
-
-    def test_linearity(self):
-        g = Grid(100.0, 256)
-        f1, f2 = random_field(g), random_field(g)
-        a, b = 0.731, -2.4
-        m = gravity_wave_symbol(1.0)
-        lhs = apply_multiplier(a * f1 + b * f2, m)
-        rhs = a * apply_multiplier(f1, m) + b * apply_multiplier(f2, m)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
-
-    def test_multipliers_commute(self):
-        g = Grid(100.0, 256)
-        f = random_field(g)
-        m1, m2 = gravity_wave_symbol(1.0), power_symbol(2.0)
-        ab = apply_multiplier(apply_multiplier(f, m1), m2)
-        ba = apply_multiplier(apply_multiplier(f, m2), m1)
-        scale = np.max(np.abs(ab.values)) + 1.0
-        assert np.max(np.abs(ab.values - ba.values)) < 1e-10 * scale
-
-    def test_non_finite_symbol_names_wavenumber(self):
-        g = Grid(2 * np.pi, 64)
-        f = random_field(g)
-        bad = Multiplier(lambda xi: np.where(xi > 5.0, np.inf, 1.0), "blows-up")
-        with pytest.raises(MultiplierDomainError, match=r"\|xi\| ="):
-            apply_multiplier(f, bad)
-
-
 class TestDealias:
     def test_low_mode_unchanged(self):
         g = Grid(2 * np.pi, 64)
@@ -171,6 +156,8 @@ class TestDealias:
 
     def test_cutoff_boundary(self):
         g = Grid(2 * np.pi, 64)
+        modes = np.fft.fftfreq(64, d=1.0 / 64)
+        assert np.array_equal(g.dealias_mask(), np.abs(modes) <= 21)
         keep = SpectralField.from_function(g, lambda x: np.cos(21 * x))
         drop = SpectralField.from_function(g, lambda x: np.cos(22 * x))
         assert np.max(np.abs(dealias(keep).values - keep.values)) < 1e-13
