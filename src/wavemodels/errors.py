@@ -43,7 +43,7 @@ class IllPosedError(WavemodelsError, ValueError):
 
 
 class ResonanceError(WavemodelsError, RuntimeError):
-    """The traveling-wave linear operator vanishes at a grid wavenumber."""
+    """The traveling-wave linear symbol is singular at a grid wavenumber."""
 
 
 class ConvergenceError(WavemodelsError, RuntimeError):

@@ -87,6 +87,8 @@ def _require_finite(value, where: str):
 
 
 def _reject_unknown(section: dict, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
@@ -250,7 +252,7 @@ def load_scenario(path) -> Scenario:
     """Load a scenario from a config file or from a run manifest."""
     with open(path) as fh:
         raw = json.load(fh)
-    if "scenario" in raw:  # manifest round-trip
+    if isinstance(raw, dict) and "scenario" in raw:  # manifest round-trip
         raw = raw["scenario"]
     return Scenario.from_dict(raw)
 
@@ -265,16 +267,19 @@ def _gaussian_field(grid: Grid, amplitude: float, width: float, center: float) -
     return SpectralField(grid, amplitude * np.exp(-(width**2) * r2))
 
 
-def _load_columns(path: str, grid: Grid) -> dict[str, np.ndarray]:
+def _file_column(path: str, grid: Grid, name: str) -> SpectralField:
+    """One named column of a file of initial data, checked against the grid."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     names = list(data.dtype.names)
     if names[0] != "x_m":
         raise ScenarioError(f"file initial data must start with an x_m column, got {names}")
+    if name not in names[1:]:
+        raise ScenarioError(f"file initial data needs a {name} column, found {names}")
     x = np.asarray(data["x_m"], dtype=float)
     xs = grid.axis_coordinates(0)
     if x.shape != xs.shape or np.max(np.abs(x - xs)) > 1e-8 * grid.spacing[0]:
         raise ScenarioError("file x column does not match the scenario grid")
-    return {name: np.asarray(data[name], dtype=float) for name in names[1:]}
+    return SpectralField(grid, np.asarray(data[name], dtype=float))
 
 
 def _build_initial(sc: Scenario):
@@ -299,8 +304,7 @@ def _build_initial(sc: Scenario):
     if ini.kind == "file":
         if ini.path is None:
             raise ScenarioError("file initial data requires a path")
-        cols = _load_columns(ini.path, grid)
-        zeta = SpectralField(grid, cols["zeta_m"])
+        zeta = _file_column(ini.path, grid, "zeta_m")
     else:  # gaussian or simple_wave
         zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
 
@@ -312,13 +316,13 @@ def _build_initial(sc: Scenario):
 
     if sc.model == "acoustic":
         if ini.companion == "explicit" and ini.kind == "file":
-            zeta_t = SpectralField(grid, _load_columns(ini.path, grid)["zeta_t_m_per_s"])
+            zeta_t = _file_column(ini.path, grid, "zeta_t_m_per_s")
         else:
             zeta_t = zeros
         return (zeta, zeta_t)
     if sc.model == "airy":
         if ini.companion == "explicit" and ini.kind == "file":
-            psi = SpectralField(grid, _load_columns(ini.path, grid)["psi_m2_per_s"])
+            psi = _file_column(ini.path, grid, "psi_m2_per_s")
         else:
             psi = zeros
         return AiryState(zeta, psi, 0.0)
@@ -326,13 +330,13 @@ def _build_initial(sc: Scenario):
         if wants_simple_wave:
             u = simple_wave_velocity(zeta, p)
         elif ini.companion == "explicit" and ini.kind == "file":
-            u = SpectralField(grid, _load_columns(ini.path, grid)["u_m_per_s"])
+            u = _file_column(ini.path, grid, "u_m_per_s")
         else:
             u = zeros
         return SVState(zeta, u, 0.0)
     if sc.model == "boussinesq":
         if ini.companion == "explicit" and ini.kind == "file":
-            u = SpectralField(grid, _load_columns(ini.path, grid)["u_m_per_s"])
+            u = _file_column(ini.path, grid, "u_m_per_s")
         else:
             u = zeros
         return BoussinesqState(zeta, u, 0.0)
@@ -438,13 +442,12 @@ def _write_snapshot(path: Path, grid: Grid, columns: dict[str, np.ndarray]):
 def _halt_to_dict(halt: HaltEvent | None):
     if halt is None:
         return None
-    return {
-        "reason": halt.reason,
-        "time": halt.time,
-        "location": halt.location,
-        "max_gradient": halt.max_gradient,
-        "breaking_time_estimate": halt.breaking_time_estimate,
-    }
+    out = {"reason": halt.reason}
+    for name in ("time", "location", "max_gradient", "breaking_time_estimate"):
+        value = getattr(halt, name)
+        # strict JSON has no Infinity or NaN: a non-finite field is written as null
+        out[name] = value if value is not None and math.isfinite(value) else None
+    return out
 
 
 def run(scenario: Scenario, output_dir=None) -> RunResult:

@@ -1,6 +1,7 @@
 """Traveling-wave solvers: closed-form solitary waves of the cubic-dispersion
-equation, Petviashvili fixed-point iteration for the scalar models, and
-Newton continuation for solitary waves of the four-parameter systems.
+equation, and one Petviashvili fixed-point iteration that solves for the
+steady profiles of the scalar models (zeta) and of the four-parameter
+systems (zeta, u).
 
 All profiles live on a periodic grid large enough that the wrap-around
 interaction of the exponential tails sits below the solver tolerance, are
@@ -20,7 +21,7 @@ from .errors import ConvergenceError, IllPosedError, ResonanceError
 from .linear import phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .traveling_newton import newton_even_coupled, steady_residual
+from .traveling_newton import steady_residual
 
 __all__ = [
     "TravelingWaveSolution",
@@ -120,12 +121,57 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _scalar_steady_residual("whitham", zeta, speed, p)
 
 
-def _symmetrize_centered(values: np.ndarray) -> np.ndarray:
-    """Center the maximum at x = 0 and average with the even reflection."""
-    n = values.size
-    values = np.roll(values, n // 2 - int(np.argmax(values)))
-    refl = values[(-np.arange(n)) % n]
-    return 0.5 * (values + refl)
+def _symmetrize_centered(v: np.ndarray) -> np.ndarray:
+    """Center every component on the maximum of the first and average it
+    with its even reflection."""
+    n = v.shape[-1]
+    v = np.roll(v, n // 2 - int(np.argmax(v[0])), axis=-1)
+    return 0.5 * (v + v[:, (-np.arange(n)) % n])
+
+
+def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter: int):
+    """Petviashvili iteration for L v = N(v) on a stacked state v of shape (m, N).
+
+    ``lin`` is the per-mode linear symbol, shape (m, m, N); ``term_hat``
+    maps v to the transform of its quadratic term N(v), shape (m, N).
+    Iterates v <- M^2 L^{-1} N(v) with the stabilizing factor
+    M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>, inverting L mode by mode
+    through its adjugate and determinant; the exponent 2 is the standard
+    optimal choice for a quadratic term.  Stops when the sup-norm update
+    falls below ``tol`` and returns (v, iterations).  Divergence raises
+    ConvergenceError whose ``history`` holds the trace of M values.
+    """
+    if v.shape[0] == 1:
+        det, adj = lin[0, 0], np.ones((1, 1, 1))
+    else:
+        det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
+        adj = np.array([[lin[1, 1], -lin[0, 1]], [-lin[1, 0], lin[0, 0]]])
+    if np.any(det == 0.0):
+        raise ResonanceError("steady linear symbol is singular at a grid wavenumber")
+
+    m_history = []
+    for it in range(1, max_iter + 1):
+        vhat = np.fft.fft(v)
+        n_hat = term_hat(v)
+        denom = float(np.real(np.vdot(vhat, n_hat)))
+        numer = float(np.real(np.vdot(vhat, np.einsum("ijk,jk->ik", lin, vhat))))
+        if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(numer):
+            raise ConvergenceError(
+                f"normalization factor broke down at iteration {it}", m_history
+            )
+        m_factor = numer / denom
+        m_history.append(m_factor)
+        v_hat_new = np.einsum("ijk,jk->ik", adj, m_factor**2 * n_hat) / det
+        v_new = _symmetrize_centered(np.fft.ifft(v_hat_new).real)
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if not np.isfinite(delta) or float(np.max(np.abs(v))) > 1e6:
+            raise ConvergenceError(f"iteration diverged at step {it}", m_history)
+        if delta < tol:
+            return v, it
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations (last update {delta})", m_history
+    )
 
 
 def petviashvili_solve(
@@ -137,51 +183,26 @@ def petviashvili_solve(
     max_iter: int = 500,
     initial_guess: SpectralField | None = None,
 ) -> TravelingWaveSolution:
-    """Fixed-point iteration for steady profiles of the scalar models.
+    """Petviashvili iteration for steady profiles of the scalar models.
 
-    Iterates zeta <- M^2 L^{-1} N(zeta) with the stabilizing factor
-    M = <L zeta, zeta> / <N(zeta), zeta>; the exponent 2 is the standard
-    optimal choice for a quadratic nonlinearity.  Stops when the sup-norm
-    update falls below ``tol``.  Divergence raises ConvergenceError whose
-    ``history`` holds the trace of M values.
+    Solves L zeta = (3 c0 / (4 H)) zeta^2 with L the steady symbol of
+    ``model``; ``tol`` bounds the sup-norm update at exit.  Divergence
+    raises ConvergenceError whose ``history`` holds the trace of M values.
     """
     if speed <= p.c0:
         raise ValueError(f"supercritical speed required; got {speed} <= c0 = {p.c0}")
-    kk = grid.wavenumbers(0)
-    lin = _steady_linear_symbol(model, speed, kk, p)
-    if np.any(lin == 0.0):
-        raise ResonanceError("steady linear operator vanishes at a grid wavenumber")
-
+    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
     if initial_guess is None:
-        z = kdv_soliton(speed, p, grid).profile_zeta.values.copy()
+        z = kdv_soliton(speed, p, grid).profile_zeta.values
     else:
-        z = initial_guess.values.copy()
+        z = initial_guess.values
     nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
-    m_history = []
-    for it in range(1, max_iter + 1):
-        zhat = np.fft.fft(z)
-        n_hat = nl_coeff * np.fft.fft(z * z)
-        denom = float(np.real(np.vdot(zhat, n_hat)))
-        numer = float(np.real(np.vdot(zhat, lin * zhat)))
-        if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(numer):
-            raise ConvergenceError(
-                f"normalization factor broke down at iteration {it}", m_history
-            )
-        m_factor = numer / denom
-        m_history.append(m_factor)
-        z_new = np.fft.ifft(m_factor**2 * n_hat / lin).real
-        z_new = _symmetrize_centered(z_new)
-        delta = float(np.max(np.abs(z_new - z)))
-        z = z_new
-        if not np.isfinite(delta) or float(np.max(np.abs(z))) > 1e6:
-            raise ConvergenceError(f"iteration diverged at step {it}", m_history)
-        if delta < tol:
-            zeta = SpectralField(grid, z)
-            res = float(np.max(np.abs(_scalar_steady_residual(model, zeta, speed, p))))
-            return TravelingWaveSolution(zeta, None, speed, res, it)
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (last update {delta})", m_history
+    v, it = _petviashvili(
+        lin[None, None], lambda v: nl_coeff * np.fft.fft(v * v), z[None], tol, max_iter
     )
+    zeta = SpectralField(grid, v[0])
+    res = float(np.max(np.abs(_scalar_steady_residual(model, zeta, speed, p))))
+    return TravelingWaveSolution(zeta, None, speed, res, it)
 
 
 def petviashvili_continuation(
@@ -242,32 +263,47 @@ def boussinesq_solitary_solve(
     p: PhysicalParams,
     grid: Grid,
     tol: float = 1e-12,
-    max_iter: int = 40,
+    max_iter: int = 500,
 ) -> TravelingWaveSolution:
-    """Newton solve of the once-integrated steady system for (zeta, u).
+    """Petviashvili iteration for solitary waves (zeta, u) of the abcd system.
 
-    The discretization restricts to fields even about x = 0, which removes
-    the translation null direction of the Jacobian.  The initial guess is
-    the closed-form sech^2 profile with the leading-order closure
-    u = c zeta / (H + zeta).
+    In Fourier space the once-integrated steady system is L v = N(v) for
+    v = (zeta, u), with the mode-wise 2x2 symbol
+    L11 = -c (1 + b H^2 k^2),  L12 = H - a H^3 k^2,
+    L21 = g (1 - c_param H^2 k^2),  L22 = -c (1 + d H^2 k^2)
+    and the quadratic term N = -(zeta u, u^2 / 2).  ``tol`` bounds the
+    sup-norm update at exit, ``iterations`` counts the sweeps, and a
+    ConvergenceError carries the trace of the normalization factor M in
+    its ``history``.  The initial guess is the closed-form sech^2 profile
+    with the leading-order closure u = c zeta / (H + zeta).
     """
     verdict = classify_abcd(params, p)
     if verdict.verdict != "well_posed":
         raise IllPosedError("cannot continue solitary waves of an ill-posed system")
-    ratio = speed / p.c0 - 1.0
-    if ratio < 0.0 or ratio > 0.3:
+    if not 1.0 <= speed / p.c0 <= 1.3:
         raise ValueError(
-            f"supported speeds have 0 <= c/c0 - 1 <= 0.3; got c/c0 - 1 = {ratio}"
+            f"supported speeds have 0 <= c/c0 - 1 <= 0.3; got c/c0 - 1 = {speed / p.c0 - 1.0}"
         )
     if speed == p.c0:
         zeros = SpectralField.zeros(grid)
         return TravelingWaveSolution(zeros, SpectralField.zeros(grid), speed, 0.0, 0)
 
+    h2k2 = p.H**2 * grid.k2
+    lin = np.array([
+        [-speed * (1.0 + params.b * h2k2), p.H * (1.0 - params.a * h2k2)],
+        [p.g * (1.0 - params.c * h2k2), -speed * (1.0 + params.d * h2k2)],
+    ])
     guess_z = kdv_soliton(speed, p, grid).profile_zeta.values
     guess_u = speed * guess_z / (p.H + guess_z)
-    z, u, res, iters = newton_even_coupled(
-        guess_z, guess_u, params, speed, p, grid, tol=tol, max_iter=max_iter
+    v, it = _petviashvili(
+        lin,
+        lambda v: -np.fft.fft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2))),
+        np.stack((guess_z, guess_u)),
+        tol,
+        max_iter,
     )
+    r1, r2 = steady_residual(v[0], v[1], params, speed, p, grid)
+    res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     return TravelingWaveSolution(
-        SpectralField(grid, z), SpectralField(grid, u), speed, res, iters
+        SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it
     )

@@ -166,6 +166,35 @@ class TestRun:
         assert manifest["halt"]["reason"] == "breaking"
         assert manifest["exit_code"] == 2
 
+    def test_breaking_manifest_is_strict_json(self, tmp_path):
+        sc = Scenario(
+            model="hopf",
+            grid=Grid(200.0, 256),
+            initial=InitialData(kind="simple_wave", amplitude=0.5, width_parameter=0.1),
+            t_end=50.0,
+            output_stride=10,
+        )
+        result = run(sc, output_dir=tmp_path)
+        assert result.halt.reason == "breaking"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        manifest = json.loads(result.manifest_path.read_text(), parse_constant=reject)
+        halt = manifest["halt"]
+        assert halt["max_gradient"] is None  # infinite at breaking
+        assert math.isfinite(halt["time"]) and math.isfinite(halt["location"])
+
+    def test_file_initial_data_without_zeta_column(self, tmp_path):
+        grid = Grid(100.0, 128)
+        src = tmp_path / "init.csv"
+        rows = [f"{float(x)!r},0.0" for x in grid.axis_coordinates(0)]
+        src.write_text("\n".join(["x_m,eta_m"] + rows) + "\n")
+        sc = Scenario(model="kdv", grid=grid, initial=InitialData(kind="file", path=str(src)),
+                      t_end=0.0, output_stride=1)
+        with pytest.raises(ScenarioError, match=r"zeta_m column, found \['x_m', 'eta_m'\]"):
+            run(sc, output_dir=tmp_path / "out")
+
     def test_hopf_breaking_below_t_star_halts(self, tmp_path, monkeypatch):
         # the foot-point scan may detect breaking just before the computed T*
         def breaks(*args):
@@ -421,6 +450,15 @@ class TestCli:
         r = cli("run", "--config", str(cfg))
         assert r.returncode == 1
         assert "error:" in r.stderr
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"airy"', "null"])
+    def test_non_object_config_exit_code(self, tmp_path, text):
+        cfg = tmp_path / "top.json"
+        cfg.write_text(text)
+        r = cli("run", "--config", str(cfg))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: scenario must be a JSON object")
+        assert len(r.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "overrides",

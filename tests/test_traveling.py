@@ -204,6 +204,34 @@ class TestBoussinesqSolitary:
                 AbcdParams(1.0 / 3.0, 0.0, 0.0, 0.0), 1.05 * P.c0, P, Grid(200.0, 256)
             )
 
+    @pytest.mark.parametrize("ratio, grid", [(1.01, Grid(400.0, 1024)), (1.3, Grid(200.0, 512))],
+                             ids=["c1.01", "c1.30"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            AbcdParams(0.0, 1.0 / 6.0, 0.0, 1.0 / 6.0),
+            AbcdParams(1.0 / 6.0, 0.0, 1.0 / 6.0, 0.0),
+            AbcdParams(-1.0 / 6.0, 1.0 / 3.0, 0.0, 1.0 / 6.0),
+        ],
+        ids=["bbm_bbm", "a_c_sixth", "mixed"],
+    )
+    def test_other_well_posed_systems(self, params, ratio, grid):
+        sol = boussinesq_solitary_solve(params, ratio * P.c0, P, grid)
+        r1, r2 = boussinesq_steady_residual(sol.profile_zeta, sol.profile_u, params, sol.speed, P)
+        assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-10
+        z = sol.profile_zeta.values
+        assert np.array_equal(z, z[(-np.arange(z.size)) % z.size])  # even about x = 0
+        # a wave of elevation peaked at x = 0; (1/6, 0, 1/6, 0) has dips below zero
+        # in its tails at c = 1.3 c0, so positivity is asked of the crest
+        assert sol.amplitude > 0.0 and z[z.size // 2] == sol.amplitude
+
+    def test_fine_grid(self):
+        # N = 8192: one dense N x N matrix would take 0.5 GB; the iteration builds none
+        grid = Grid(suggested_domain_length(3.3, P), 8192)
+        sol = boussinesq_solitary_solve(GOOD, 3.3, P, grid)
+        r1, r2 = boussinesq_steady_residual(sol.profile_zeta, sol.profile_u, GOOD, sol.speed, P)
+        assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-10
+
     def test_velocity_profile_sign_matches_propagation(self):
         # rightward wave of elevation carries positive velocity
         sol = boussinesq_solitary_solve(GOOD, 1.05 * P.c0, P, Grid(200.0, 512))
