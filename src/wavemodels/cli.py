@@ -26,7 +26,7 @@ from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import InitialData, compare, load_scenario, run
+from .scenarios import FLOAT_FORMAT, InitialData, compare, load_scenario, run, write_rows
 from .spectral import Grid, SpectralField
 from .traveling import (
     boussinesq_solitary_solve,
@@ -35,11 +35,11 @@ from .traveling import (
     suggested_domain_length,
 )
 
-_FMT = "{:.17g}"
-
-
-def _fmt(value: float) -> str:
-    return _FMT.format(value)
+# Largest spectral tail (top-third rfft peak over the overall peak) of a
+# solitary profile the CLI accepts.  At c = 3.3 on the default domain, kdv,
+# whitham and boussinesq give at most 2.8e-3 on 128 nodes or more, and
+# 0.03 to 1 on 64 nodes or fewer.
+MAX_SPECTRAL_TAIL = 1e-2
 
 
 def _add_physical_args(parser):
@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
     result = run(scenario, output_dir=args.outdir)
     print(f"manifest: {result.manifest_path}")
     if result.halt is not None:
-        print(f"halted: {result.halt.reason} at t = {_fmt(result.halt.time)}")
+        print(f"halted: {result.halt.reason} at t = {FLOAT_FORMAT % result.halt.time}")
     return result.exit_code
 
 
@@ -81,19 +81,14 @@ def _cmd_dispersion(args) -> int:
     xi = np.linspace(0.0, args.ximax, args.samples)
     cp = phase_velocity(xi, p)
     cg = group_velocity(xi, p)
+    columns = {
+        "phase": {"cp_m_per_s": cp},
+        "group": {"cg_m_per_s": cg},
+        "both": {"cp_m_per_s": cp, "cg_m_per_s": cg},
+    }[args.quantity]
     stream, close = _out_stream(args.out)
-    if args.quantity == "phase":
-        stream.write("xi_per_m,cp_m_per_s\n")
-        for row in zip(xi, cp):
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    elif args.quantity == "group":
-        stream.write("xi_per_m,cg_m_per_s\n")
-        for row in zip(xi, cg):
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        stream.write("xi_per_m,cp_m_per_s,cg_m_per_s\n")
-        for row in zip(xi, cp, cg):
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+    stream.write(",".join(["xi_per_m", *columns]) + "\n")
+    write_rows(stream, [xi, *columns.values()])
     if close:
         stream.close()
     return 0
@@ -109,10 +104,17 @@ def _solitary_grid(args, p, speed) -> Grid:
 
 def _solve_solitary(model, speed, p, grid, abcd):
     if model == "kdv":
-        return kdv_soliton(speed, p, grid)
-    if model == "whitham":
-        return petviashvili_solve("whitham", speed, p, grid)
-    return boussinesq_solitary_solve(abcd, speed, p, grid)
+        sol = kdv_soliton(speed, p, grid)
+    elif model == "whitham":
+        sol = petviashvili_solve("whitham", speed, p, grid)
+    else:
+        sol = boussinesq_solitary_solve(abcd, speed, p, grid)
+    if sol.spectral_tail > MAX_SPECTRAL_TAIL:
+        raise ValueError(
+            f"grid does not resolve the wave at speed {speed}: spectral tail "
+            f"{sol.spectral_tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more --nodes"
+        )
+    return sol
 
 
 def _cmd_solitary(args) -> int:
@@ -125,17 +127,17 @@ def _cmd_solitary(args) -> int:
         return 1
     speeds = [args.speed] if args.speeds is None else [float(s) for s in args.speeds.split(",")]
     if args.speeds is not None:
-        # amplitude-speed sweep: one row per speed
+        # amplitude-speed sweep: one row per speed, written once all are solved
+        sols = [_solve_solitary(args.model, s, p, _solitary_grid(args, p, s), abcd)
+                for s in speeds]
         stream, close = _out_stream(args.out)
         stream.write("speed_m_per_s,amplitude_m,residual,iterations\n")
-        for s in speeds:
-            sol = _solve_solitary(args.model, s, p, _solitary_grid(args, p, s), abcd)
-            stream.write(
-                ",".join(
-                    [_fmt(s), _fmt(sol.amplitude), _fmt(sol.residual), str(sol.iterations)]
-                )
-                + "\n"
-            )
+        write_rows(stream, [
+            speeds,
+            [sol.amplitude for sol in sols],
+            [sol.residual for sol in sols],
+            [sol.iterations for sol in sols],
+        ])
         if close:
             stream.close()
         return 0
@@ -144,9 +146,7 @@ def _cmd_solitary(args) -> int:
     sol = _solve_solitary(args.model, args.speed, p, grid, abcd)
     stream, close = _out_stream(args.out)
     stream.write("x_m,zeta_m\n")
-    xs = grid.axis_coordinates(0)
-    for xv, zv in zip(xs, sol.profile_zeta.values):
-        stream.write(f"{_fmt(xv)},{_fmt(zv)}\n")
+    write_rows(stream, [grid.axis_coordinates(0), sol.profile_zeta.values])
     if close:
         stream.close()
     meta = {
@@ -155,6 +155,7 @@ def _cmd_solitary(args) -> int:
         "amplitude": sol.amplitude,
         "residual": sol.residual,
         "iterations": sol.iterations,
+        "spectral_tail": sol.spectral_tail,
     }
     print(json.dumps(meta, sort_keys=True), file=sys.stderr)
     return 0
@@ -182,7 +183,7 @@ def _cmd_shocktime(args) -> int:
         length = float(xs[-1] - xs[0] + (xs[1] - xs[0]))
         grid = Grid(length, xs.size)
         u0 = SpectralField(grid, np.asarray(data["u_m_per_s"], dtype=float))
-    print(_fmt(breaking_time(u0)))
+    print(FLOAT_FORMAT % breaking_time(u0))
     return 0
 
 

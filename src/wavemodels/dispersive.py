@@ -221,9 +221,11 @@ def abcd_evolve(
     """Method-of-lines run of the 1D four-parameter system.
 
     Each right-hand side inverts the elliptic factors (1 - b H^2 d_xx) and
-    (1 - d H^2 d_xx) mode-wise; quadratic products are dealiased; classical
-    RK4 advances in time.  The step obeys both the advective CFL bound and
-    an oscillatory bound pi/omega_max from the linear dispersion.
+    (1 - d H^2 d_xx) mode-wise on the real-FFT half spectrum (N/2 + 1
+    modes), in four batched transforms: (zeta, u) forward, u_x back, the
+    two dealiased quadratic products forward, the two tendencies back.
+    Classical RK4 advances in time.  The step obeys both the advective CFL
+    bound and an oscillatory bound pi/omega_max from the linear dispersion.
     """
     _require_evolvable(params, p)
     grid = state.grid
@@ -235,15 +237,17 @@ def abcd_evolve(
     if float(np.min(p.H + y0[0])) <= 0.0:
         raise CavitationError("initial data violates non-cavitation")
 
-    ik = grid.ik[0]
-    k2 = grid.k2
-    mu2 = (p.H * grid.wavenumbers(0)) ** 2
+    n = grid.nodes[0]
+    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
+    ik = grid.ik[0][half]
+    k2 = grid.k2[half]
+    mu2 = (p.H * grid.wavenumbers(0)[half]) ** 2
     inv_b = 1.0 / (1.0 + params.b * mu2)
     inv_d = 1.0 / (1.0 + params.d * mu2)
     lin_zu = 1.0 - params.a * mu2  # factor on u in the mass flux
     lin_uz = 1.0 - params.c * mu2  # factor on zeta in the velocity equation
-    mask = grid.dealias_mask()
-    fft, ifft = np.fft.fft, np.fft.ifft
+    mask = grid.dealias_mask()[half]
+    rfft, irfft = np.fft.rfft, np.fft.irfft
     dx = grid.spacing[0]
     xs = grid.axis_coordinates(0)
 
@@ -252,14 +256,13 @@ def abcd_evolve(
 
     def rhs(y):
         z, u = y
-        out = np.empty_like(y)
-        u_hat = fft(u)
-        hu_hat = mask * fft((p.H + z) * u)
+        y_hat = rfft(y)
+        ux = irfft(ik * y_hat[1], n)
+        nl_hat = mask * rfft(np.stack([(p.H + z) * u, u * ux]))
         # mass flux: h u + a H^3 u_xx, then d_x and the b-elliptic inverse
-        out[0] = ifft(-ik * (hu_hat - params.a * p.H**3 * k2 * u_hat) * inv_b).real
-        ux = ifft(ik * u_hat).real
-        out[1] = ifft((-p.g * ik * lin_uz * fft(z) - mask * fft(u * ux)) * inv_d).real
-        return out
+        nl_hat[0] = -ik * (nl_hat[0] - params.a * p.H**3 * k2 * y_hat[1]) * inv_b
+        nl_hat[1] = (-p.g * ik * lin_uz * y_hat[0] - nl_hat[1]) * inv_d
+        return irfft(nl_hat, n)
 
     def step(y):
         dt_stable = ctrl.cfl * dx / (p.c0 + 1.5 * float(np.max(np.abs(y[1]))))
@@ -271,7 +274,7 @@ def abcd_evolve(
         depth = p.H + y[0]
         if float(np.min(depth)) > 0.0:
             return None
-        ux = ifft(ik * fft(y[1])).real
+        ux = irfft(ik * rfft(y[1]), n)
         return HaltEvent("cavitation", t, float(xs[int(np.argmin(depth))]),
                          float(np.max(np.abs(ux))))
 
@@ -315,33 +318,40 @@ def whitham_multiplier_values(k, p: PhysicalParams):
 
 
 def _scalar_run(state, p, t_end, dt, n_out):
-    """One integrating-factor RK4 run of a scalar model at the step dt."""
+    """One integrating-factor RK4 run of a scalar model at the step dt.
+
+    The state is zeta-hat on the real-FFT half spectrum (N/2 + 1 modes), so
+    the integrating factor exp(hL) acts on those modes only; whitham2 gets
+    zeta and zeta_x from one batched inverse transform.
+    """
     grid = state.grid
-    ik = grid.ik[0]
-    mask = grid.dealias_mask()
-    fft, ifft = np.fft.fft, np.fft.ifft
+    n = grid.nodes[0]
+    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
+    ik = grid.ik[0][half]
+    mask = grid.dealias_mask()[half]
+    rfft, irfft = np.fft.rfft, np.fft.irfft
     model = state.model
     if model == "kdv":
-        lin = -p.c0 * ik * (1.0 - p.H**2 * grid.k2 / 6.0)
+        lin = -p.c0 * ik * (1.0 - p.H**2 * grid.k2[half] / 6.0)
     else:  # whitham and whitham2 share the linear propagator c_p(|k|) d_x
-        lin = -ik * phase_velocity(grid.wavenumber_magnitude(), p)
+        lin = -ik * phase_velocity(grid.wavenumber_magnitude()[half], p)
     sqrt_gH = math.sqrt(p.g * p.H)
 
     def nonlinear_hat(zhat):
-        z = ifft(zhat).real
         if model == "whitham2":
+            z, zx = irfft(np.stack([zhat, ik * zhat]), n)
             depth = p.H + z
             if float(np.min(depth)) <= 0.0:
                 raise CavitationError("depth H + zeta reached zero")
             coeff = 3.0 * np.sqrt(p.g * depth) - 3.0 * sqrt_gH
-            zx = ifft(ik * zhat).real
-            return -(mask * fft(coeff * zx))
-        return -(3.0 * p.c0 / (4.0 * p.H)) * ik * (mask * fft(z * z))
+            return -(mask * rfft(coeff * zx))
+        z = irfft(zhat, n)
+        return -(3.0 * p.c0 / (4.0 * p.H)) * ik * (mask * rfft(z * z))
 
     def snapshot(zhat, t):
-        return ScalarWaveState(SpectralField(grid, ifft(zhat).real), t, model)
+        return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
 
-    return integrate(fft(state.zeta.values), state.time, snapshot_times(t_end, n_out),
+    return integrate(rfft(state.zeta.values), state.time, snapshot_times(t_end, n_out),
                      lambda zhat: dt, nonlinear_hat, snapshot, factor=lin)
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "load_scenario",
     "run",
     "compare",
+    "write_rows",
     "OUTPUT_DIR_ENV",
 ]
 
@@ -74,7 +75,8 @@ _COMPANIONS = ("zero_velocity", "from_simple_wave_relation", "explicit")
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
-_FMT = "{:.17g}"  # all emitted floats carry 17 significant digits
+FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
+_BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
 
 
 class ScenarioError(WavemodelsError, ValueError):
@@ -422,21 +424,26 @@ class RunResult:
     halt: HaltEvent | None
 
 
+def write_rows(stream, columns):
+    """Write equal-length columns as CSV rows of FLOAT_FORMAT fields.
+
+    Rows are formatted a block at a time by one %-operation per block, so
+    a large table never sits in memory as one string.
+    """
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _write_snapshot(path: Path, grid: Grid, columns: dict[str, np.ndarray]):
     names = list(columns)
+    axes = ["x_m"] if grid.dim == 1 else ["x_m", "y_m"]
     with open(path, "w", newline="\n") as fh:
-        if grid.dim == 1:
-            fh.write(",".join(["x_m"] + names) + "\n")
-            xs = grid.axis_coordinates(0)
-            cols = [xs] + [columns[n] for n in names]
-            for row in zip(*cols):
-                fh.write(",".join(_FMT.format(v) for v in row) + "\n")
-        else:
-            fh.write(",".join(["x_m", "y_m"] + names) + "\n")
-            x, y = grid.meshgrid()
-            flat = [x.ravel(), y.ravel()] + [columns[n].ravel() for n in names]
-            for row in zip(*flat):
-                fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+        fh.write(",".join(axes + names) + "\n")
+        coords = [x.ravel() for x in grid.meshgrid()]
+        write_rows(fh, coords + [columns[n].ravel() for n in names])
 
 
 def _halt_to_dict(halt: HaltEvent | None):

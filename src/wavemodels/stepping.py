@@ -3,7 +3,11 @@
 ``integrate`` advances y' = L y + N(y) with the integrating-factor RK4 of
 Kassam & Trefethen (2005, SIAM J. Sci. Comput. 26) for a diagonal linear
 symbol L; without one (L = 0) the scheme is classical RK4.  Models supply
-only the stage right-hand side N, a step bound and a halt test.
+only the stage right-hand side N, a step bound and a halt test.  The
+1-D models keep their spectra on the real-FFT half spectrum (N/2 + 1
+modes): Saint-Venant and abcd step the physical (zeta, u) with batched
+rfft/irfft inside N, the scalar models step zeta-hat on those modes, so
+exp(hL) is applied to N/2 + 1 entries.
 """
 
 from __future__ import annotations

@@ -51,6 +51,19 @@ class TravelingWaveSolution:
     def amplitude(self) -> float:
         return float(np.max(self.profile_zeta.values))
 
+    @property
+    def spectral_tail(self) -> float:
+        """max |zeta-hat| over the top third of the rfft modes over max |zeta-hat|.
+
+        A resolution check: near round-off for a profile the grid resolves,
+        order one for one it cannot carry.  0 for the zero profile.
+        """
+        coef = np.abs(np.fft.rfft(self.profile_zeta.values))
+        peak = float(np.max(coef))
+        if peak == 0.0:
+            return 0.0
+        return float(np.max(coef[coef.size - coef.size // 3 :])) / peak
+
 
 @dataclass
 class ContinuationResult:

@@ -1,5 +1,6 @@
 """Tests for scenario configuration, the run/compare drivers, and the CLI."""
 
+import io
 import json
 import math
 import subprocess
@@ -335,6 +336,19 @@ class TestRun:
         assert result.manifest_path.parent == tmp_path / "env"
 
 
+def test_write_rows_matches_per_value_format():
+    # more rows than one formatting block, and the values a %-format could
+    # render differently from str.format
+    special = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+               1.0 / 3.0, 1e300, 12345678901234567.0]
+    rng = np.random.default_rng(0)
+    a = np.concatenate([special, rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)])
+    b = a[::-1].copy()
+    stream = io.StringIO()
+    scenarios.write_rows(stream, [a, b])
+    assert stream.getvalue() == "".join("{:.17g},{:.17g}\n".format(x, y) for x, y in zip(a, b))
+
+
 class TestCompare:
     def test_same_scenario_twice_gives_zero(self):
         sc = Scenario(model="airy", grid=Grid(200.0, 256), t_end=5.0, output_stride=3)
@@ -413,6 +427,30 @@ class TestCli:
         data = np.genfromtxt(out, delimiter=",", names=True)
         amps = np.asarray(data["amplitude_m"])
         assert amps[1] > amps[0]
+
+    @pytest.mark.parametrize("nodes, code", [(6, 1), (1024, 0)])
+    def test_solitary_resolution_check(self, tmp_path, nodes, code):
+        # on 6 nodes the solver converges, to an amplitude of 0.074 instead of 0.110
+        out = tmp_path / "profile.csv"
+        r = cli("solitary", "--model", "boussinesq", "--speed", "3.3",
+                "--nodes", str(nodes), "--out", str(out))
+        assert r.returncode == code
+        if code == 1:
+            assert r.stderr.startswith("error: grid does not resolve the wave")
+            assert len(r.stderr.splitlines()) == 1
+            assert not out.exists()
+        else:
+            meta = json.loads(r.stderr.strip().splitlines()[-1])
+            assert meta["spectral_tail"] < 1e-10
+            assert meta["amplitude"] == pytest.approx(0.110, abs=1e-3)
+
+    def test_solitary_sweep_with_unresolved_speed_writes_nothing(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        r = cli("solitary", "--model", "kdv", "--speeds", "3.2,5.5", "--nodes", "128",
+                "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: grid does not resolve the wave at speed 5.5")
+        assert not out.exists()
 
     def test_run_and_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,26 @@
 """Tests for the one RK4 driver shared by every evolution model."""
 
+import math
+
 import numpy as np
 import pytest
 
-from wavemodels import CavitationError, HaltEvent
+from wavemodels import (
+    AbcdParams,
+    BoussinesqState,
+    CavitationError,
+    DtControl,
+    Grid,
+    HaltEvent,
+    PhysicalParams,
+    ScalarWaveState,
+    SpectralField,
+    SVState,
+    abcd_evolve,
+    phase_velocity,
+    scalar_evolve,
+    sv_evolve,
+)
 from wavemodels.stepping import integrate
 
 LAMBDAS = np.array([-1.0, -0.5 + 2.0j, 3.0j, 0.3, -2.5 - 0.4j])
@@ -81,3 +98,109 @@ def test_cavitation_in_a_stage_records_the_step_start():
     assert traj.halt.reason == "cavitation"
     assert 2.5 - 1e-12 < traj.halt.time < 2.0 + np.log(2.0)
     assert traj.final_state[0] == pytest.approx(2.5)
+
+
+# The steppers work on the real-FFT half spectrum.  The reference below
+# redoes one pinned-dt output interval on the full complex spectrum with
+# np.fft.fft/ifft and its own RK4 loop.
+
+P = PhysicalParams()
+N = 64
+GRID = Grid(64.0, N)
+DT, T_END = 0.05, 0.2  # one output interval of four steps
+GOOD = AbcdParams(-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
+fft, ifft = np.fft.fft, np.fft.ifft
+IK, K2, MASK = GRID.ik[0], GRID.k2, GRID.dealias_mask()
+
+
+def every_mode(seed, amplitude):
+    """Real samples with energy in every mode, the Nyquist mode included."""
+    rng = np.random.default_rng(seed)
+    coef = (0.5 + 0.5 * rng.random(N // 2 + 1)) * np.exp(2j * np.pi * rng.random(N // 2 + 1))
+    coef[[0, -1]] = np.abs(coef[[0, -1]])  # irfft keeps only their real parts
+    values = np.fft.irfft(coef, N)
+    assert np.min(np.abs(np.fft.rfft(values))) > 0.1 * np.max(np.abs(np.fft.rfft(values)))
+    return amplitude * values / np.max(np.abs(values))
+
+
+def rk4_reference(y, rhs, lin=0.0):
+    """Integrating-factor RK4 over T_END in steps DT; classical RK4 when lin = 0."""
+    steps = round(T_END / DT)
+    h = T_END / steps
+    e_half = np.exp(0.5 * h * lin)
+    e = e_half * e_half
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(e_half * (y + 0.5 * h * k1))
+        k3 = rhs(e_half * y + 0.5 * h * k2)
+        k4 = rhs(e * y + h * e_half * k3)
+        y = e * y + (h / 6.0) * (e * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return y
+
+
+def sv_rhs(y):
+    z, u = y
+    ux = ifft(IK * fft(u)).real
+    return np.stack([
+        -ifft(IK * MASK * fft((P.H + z) * u)).real,
+        -P.g * ifft(IK * fft(z)).real - ifft(MASK * fft(u * ux)).real,
+    ])
+
+
+def abcd_rhs(y):
+    z, u = y
+    mu2 = P.H**2 * K2
+    u_hat = fft(u)
+    ux = ifft(IK * u_hat).real
+    flux = MASK * fft((P.H + z) * u) - GOOD.a * P.H * mu2 * u_hat
+    return np.stack([
+        ifft(-IK * flux / (1.0 + GOOD.b * mu2)).real,
+        ifft((-P.g * IK * (1.0 - GOOD.c * mu2) * fft(z) - MASK * fft(u * ux))
+             / (1.0 + GOOD.d * mu2)).real,
+    ])
+
+
+def scalar_lin(model):
+    if model == "kdv":
+        return -P.c0 * IK * (1.0 - P.H**2 * K2 / 6.0)
+    return -IK * phase_velocity(np.sqrt(K2), P)
+
+
+def scalar_rhs(model):
+    def rhs(zhat):
+        z = ifft(zhat).real
+        if model == "whitham2":
+            coeff = 3.0 * np.sqrt(P.g * (P.H + z)) - 3.0 * math.sqrt(P.g * P.H)
+            return -(MASK * fft(coeff * ifft(IK * zhat).real))
+        return -(3.0 * P.c0 / (4.0 * P.H)) * IK * MASK * fft(z * z)
+    return rhs
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", ["saint_venant", "boussinesq"])
+def test_system_steppers_match_full_spectrum_rk4(model):
+    z0, u0 = every_mode(1, 0.05), every_mode(2, 0.05)
+    state = (SVState if model == "saint_venant" else BoussinesqState)(
+        SpectralField(GRID, z0), SpectralField(GRID, u0))
+    if model == "saint_venant":
+        traj = sv_evolve(state, P, T_END, DtControl(dt=DT), n_out=1)
+        want = rk4_reference(np.stack([z0, u0]), sv_rhs)
+    else:
+        traj = abcd_evolve(state, GOOD, P, T_END, DtControl(dt=DT), n_out=1)
+        want = rk4_reference(np.stack([z0, u0]), abcd_rhs)
+    assert traj.halt is None and len(traj) == 2
+    got = np.stack([traj.final_state.zeta.values, traj.final_state.u.values])
+    assert_close(got, want)
+
+
+@pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
+def test_scalar_steppers_match_full_spectrum_if_rk4(model):
+    z0 = every_mode(3, 0.05)
+    state = ScalarWaveState(SpectralField(GRID, z0), 0.0, model)
+    traj = scalar_evolve(state, P, T_END, DtControl(dt=DT), n_out=1)
+    want = ifft(rk4_reference(fft(z0), scalar_rhs(model), scalar_lin(model))).real
+    assert traj.halt is None and len(traj) == 2
+    assert_close(traj.final_state.zeta.values, want)
