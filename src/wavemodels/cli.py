@@ -35,13 +35,6 @@ from .traveling import (
     suggested_domain_length,
 )
 
-# Largest spectral tail (top-third rfft peak over the overall peak) of a
-# solitary profile the CLI accepts.  At c = 3.3 on the default domain, kdv,
-# whitham and boussinesq give at most 2.8e-3 on 128 nodes or more, and
-# 0.03 to 1 on 64 nodes or fewer.
-MAX_SPECTRAL_TAIL = 1e-2
-
-
 def _add_physical_args(parser):
     parser.add_argument("--g", type=float, default=9.81, help="gravity [m/s^2]")
     parser.add_argument("--H", type=float, default=1.0, help="still-water depth [m]")
@@ -109,12 +102,7 @@ def _solve_solitary(model, speed, p, grid, abcd):
         sol = petviashvili_solve("whitham", speed, p, grid)
     else:
         sol = boussinesq_solitary_solve(abcd, speed, p, grid)
-    if sol.spectral_tail > MAX_SPECTRAL_TAIL:
-        raise ValueError(
-            f"grid does not resolve the wave at speed {speed}: spectral tail "
-            f"{sol.spectral_tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more --nodes"
-        )
-    return sol
+    return sol.require_resolved()
 
 
 def _cmd_solitary(args) -> int:
@@ -268,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WavemodelsError, ValueError, FileNotFoundError) as err:
+    except (WavemodelsError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,9 +10,10 @@ linear dispersion relation
 
 turns negative at large wavenumbers for ill-chosen parameters, which makes
 the initial-value problem strongly ill-posed; ``classify_abcd`` screens for
-this before any time stepping.  Scalar models are advanced with an
+this before any time stepping.  Every model here is advanced with an
 integrating-factor scheme: the linear part is exponentiated exactly
-mode-wise, so only the nonlinear term constrains the step.
+mode-wise (for the system, in its characteristic variables), so only the
+nonlinear term constrains the step.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .errors import (
     SingularSymbolError,
     StepSizeUnderflowError,
 )
-from .linear import phase_velocity
+from .linear import mode_propagator, phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .stepping import DtControl, HaltEvent, Trajectory, integrate, snapshot_times
+from .stepping import DtControl, Trajectory, integrate, integrate_pair, snapshot_times
 
 __all__ = [
     "AbcdParams",
@@ -119,12 +120,9 @@ def _abcd_omega_squared(k, params: AbcdParams, p: PhysicalParams):
 def abcd_symbol(k: float, params: AbcdParams, p: PhysicalParams) -> float:
     """omega^2(k) of the linearized four-parameter system at wavenumber k."""
     mu2 = (p.H * k) ** 2
-    den = (1.0 + params.b * mu2) * (1.0 + params.d * mu2)
-    if den == 0.0:
+    if (1.0 + params.b * mu2) * (1.0 + params.d * mu2) == 0.0:
         raise SingularSymbolError(f"dispersion denominator vanishes at k = {k!r}")
-    return float(
-        p.g * p.H * k**2 * (1.0 - params.a * mu2) * (1.0 - params.c * mu2) / den
-    )
+    return float(_abcd_omega_squared(k, params, p))
 
 
 def _asymptotic_sign(params: AbcdParams) -> float:
@@ -210,6 +208,22 @@ def _require_evolvable(params: AbcdParams, p: PhysicalParams):
         )
 
 
+def _abcd_symbols(k, params: AbcdParams, p: PhysicalParams):
+    """alpha, beta, s = sqrt(alpha/beta) and the elliptic inverses at wavenumbers k.
+
+    alpha = H (1 - a mu^2)/(1 + b mu^2) and beta = g (1 - c mu^2)/(1 + d mu^2)
+    with mu = H k.  Where a = c their common factor (1 - a mu^2) is
+    cancelled in s by hand, so s is never 0/0.
+    """
+    mu2 = (p.H * k) ** 2
+    inv_b = 1.0 / (1.0 + params.b * mu2)
+    inv_d = 1.0 / (1.0 + params.d * mu2)
+    alpha = p.H * (1.0 - params.a * mu2) * inv_b
+    beta = p.g * (1.0 - params.c * mu2) * inv_d
+    s = np.sqrt(p.H * inv_b / (p.g * inv_d) if params.a == params.c else alpha / beta)
+    return alpha, beta, s, inv_b, inv_d
+
+
 def abcd_evolve(
     state: BoussinesqState,
     params: AbcdParams,
@@ -220,69 +234,19 @@ def abcd_evolve(
 ) -> Trajectory:
     """Method-of-lines run of the 1D four-parameter system.
 
-    Each right-hand side inverts the elliptic factors (1 - b H^2 d_xx) and
-    (1 - d H^2 d_xx) mode-wise on the real-FFT half spectrum (N/2 + 1
-    modes), in four batched transforms: (zeta, u) forward, u_x back, the
-    two dealiased quadratic products forward, the two tendencies back.
-    Classical RK4 advances in time.  The step obeys both the advective CFL
-    bound and an oscillatory bound pi/omega_max from the linear dispersion.
+    The elliptic factors (1 - b H^2 d_xx) and (1 - d H^2 d_xx) are inverted
+    mode-wise on the real-FFT half spectrum, and the quadratic products
+    are dealiased.  The linear waves zeta-hat +- s u-hat, s = sqrt(alpha/beta),
+    travel at +-omega/k and are propagated exactly: ``stepping.integrate_pair``
+    runs integrating-factor RK4 in those characteristic variables, at 4
+    times the advective CFL step cfl dx / (c0 + 1.5 max|u|).
     """
     _require_evolvable(params, p)
-    grid = state.grid
-    if grid.dim != 1:
-        raise ValueError("time stepping is 1D only")
-    ctrl = dt_control or DtControl()
-
-    y0 = np.stack([state.zeta.values, state.u.values])
-    if float(np.min(p.H + y0[0])) <= 0.0:
-        raise CavitationError("initial data violates non-cavitation")
-
-    n = grid.nodes[0]
-    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
-    ik = grid.ik[0][half]
-    k2 = grid.k2[half]
-    mu2 = (p.H * grid.wavenumbers(0)[half]) ** 2
-    inv_b = 1.0 / (1.0 + params.b * mu2)
-    inv_d = 1.0 / (1.0 + params.d * mu2)
-    lin_zu = 1.0 - params.a * mu2  # factor on u in the mass flux
-    lin_uz = 1.0 - params.c * mu2  # factor on zeta in the velocity equation
-    mask = grid.dealias_mask()[half]
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-    dx = grid.spacing[0]
-    xs = grid.axis_coordinates(0)
-
-    w2_grid = np.maximum(p.g * p.H * k2 * lin_zu * lin_uz * inv_b * inv_d, 0.0)
-    omega_max = float(np.sqrt(np.max(w2_grid)))
-
-    def rhs(y):
-        z, u = y
-        y_hat = rfft(y)
-        ux = irfft(ik * y_hat[1], n)
-        nl_hat = mask * rfft(np.stack([(p.H + z) * u, u * ux]))
-        # mass flux: h u + a H^3 u_xx, then d_x and the b-elliptic inverse
-        nl_hat[0] = -ik * (nl_hat[0] - params.a * p.H**3 * k2 * y_hat[1]) * inv_b
-        nl_hat[1] = (-p.g * ik * lin_uz * y_hat[0] - nl_hat[1]) * inv_d
-        return irfft(nl_hat, n)
-
-    def step(y):
-        dt_stable = ctrl.cfl * dx / (p.c0 + 1.5 * float(np.max(np.abs(y[1]))))
-        if omega_max > 0.0:
-            dt_stable = min(dt_stable, ctrl.cfl * math.pi / omega_max)
-        return ctrl.explicit_step(dt_stable, "stability bound")
-
-    def check(y, t):
-        depth = p.H + y[0]
-        if float(np.min(depth)) > 0.0:
-            return None
-        ux = irfft(ik * rfft(y[1]), n)
-        return HaltEvent("cavitation", t, float(xs[int(np.argmin(depth))]),
-                         float(np.max(np.abs(ux))))
-
-    def snapshot(y, t):
-        return BoussinesqState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
-
-    return integrate(y0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
-                     check=check)
+    k = state.grid.wavenumbers(0)[: state.grid.nodes[0] // 2 + 1]
+    _, beta, s, inv_b, inv_d = _abcd_symbols(k, params, p)
+    return integrate_pair(state, p.H, t_end, n_out, dt_control or DtControl(),
+                          lambda z, u: p.c0 + 1.5 * float(np.max(np.abs(u))),
+                          s * beta, s, inv_b, inv_d)
 
 
 def abcd_linear_evolve(
@@ -294,17 +258,13 @@ def abcd_linear_evolve(
     """
     _require_evolvable(params, p)
     grid = state.grid
-    kk = grid.wavenumbers(0)
-    mu2 = (p.H * kk) ** 2
-    alpha = p.H * (1.0 - params.a * mu2) / (1.0 + params.b * mu2)
-    beta = p.g * (1.0 - params.c * mu2) / (1.0 + params.d * mu2)
-    w = np.abs(kk) * np.sqrt(np.maximum(alpha * beta, 0.0))
+    alpha, beta, _, _, _ = _abcd_symbols(grid.wavenumbers(0), params, p)
+    ik = grid.ik[0]  # zero at Nyquist, so that mode stays put, as in abcd_evolve
+    w = np.abs(ik) * np.sqrt(np.maximum(alpha * beta, 0.0))
+    cos_wt, sin_over_w = mode_propagator(w, t)
     zhat, uhat = state.zeta.hat, state.u.hat
-    cos_wt = np.cos(w * t)
-    sinc = t * np.sinc(w * t / np.pi)  # sin(wt)/w with the w=0 limit t
-    ik = grid.ik[0]
-    new_z = cos_wt * zhat - ik * alpha * sinc * uhat
-    new_u = cos_wt * uhat - ik * beta * sinc * zhat
+    new_z = cos_wt * zhat - ik * alpha * sin_over_w * uhat
+    new_u = cos_wt * uhat - ik * beta * sin_over_w * zhat
     return BoussinesqState(
         zeta=SpectralField.from_hat(grid, new_z),
         u=SpectralField.from_hat(grid, new_u),

@@ -1,11 +1,11 @@
 """Saint-Venant dynamics, Riemann invariants, characteristics, wavebreaking.
 
 The 1D system is evolved pseudospectrally in the non-conservative velocity
-form (flux mass equation, transport velocity equation) until gradient
-blow-up; there is no shock capturing past the breaking time.  Simple waves
-reduce to a scalar transport equation with straight-line characteristics,
-solved exactly by foot-point inversion, and the breaking time has the
-closed form T* = -2 / (3 inf u0').
+form (flux mass equation, transport velocity equation), its linear waves
+propagated exactly, until gradient blow-up; there is no shock capturing
+past the breaking time.  Simple waves reduce to a scalar transport
+equation with straight-line characteristics, solved exactly by foot-point
+inversion, and the breaking time has the closed form T* = -2 / (3 inf u0').
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BreakingError, CavitationError, ConvergenceError, RiemannOrderingError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative
-from .stepping import DtControl, HaltEvent, Trajectory, integrate, snapshot_times
+from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
 
 __all__ = [
     "SVState",
@@ -99,16 +99,12 @@ def sv_eigenvalues(zeta, u, p: PhysicalParams, direction=None) -> np.ndarray:
     return np.array([u_n - s, u_n, u_n + s])
 
 
-def _check_non_cavitating(depth: np.ndarray):
-    dmin = float(np.min(depth))
-    if dmin <= 0.0:
-        raise CavitationError(f"non-cavitation violated: min depth {dmin} <= 0")
-
-
 def to_riemann(state: SVState, p: PhysicalParams) -> RiemannPair:
     """r_pm = u +- 2 sqrt(g h); requires a non-cavitating state."""
     h = state.depth(p)
-    _check_non_cavitating(h)
+    dmin = float(np.min(h))
+    if dmin <= 0.0:
+        raise CavitationError(f"non-cavitation violated: min depth {dmin} <= 0")
     s = 2.0 * np.sqrt(p.g * h)
     grid = state.grid
     return RiemannPair(
@@ -355,61 +351,27 @@ def sv_evolve(
     """Pseudospectral method-of-lines run of the 1D system until t_end.
 
     Mass flux form d_t zeta = -d_x(h u) and transport velocity form
-    d_t u = -g d_x zeta - u d_x u, quadratic products dealiased, classical
-    four-stage Runge-Kutta in time.  Each right-hand side works on the
-    real-FFT half spectrum (N/2 + 1 modes) in four batched transforms:
-    (zeta, u) forward, u_x back, the two products forward, the two
-    tendencies back.  The run halts with a breaking flag once max|d_x u|
-    exceeds the blow-up threshold (default 200 * (initial max|d_x u| + 1));
-    cavitation raises, with the partial trajectory attached to the
-    exception.
+    d_t u = -g d_x zeta - u d_x u, quadratic products dealiased.  The
+    linear waves zeta-hat +- sqrt(H/g) u-hat travel at +-c0 and are
+    propagated exactly: ``stepping.integrate_pair`` runs integrating-factor
+    RK4 in those characteristic variables (alpha = H, beta = g, no
+    elliptic inverses), at 4 times the advective CFL step
+    cfl dx / max(|u| + sqrt(g h)).  The run halts with a breaking flag
+    once max|d_x u| exceeds the blow-up threshold (default
+    200 * (initial max|d_x u| + 1)); cavitation raises, with the partial
+    trajectory attached to the exception.
     """
-    grid = state.grid
-    if grid.dim != 1:
-        raise ValueError("time stepping is 1D only; 2D exposes eigenvalues only")
-    ctrl = dt_control or DtControl()
-    y0 = np.stack([state.zeta.values, state.u.values])
-    _check_non_cavitating(p.H + y0[0])
-
-    n = grid.nodes[0]
-    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
-    ik = grid.ik[0][half]
-    mask = grid.dealias_mask()[half]
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-    xs = grid.axis_coordinates(0)
-    dx = grid.spacing[0]
-
-    def rhs(y):
-        z, u = y
-        y_hat = rfft(y)
-        ux = irfft(ik * y_hat[1], n)
-        # becomes the transforms of d_x((H + zeta) u) and of u u_x + g zeta_x
-        flux_hat = mask * rfft(np.stack([(p.H + z) * u, u * ux]))
-        flux_hat[0] *= ik
-        flux_hat[1] += p.g * ik * y_hat[0]
-        return -irfft(flux_hat, n)
-
-    def step(y):
-        vmax = float(np.max(np.abs(y[1]) + np.sqrt(p.g * (p.H + y[0]))))
-        return ctrl.explicit_step(ctrl.cfl * dx / vmax, "CFL bound")
-
-    def grad_max(u):
-        ux = irfft(ik * rfft(u), n)
-        j = int(np.argmax(np.abs(ux)))
-        return float(np.abs(ux[j])), float(xs[j])
-
-    g0, _ = grad_max(y0[1])
+    xs = state.grid.axis_coordinates(0)
+    g0 = float(np.max(np.abs(derivative(state.u, axis=0, order=1).values)))
     threshold = blowup_threshold if blowup_threshold is not None else 200.0 * (g0 + 1.0)
     # Sub-threshold crossing times; each extrapolates to the breaking time
     # via t_cross + (2/3)/level, the compression law of a gradient blow-up.
     levels = [threshold / 8.0, threshold / 4.0, threshold / 2.0, threshold]
     crossings: dict[float, float] = {}
 
-    def check(y, t):
-        depth = p.H + y[0]
-        gmax, loc = grad_max(y[1])
-        if float(np.min(depth)) <= 0.0:
-            return HaltEvent("cavitation", t, float(xs[int(np.argmin(depth))]), gmax)
+    def check(ux, t):
+        j = int(np.argmax(np.abs(ux)))
+        gmax = float(np.abs(ux[j]))
         for level in levels:
             if level not in crossings and gmax >= level > g0:
                 crossings[level] = t
@@ -418,10 +380,8 @@ def sv_evolve(
         estimates = sorted(
             t_c + 2.0 / (3.0 * level) for level, t_c in crossings.items()
         ) or [t + 2.0 / (3.0 * gmax)]
-        return HaltEvent("breaking", t, loc, gmax, estimates[len(estimates) // 2])
+        return HaltEvent("breaking", t, float(xs[j]), gmax, estimates[len(estimates) // 2])
 
-    def snapshot(y, t):
-        return SVState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
-
-    return integrate(y0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
-                     check=check)
+    return integrate_pair(state, p.H, t_end, n_out, dt_control or DtControl(),
+                          lambda z, u: float(np.max(np.abs(u) + np.sqrt(p.g * (p.H + z)))),
+                          p.c0, p.H / p.c0, 1.0, 1.0, check)

@@ -140,6 +140,15 @@ def group_velocity(xi_mag, p: PhysicalParams):
     return out if np.ndim(xi_mag) else float(out[0])
 
 
+def mode_propagator(w: np.ndarray, t: float):
+    """cos(w t) and sin(w t)/w, the entries of every exact 2x2 mode propagator.
+
+    sin(w t)/w is written t sinc(w t / pi), so its w = 0 limit t needs no branch.
+    """
+    theta = w * t
+    return np.cos(theta), t * np.sinc(theta / np.pi)
+
+
 def acoustic_evolve(
     zeta0: SpectralField, zeta_t0: SpectralField, p: PhysicalParams, t: float
 ) -> SpectralField:
@@ -152,11 +161,8 @@ def acoustic_evolve(
         raise GridMismatchError("zeta0 and zeta_t0 must live on the same grid")
     if t == 0.0:
         return zeta0.copy()
-    xi = zeta0.grid.wavenumber_magnitude()
-    theta = p.c0 * xi * t
-    # t*sinc(theta/pi) == sin(theta)/(c0|xi|), including the xi=0 limit t.
-    hat = np.cos(theta) * zeta0.hat + t * np.sinc(theta / np.pi) * zeta_t0.hat
-    return SpectralField.from_hat(zeta0.grid, hat)
+    cos_wt, sin_over_w = mode_propagator(p.c0 * zeta0.grid.wavenumber_magnitude(), t)
+    return SpectralField.from_hat(zeta0.grid, cos_wt * zeta0.hat + sin_over_w * zeta_t0.hat)
 
 
 def _propagator_entries(xi_mag: np.ndarray, p: PhysicalParams, t: float, long_wave: bool):
@@ -165,18 +171,9 @@ def _propagator_entries(xi_mag: np.ndarray, p: PhysicalParams, t: float, long_wa
     ``long_wave`` replaces tanh(H|xi|) by H|xi| in the dispersion relation,
     which reproduces the non-dispersive propagator mode-wise.
     """
-    if long_wave:
-        w = p.c0 * xi_mag
-    else:
-        w = omega(xi_mag, p)
-    m11 = np.cos(w * t)
-    sin_wt = np.sin(w * t)
-    m12 = (w / p.g) * sin_wt
-    m21 = np.empty_like(m11)
-    nz = w > 0.0
-    m21[nz] = -(p.g / w[nz]) * sin_wt[nz]
-    m21[~nz] = -p.g * t
-    return m11, m12, m21
+    w = p.c0 * xi_mag if long_wave else omega(xi_mag, p)
+    cos_wt, sin_over_w = mode_propagator(w, t)
+    return cos_wt, (w * w / p.g) * sin_over_w, -p.g * sin_over_w
 
 
 def airy_propagator(xi_mag: float, p: PhysicalParams, t: float, long_wave: bool = False) -> np.ndarray:

@@ -293,13 +293,13 @@ def _build_initial(sc: Scenario):
         if ini.speed is None:
             raise ScenarioError("traveling_wave initial data requires a speed")
         if sc.model == "kdv":
-            zeta = kdv_soliton(ini.speed, p, grid).profile_zeta
+            zeta = kdv_soliton(ini.speed, p, grid).require_resolved().profile_zeta
             return ScalarWaveState(zeta, 0.0, "kdv")
         if sc.model == "whitham":
-            zeta = petviashvili_solve("whitham", ini.speed, p, grid).profile_zeta
-            return ScalarWaveState(zeta, 0.0, "whitham")
+            sol = petviashvili_solve("whitham", ini.speed, p, grid).require_resolved()
+            return ScalarWaveState(sol.profile_zeta, 0.0, "whitham")
         if sc.model == "boussinesq":
-            sol = boussinesq_solitary_solve(sc.abcd, ini.speed, p, grid)
+            sol = boussinesq_solitary_solve(sc.abcd, ini.speed, p, grid).require_resolved()
             return BoussinesqState(sol.profile_zeta, sol.profile_u, 0.0)
         raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
 

@@ -531,6 +531,30 @@ class TestCli:
         assert r.stderr.startswith("error: time step underflow")
         assert len(r.stderr.splitlines()) == 1
 
+    def test_unresolved_traveling_wave_run_exit_code(self, tmp_path):
+        # 8 nodes on L = 100 cannot carry the speed-3.3 wave: the solved
+        # profile alternates sign from node to node
+        cfg = tmp_path / "tw.json"
+        write_config(
+            cfg,
+            model="boussinesq",
+            abcd={"a": -1.0 / 3.0, "b": 1.0 / 3.0, "c": 0.0, "d": 1.0 / 3.0},
+            grid={"length": 100.0, "nodes": 8},
+            initial={"kind": "traveling_wave", "speed": 3.3},
+            output={"stride": 2, "directory": str(tmp_path / "out")},
+        )
+        r = cli("run", "--config", str(cfg))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: grid does not resolve the wave at speed 3.3")
+        assert len(r.stderr.splitlines()) == 1
+        assert not any((tmp_path / "out").glob("*"))
+
+    def test_directory_as_config_exit_code(self, tmp_path):
+        r = cli("run", "--config", str(tmp_path))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_boussinesq_scenario_end_to_end(self, tmp_path):
         cfg = tmp_path / "bq.json"
         write_config(

@@ -17,11 +17,13 @@ from wavemodels import (
     SpectralField,
     SVState,
     abcd_evolve,
+    abcd_linear_evolve,
     phase_velocity,
     scalar_evolve,
     sv_evolve,
 )
-from wavemodels.stepping import integrate
+from wavemodels.dispersive import _abcd_symbols
+from wavemodels.stepping import integrate, integrate_pair
 
 LAMBDAS = np.array([-1.0, -0.5 + 2.0j, 3.0j, 0.3, -2.5 - 0.4j])
 
@@ -100,9 +102,9 @@ def test_cavitation_in_a_stage_records_the_step_start():
     assert traj.final_state[0] == pytest.approx(2.5)
 
 
-# The steppers work on the real-FFT half spectrum.  The reference below
-# redoes one pinned-dt output interval on the full complex spectrum with
-# np.fft.fft/ifft and its own RK4 loop.
+# The steppers work on the real-FFT half spectrum.  The references below
+# redo one pinned-dt output interval on the full complex spectrum with
+# np.fft.fft/ifft and their own integrating-factor RK4 loop.
 
 P = PhysicalParams()
 N = 64
@@ -138,26 +140,30 @@ def rk4_reference(y, rhs, lin=0.0):
     return y
 
 
-def sv_rhs(y):
-    z, u = y
-    ux = ifft(IK * fft(u)).real
-    return np.stack([
-        -ifft(IK * MASK * fft((P.H + z) * u)).real,
-        -P.g * ifft(IK * fft(z)).real - ifft(MASK * fft(u * ux)).real,
-    ])
-
-
-def abcd_rhs(y):
-    z, u = y
+def pair_reference(z0, u0, params):
+    """IF-RK4 of the abcd system (Saint-Venant for params None) in w+- = zhat +- s uhat."""
     mu2 = P.H**2 * K2
-    u_hat = fft(u)
-    ux = ifft(IK * u_hat).real
-    flux = MASK * fft((P.H + z) * u) - GOOD.a * P.H * mu2 * u_hat
-    return np.stack([
-        ifft(-IK * flux / (1.0 + GOOD.b * mu2)).real,
-        ifft((-P.g * IK * (1.0 - GOOD.c * mu2) * fft(z) - MASK * fft(u * ux))
-             / (1.0 + GOOD.d * mu2)).real,
-    ])
+    if params is None:
+        alpha, beta, inv_b, inv_d = P.H, P.g, 1.0, 1.0
+    else:
+        inv_b, inv_d = 1.0 / (1.0 + params.b * mu2), 1.0 / (1.0 + params.d * mu2)
+        alpha = P.H * (1.0 - params.a * mu2) * inv_b
+        beta = P.g * (1.0 - params.c * mu2) * inv_d
+    s = np.sqrt(alpha / beta)
+    lin = IK * s * beta
+
+    def physical(w):
+        u_hat = (w[0] - w[1]) / (2.0 * s)
+        return ifft((w[0] + w[1]) / 2.0).real, ifft(u_hat).real, ifft(IK * u_hat).real
+
+    def rhs(w):
+        z, u, ux = physical(w)
+        nz = -IK * inv_b * MASK * fft(z * u)
+        nu = -inv_d * MASK * fft(u * ux)
+        return np.stack([nz + s * nu, nz - s * nu])
+
+    w0 = np.stack([fft(z0) + s * fft(u0), fft(z0) - s * fft(u0)])
+    return np.stack(physical(rk4_reference(w0, rhs, np.stack([-lin, lin])))[:2])
 
 
 def scalar_lin(model):
@@ -187,10 +193,10 @@ def test_system_steppers_match_full_spectrum_rk4(model):
         SpectralField(GRID, z0), SpectralField(GRID, u0))
     if model == "saint_venant":
         traj = sv_evolve(state, P, T_END, DtControl(dt=DT), n_out=1)
-        want = rk4_reference(np.stack([z0, u0]), sv_rhs)
+        want = pair_reference(z0, u0, None)
     else:
         traj = abcd_evolve(state, GOOD, P, T_END, DtControl(dt=DT), n_out=1)
-        want = rk4_reference(np.stack([z0, u0]), abcd_rhs)
+        want = pair_reference(z0, u0, GOOD)
     assert traj.halt is None and len(traj) == 2
     got = np.stack([traj.final_state.zeta.values, traj.final_state.u.values])
     assert_close(got, want)
@@ -204,3 +210,40 @@ def test_scalar_steppers_match_full_spectrum_if_rk4(model):
     want = ifft(rk4_reference(fft(z0), scalar_rhs(model), scalar_lin(model))).real
     assert traj.halt is None and len(traj) == 2
     assert_close(traj.final_state.zeta.values, want)
+
+
+# a = c: alpha and beta vanish together at H k = 4, a mode of any grid on 2 pi m
+SIXTEENTH = AbcdParams(1.0 / 16.0, 5.0 / 48.0, 1.0 / 16.0, 5.0 / 48.0)
+TWELFTH = AbcdParams(1.0 / 12.0, 1.0 / 12.0, 1.0 / 12.0, 1.0 / 12.0)
+
+
+@pytest.mark.parametrize("params", [GOOD, TWELFTH, SIXTEENTH])
+@pytest.mark.parametrize("ctrl", [DtControl(cfl=1.0), DtControl(dt=0.01)])
+def test_pair_stepper_without_nonlinearity_is_the_linear_flow(params, ctrl):
+    grid = Grid(2.0 * np.pi, N)
+    assert np.any(1.0 - SIXTEENTH.a * (P.H * grid.wavenumbers(0)) ** 2 == 0.0)
+    state = BoussinesqState(SpectralField(grid, every_mode(4, 0.05)),
+                            SpectralField(grid, every_mode(5, 0.05)))
+    _, beta, s, _, _ = _abcd_symbols(grid.wavenumbers(0)[: N // 2 + 1], params, P)
+    # zero elliptic inverses switch the quadratic terms off
+    traj = integrate_pair(state, P.H, 1.4, 2, ctrl, lambda z, u: P.c0, s * beta, s, 0.0, 0.0)
+    assert len(traj) == 3 and traj.halt is None
+    for got in traj.states:
+        exact = abcd_linear_evolve(state, params, P, got.time)
+        assert np.max(np.abs(got.zeta.values - exact.zeta.values)) < 1e-14
+        assert np.max(np.abs(got.u.values - exact.u.values)) < 1e-14
+
+
+@pytest.mark.parametrize("params", [TWELFTH, SIXTEENTH])
+def test_equal_a_c_system_follows_the_linear_flow_at_small_amplitude(params):
+    grid = Grid(32.0 * np.pi, 512)
+    assert np.any(1.0 - SIXTEENTH.a * (P.H * grid.wavenumbers(0)) ** 2 == 0.0)
+    eps = 1e-5
+    z0 = SpectralField.from_function(grid, lambda x: eps * np.exp(-0.5 * x**2))
+    state = BoussinesqState(z0, SpectralField.zeros(grid))
+    traj = abcd_evolve(state, params, P, 5.0, n_out=2)
+    final = np.stack([traj.final_state.zeta.values, traj.final_state.u.values])
+    linear = abcd_linear_evolve(state, params, P, 5.0)
+    assert traj.halt is None and np.all(np.isfinite(final))
+    gap = np.max(np.abs(final - np.stack([linear.zeta.values, linear.u.values])))
+    assert gap < 1e-4 * eps
