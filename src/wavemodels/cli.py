@@ -8,8 +8,8 @@ Subcommands:
   shocktime   print the wavebreaking time of a velocity profile
   classify    print the well-posedness verdict of abcd parameters
 
-Exit codes: 0 success, 1 invalid input, 2 halt (breaking, cavitation, or a
-non-finite state) with partial output.
+Exit codes: 0 success, 1 invalid input (a bad argument included), 2 halt
+(breaking, cavitation, or a non-finite state) with partial output.
 """
 
 from __future__ import annotations
@@ -35,9 +35,34 @@ from .traveling import (
     suggested_domain_length,
 )
 
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, which ``main`` reports as invalid input.
+
+    argparse would print the usage and exit 2, the code of a halt.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    return [_finite_float(item) for item in text.split(",")]
+
+
 def _add_physical_args(parser):
-    parser.add_argument("--g", type=float, default=9.81, help="gravity [m/s^2]")
-    parser.add_argument("--H", type=float, default=1.0, help="still-water depth [m]")
+    parser.add_argument("--g", type=_finite_float, default=9.81, help="gravity [m/s^2]")
+    parser.add_argument("--H", type=_finite_float, default=1.0, help="still-water depth [m]")
 
 
 def _out_stream(path):
@@ -111,9 +136,8 @@ def _cmd_solitary(args) -> int:
     if args.model == "boussinesq":
         abcd = AbcdParams(args.a, args.b, args.c, args.d)
     if args.speed is None and args.speeds is None:
-        print("solitary requires --speed R or --speeds R1,R2,...", file=sys.stderr)
-        return 1
-    speeds = [args.speed] if args.speeds is None else [float(s) for s in args.speeds.split(",")]
+        raise ValueError("solitary requires --speed R or --speeds R1,R2,...")
+    speeds = [args.speed] if args.speeds is None else args.speeds
     if args.speeds is not None:
         # amplitude-speed sweep: one row per speed, written once all are solved
         sols = [_solve_solitary(args.model, s, p, _solitary_grid(args, p, s), abcd)
@@ -154,8 +178,7 @@ _BUILTIN_PROFILES = ("minus-sine", "gaussian-bump")
 
 def _cmd_shocktime(args) -> int:
     if args.builtin is None and args.profile is None:
-        print("shocktime requires --profile FILE or --builtin NAME", file=sys.stderr)
-        return 1
+        raise ValueError("shocktime requires --profile FILE or --builtin NAME")
     if args.builtin is not None:
         if args.builtin == "minus-sine":
             grid = Grid(2.0 * math.pi, args.nodes)
@@ -192,7 +215,7 @@ def _cmd_classify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wavemodels", description="Shallow-water wave model experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_disp = sub.add_parser("dispersion", help="phase/group velocity curves")
-    p_disp.add_argument("--ximax", type=float, required=True)
+    p_disp.add_argument("--ximax", type=_finite_float, required=True)
     p_disp.add_argument("--samples", type=int, required=True)
     p_disp.add_argument("--quantity", choices=("phase", "group", "both"), default="both")
     p_disp.add_argument("--out", default=None)
@@ -219,14 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sol = sub.add_parser("solitary", help="traveling-wave profiles and sweeps")
     p_sol.add_argument("--model", choices=("kdv", "whitham", "boussinesq"), required=True)
-    p_sol.add_argument("--speed", type=float, default=None)
-    p_sol.add_argument("--speeds", default=None, help="comma-separated sweep speeds")
-    p_sol.add_argument("--length", type=float, default=None)
+    p_sol.add_argument("--speed", type=_finite_float, default=None)
+    p_sol.add_argument("--speeds", type=_finite_floats, default=None,
+                       help="comma-separated sweep speeds")
+    p_sol.add_argument("--length", type=_finite_float, default=None)
     p_sol.add_argument("--nodes", type=int, default=1024)
-    p_sol.add_argument("--a", type=float, default=-1.0 / 3.0)
-    p_sol.add_argument("--b", type=float, default=1.0 / 3.0)
-    p_sol.add_argument("--c", type=float, default=0.0)
-    p_sol.add_argument("--d", type=float, default=1.0 / 3.0)
+    p_sol.add_argument("--a", type=_finite_float, default=-1.0 / 3.0)
+    p_sol.add_argument("--b", type=_finite_float, default=1.0 / 3.0)
+    p_sol.add_argument("--c", type=_finite_float, default=0.0)
+    p_sol.add_argument("--d", type=_finite_float, default=1.0 / 3.0)
     p_sol.add_argument("--out", default=None)
     _add_physical_args(p_sol)
     p_sol.set_defaults(func=_cmd_solitary)
@@ -234,17 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_shock = sub.add_parser("shocktime", help="wavebreaking time of a profile")
     p_shock.add_argument("--profile", default=None, help="CSV with x_m,u_m_per_s columns")
     p_shock.add_argument("--builtin", choices=_BUILTIN_PROFILES, default=None)
-    p_shock.add_argument("--amplitude", type=float, default=1.0)
-    p_shock.add_argument("--width", type=float, default=1.0)
-    p_shock.add_argument("--length", type=float, default=80.0)
+    p_shock.add_argument("--amplitude", type=_finite_float, default=1.0)
+    p_shock.add_argument("--width", type=_finite_float, default=1.0)
+    p_shock.add_argument("--length", type=_finite_float, default=80.0)
     p_shock.add_argument("--nodes", type=int, default=1024)
     p_shock.set_defaults(func=_cmd_shocktime)
 
     p_cls = sub.add_parser("classify", help="well-posedness of abcd parameters")
-    p_cls.add_argument("--a", type=float, required=True)
-    p_cls.add_argument("--b", type=float, required=True)
-    p_cls.add_argument("--c", type=float, required=True)
-    p_cls.add_argument("--d", type=float, required=True)
+    p_cls.add_argument("--a", type=_finite_float, required=True)
+    p_cls.add_argument("--b", type=_finite_float, required=True)
+    p_cls.add_argument("--c", type=_finite_float, required=True)
+    p_cls.add_argument("--d", type=_finite_float, required=True)
     _add_physical_args(p_cls)
     p_cls.set_defaults(func=_cmd_classify)
 
@@ -252,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (WavemodelsError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

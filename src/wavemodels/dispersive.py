@@ -32,7 +32,14 @@ from .errors import (
 from .linear import mode_propagator, phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .stepping import DtControl, Trajectory, integrate, integrate_pair, snapshot_times
+from .stepping import (
+    PAIR_STEP_MULTIPLE,
+    DtControl,
+    Trajectory,
+    integrate,
+    integrate_pair,
+    snapshot_times,
+)
 
 __all__ = [
     "AbcdParams",
@@ -327,8 +334,13 @@ def scalar_evolve(
     The linear part is exponentiated exactly mode-wise and the nonlinear
     part advanced with four-stage Runge-Kutta on the filtered variable, so
     the step is accuracy-limited, not stiffness-limited.  By default the
-    advective-scale step is halved until two successive refinements agree
-    to 1e-8 in the max norm at the final time.
+    first run takes PAIR_STEP_MULTIPLE times the advective CFL step
+    dt0 = cfl dx / (c0 + 1.5 (c0/H) max|zeta|), as ``integrate_pair``
+    does, and the step is halved until two successive runs agree to 1e-8
+    in the max norm at the final time; the finer run is returned.  No run
+    takes a step below dt0 2^-14: failing to agree by then raises
+    StepSizeUnderflowError.  A pinned ``dt`` or ``refine_tol=None`` makes
+    one run, at that dt or at dt0, with no accuracy check.
     """
     ctrl = dt_control or DtControl(refine_tol=1e-8)
     grid = state.grid
@@ -344,15 +356,17 @@ def scalar_evolve(
     dx = grid.spacing[0]
     zmax = float(np.max(np.abs(state.zeta.values)))
     speed = p.c0 + 1.5 * (p.c0 / p.H) * zmax
-    dt0 = min(ctrl.cfl * dx / speed, ctrl.dt_max)
+    dt_cfl = ctrl.cfl * dx / speed
+    dt0 = min(dt_cfl, ctrl.dt_max)
     if ctrl.dt is not None:
         return _scalar_run(state, p, t_end, ctrl.dt, n_out)
     if ctrl.refine_tol is None:
         return _scalar_run(state, p, t_end, dt0, n_out)
 
-    traj = _scalar_run(state, p, t_end, dt0, n_out)
-    dt = dt0
-    for _ in range(14):
+    dt = min(PAIR_STEP_MULTIPLE * dt_cfl, ctrl.dt_max)
+    dt_min = dt0 * 2.0**-14
+    traj = _scalar_run(state, p, t_end, dt, n_out)
+    while 0.5 * dt >= dt_min:
         dt *= 0.5
         finer = _scalar_run(state, p, t_end, dt, n_out)
         diff = math.inf  # a halted run has no final state to compare

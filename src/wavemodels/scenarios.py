@@ -198,6 +198,8 @@ class Scenario:
 
         phys_raw = raw.get("physical", {})
         _reject_unknown(phys_raw, {"g", "H"}, "physical")
+        for name, value in phys_raw.items():
+            _require_finite(value, f"physical.{name}")
         physical = PhysicalParams(**phys_raw)
 
         abcd = None
@@ -211,6 +213,9 @@ class Scenario:
         if raw.get("grid") is not None:
             grid_raw = raw["grid"]
             _reject_unknown(grid_raw, {"length", "nodes"}, "grid")
+            missing = sorted({"length", "nodes"} - set(grid_raw))
+            if missing:
+                raise ScenarioError(f"grid is missing key(s): {', '.join(missing)}")
             grid = Grid(grid_raw["length"], grid_raw["nodes"], dim=dim)
 
         initial = InitialData.from_dict(raw.get("initial", {}))
@@ -467,10 +472,11 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     """
     t_start = time.perf_counter()
     target = os.environ.get(OUTPUT_DIR_ENV) or output_dir or scenario.output_directory or "."
+    times, snaps, halt = _evolve_series(scenario)
+
+    # made only now, so that a run failing with exit 1 leaves no directory behind
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
-
-    times, snaps, halt = _evolve_series(scenario)
 
     snapshot_paths = []
     for idx, columns in enumerate(snaps):

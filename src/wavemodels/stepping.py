@@ -2,14 +2,16 @@
 
 ``integrate`` advances y' = L y + N(y) with the integrating-factor RK4 of
 Kassam & Trefethen (2005, SIAM J. Sci. Comput. 26) for a diagonal linear
-symbol L; without one (L = 0) the scheme is classical RK4.  Models supply
-only the stage right-hand side N, a step bound and a halt test.  Every
-1-D model keeps its spectra on the real-FFT half spectrum (N/2 + 1
-modes), so exp(hL) is applied to N/2 + 1 entries.  The scalar models
-step zeta-hat.  Saint-Venant and abcd step the characteristic pair
-w+- = zeta-hat +- s u-hat through ``integrate_pair``, in which their
-linear waves are diagonal and propagate exactly; their step is a fixed
-multiple of the advective CFL step.
+symbol L; with L = 0 the scheme is classical RK4.  Models supply only the
+stage right-hand side N, a step bound and a halt test.  Every 1-D model
+keeps its spectra on the real-FFT half spectrum (N/2 + 1 modes), so
+exp(hL) is applied to N/2 + 1 entries.  The scalar models step zeta-hat.
+Saint-Venant and abcd step the characteristic pair w+- = zeta-hat +- s
+u-hat through ``integrate_pair``, in which their linear waves are
+diagonal and propagate exactly.  Every model starts from one step policy,
+PAIR_STEP_MULTIPLE times its advective CFL step: the pair systems keep
+that step, and ``dispersive.scalar_evolve`` by default halves it from
+there until two successive runs agree, down to a floor of 2^-14 CFL steps.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .spectral import SpectralField
 # Smallest step any run takes; a smaller one raises StepSizeUnderflowError.
 MIN_STEP = 1e-14
 
-# Step of ``integrate_pair`` in units of the advective CFL step.  Stability
-# does not bound it, accuracy does: on the Saint-Venant breaking test the
-# halt time stays within 0.3% of T* up to 4x and misses it by ~40% at 8x.
+# Step of ``integrate_pair``, and first step of the scalar refinement, in
+# units of the advective CFL step.  Stability does not bound it, accuracy
+# does: on the Saint-Venant breaking test the halt time stays within 0.3% of
+# T* up to 4x and misses it by ~40% at 8x.
 PAIR_STEP_MULTIPLE = 4.0
 
 
@@ -112,7 +115,7 @@ def integrate(
     step: Callable[[np.ndarray], float],
     rhs: Callable[[np.ndarray], np.ndarray],
     snapshot: Callable[[np.ndarray, float], object],
-    factor: np.ndarray | None = None,
+    factor: np.ndarray,
     check: Callable[[np.ndarray, float], HaltEvent | None] | None = None,
 ) -> Trajectory:
     """Advance y0 from t0 through the output offsets ``times`` (times[0] = 0).
@@ -120,7 +123,7 @@ def integrate(
     Each output interval is split into equal steps no larger than
     ``step(y)``, evaluated on the state at the interval's start.  ``rhs``
     is the stage right-hand side N(y); ``factor`` is the diagonal linear
-    symbol L integrated exactly, or None for explicit RK4.  ``snapshot``
+    symbol L integrated exactly (zeros give classical RK4).  ``snapshot``
     turns an array and an absolute time into a stored state.
 
     ``check(y, t)`` runs after every step.  A cavitation halt raises
@@ -138,7 +141,7 @@ def integrate(
         if not dt_raw >= MIN_STEP:
             raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
         m, h = resolve_substeps(t_target - t_now, dt_raw)
-        e_half = 1.0 if factor is None else np.exp(0.5 * h * factor)
+        e_half = np.exp(0.5 * h * factor)
         e_full = e_half * e_half
         two_e_half = 2.0 * e_half
         for _ in range(m):
@@ -152,7 +155,7 @@ def integrate(
                 raise CavitationError(
                     f"cavitation at t = {t0 + t_now}", partial_trajectory=traj
                 ) from err
-            # with e = 1.0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
+            # with L = 0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
             y = e_full * y + (h / 6.0) * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
             t_now += h
             halt = None if check is None else check(y, t0 + t_now)
@@ -181,9 +184,11 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     sqrt(alpha/beta), whose linear part L+- = -+ik c, c = ``phase_speed``
     = s beta, is diagonal and propagated exactly.  Each stage makes one
     inverse transform of (zeta-hat, u-hat, ik u-hat) and one forward
-    transform of (zeta u, u u_x).  The step is PAIR_STEP_MULTIPLE times
-    the advective CFL step ctrl.cfl dx / max_speed(zeta, u), capped at
-    ctrl.dt_max; a CFL step below MIN_STEP raises StepSizeUnderflowError.
+    transform of (zeta u, u u_x); the inverse transform of the latest
+    state is kept, so the halt check, the next step's first stage, the
+    step bound and the snapshot share it.  The step is PAIR_STEP_MULTIPLE
+    times the advective CFL step ctrl.cfl dx / max_speed(zeta, u), capped
+    at ctrl.dt_max; a CFL step below MIN_STEP raises StepSizeUnderflowError.
     A depth ``depth`` + zeta <= 0 raises CavitationError at the start and
     is a cavitation halt after a step; otherwise ``check(u_x, t)`` runs.
     Snapshots have the type of ``state``.
@@ -204,10 +209,14 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     dx = grid.spacing[0]
     xs = grid.axis_coordinates(0)
 
+    last = [None, None]  # the latest (w, fields(w)); w arrays are never modified in place
+
     def fields(w):
         """zeta, u and u_x at the nodes."""
-        u_hat = (w[0] - w[1]) * half_over_s
-        return irfft(np.stack([0.5 * (w[0] + w[1]), u_hat, ik * u_hat]), n)
+        if w is not last[0]:
+            u_hat = (w[0] - w[1]) * half_over_s
+            last[:] = [w, irfft(np.stack([0.5 * (w[0] + w[1]), u_hat, ik * u_hat]), n)]
+        return last[1]
 
     def rhs(w):
         z, u, ux = fields(w)

@@ -17,6 +17,8 @@ from wavemodels import (
     ScalarWaveState,
     SingularSymbolError,
     SpectralField,
+    StepSizeUnderflowError,
+    Trajectory,
     abcd_evolve,
     abcd_linear_evolve,
     abcd_symbol,
@@ -24,6 +26,7 @@ from wavemodels import (
     phase_velocity,
     scalar_evolve,
 )
+from wavemodels import dispersive, stepping
 from wavemodels.dispersive import whitham_multiplier_values
 
 P = PhysicalParams(9.81, 1.0)
@@ -240,6 +243,52 @@ class TestScalarEvolve:
         g = Grid(100.0, 256)
         with pytest.raises(ValueError, match="model"):
             ScalarWaveState(SpectralField.zeros(g), 0.0, "airy")
+
+    @staticmethod
+    def cfl_step(g, z0):
+        """The advective CFL step dt0 of scalar_evolve at the default cfl 0.4."""
+        zmax = float(np.max(np.abs(z0.values)))
+        return 0.4 * g.spacing[0] / (P.c0 + 1.5 * (P.c0 / P.H) * zmax)
+
+    def test_refinement_starts_at_four_cfl_steps_and_stops_at_its_floor(self, monkeypatch):
+        g = Grid(50.0, 64)
+        z0 = SpectralField.from_function(g, lambda x: 0.1 * np.exp(-(x**2)))
+        dt0 = self.cfl_step(g, z0)
+        tried = []
+
+        def fake_run(state, p, t_end, dt, n_out):
+            # every run ends a unit away from the last, so no two ever agree
+            tried.append(dt)
+            values = np.full(g.nodes[0], float(len(tried)))
+            return Trajectory([ScalarWaveState(SpectralField(g, values), t_end, state.model)])
+
+        monkeypatch.setattr(dispersive, "_scalar_run", fake_run)
+        with pytest.raises(StepSizeUnderflowError, match="did not reach tolerance 1e-08"):
+            scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, 1.0)
+        assert tried[0] == stepping.PAIR_STEP_MULTIPLE * dt0 == 4.0 * dt0
+        assert tried == [tried[0] * 0.5**j for j in range(len(tried))]
+        assert tried[-1] == dt0 * 2.0**-14
+
+    @pytest.mark.parametrize("amplitude", [0.02, 0.2])
+    @pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
+    def test_refined_run_matches_a_fine_fixed_step_run(self, model, amplitude, monkeypatch):
+        g = Grid(50.0, 128)
+        z0 = SpectralField.from_function(g, lambda x: amplitude * np.exp(-(x**2)))
+        dt0 = self.cfl_step(g, z0)
+        tried = []
+        run = dispersive._scalar_run
+
+        def recording_run(state, p, t_end, dt, n_out):
+            tried.append(dt)
+            return run(state, p, t_end, dt, n_out)
+
+        monkeypatch.setattr(dispersive, "_scalar_run", recording_run)
+        refined = scalar_evolve(ScalarWaveState(z0, 0.0, model), P, 1.0, n_out=1)
+        if amplitude == 0.2:  # the steep case halves below the CFL step
+            assert tried[-1] < dt0
+        reference = run(ScalarWaveState(z0, 0.0, model), P, 1.0, dt0 / 32.0, 1)
+        gap = np.max(np.abs(refined.final_state.zeta.values - reference.final_state.zeta.values))
+        assert gap < 1e-8
 
 
 class TestDispersiveShockWave:

@@ -19,6 +19,7 @@ from wavemodels import (
     simple_wave_velocity,
 )
 from wavemodels import scenarios
+from wavemodels.cli import main
 from wavemodels.scenarios import (
     ComparisonReport,
     InitialData,
@@ -30,6 +31,7 @@ from wavemodels.scenarios import (
 )
 
 P = PhysicalParams()
+GOOD_ABCD = {"a": -1.0 / 3.0, "b": 1.0 / 3.0, "c": 0.0, "d": 1.0 / 3.0}
 
 
 def write_config(path, **overrides):
@@ -554,6 +556,78 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("error:")
         assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"physical": {"g": "x", "H": 1.0}}, "error: physical.g must be a finite number"),
+            ({"grid": {"length": 200.0}}, "error: grid is missing key(s): nodes"),
+        ],
+        ids=["non_numeric_gravity", "grid_without_nodes"],
+    )
+    def test_schema_error_exit_code(self, tmp_path, capsys, overrides, message):
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            # 8 nodes cannot carry the wave, so building the initial state fails
+            ({"model": "boussinesq", "abcd": GOOD_ABCD, "grid": {"length": 100.0, "nodes": 8},
+              "initial": {"kind": "traveling_wave", "speed": 3.3}}, 1),
+            # the CFL step of a 1e-11 m domain is below the floor, so evolving fails
+            ({"model": "boussinesq", "abcd": GOOD_ABCD,
+              "grid": {"length": 1e-11, "nodes": 256}}, 1),
+            # a breaking halt keeps the partial output
+            ({"model": "hopf", "initial": {"kind": "simple_wave", "amplitude": 0.5,
+                                           "width_parameter": 0.1}, "t_end": 50.0}, 2),
+        ],
+        ids=["unresolved_initial_state", "step_underflow", "breaking_halt"],
+    )
+    def test_output_directory_made_only_for_output(self, tmp_path, overrides, code):
+        cfg = tmp_path / "run.json"
+        out = tmp_path / "out"
+        write_config(cfg, output={"stride": 2, "directory": str(out)}, **overrides)
+        assert main(["run", "--config", str(cfg)]) == code
+        if code == 1:
+            assert not out.exists()
+        else:
+            assert (out / "manifest.json").is_file() and (out / "snapshot_0000.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dispersion", "--ximax", "nan", "--samples", "3"],
+             "error: argument --ximax: expected a finite number, got 'nan'"),
+            (["shocktime", "--builtin", "gaussian-bump", "--amplitude", "nan"],
+             "error: argument --amplitude: expected a finite number, got 'nan'"),
+            (["solitary", "--model", "kdv", "--speeds", "3.2,inf"],
+             "error: argument --speeds: expected a finite number, got 'inf'"),
+            (["dispersion", "--samples", "3"],
+             "error: the following arguments are required: --ximax"),
+            (["dispersion", "--ximax", "2.0", "--samples", "3", "--quantity", "speed"],
+             "error: argument --quantity: invalid choice"),
+            ([], "error: the following arguments are required: command"),
+        ],
+        ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
+             "bad_choice", "no_command"],
+    )
+    def test_argument_error_exit_code(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["dispersion", "--help"])
+        assert info.value.code == 0
+        assert "--ximax" in capsys.readouterr().out
 
     def test_boussinesq_scenario_end_to_end(self, tmp_path):
         cfg = tmp_path / "bq.json"

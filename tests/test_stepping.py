@@ -34,8 +34,9 @@ def keep(y, t):
 
 def test_explicit_step_is_the_rk4_stability_polynomial():
     h = 0.7
-    traj = integrate(np.ones_like(LAMBDAS), 0.0, [0.0, h], lambda y: h,
-                     lambda y: LAMBDAS * y, keep)
+    y0 = np.ones_like(LAMBDAS)
+    traj = integrate(y0, 0.0, [0.0, h], lambda y: h, lambda y: LAMBDAS * y, keep,
+                     np.zeros_like(y0))
     z = LAMBDAS * h
     expect = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     assert len(traj) == 2 and traj.halt is None
@@ -55,8 +56,9 @@ def test_factor_with_zero_nonlinearity_propagates_exactly():
 def test_non_finite_state_halts_and_is_not_kept():
     # y' = y^2 from y(0) = 1 blows up at t = 1; at h = 0.5 RK4 overflows
     # only in the third interval
-    traj = integrate(np.array([1.0]), 0.0, [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
-                     lambda y: y * y, keep)
+    y0 = np.array([1.0])
+    traj = integrate(y0, 0.0, [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
+                     lambda y: y * y, keep, np.zeros_like(y0))
     assert traj.halt is not None and traj.halt.reason == "non_finite"
     assert traj.halt.time == pytest.approx(2.5)
     assert [t for t, _ in traj.states] == pytest.approx([0.0, 0.5, 1.5])
@@ -67,8 +69,9 @@ def test_halt_from_check_keeps_the_halting_state():
     def check(y, t):
         return HaltEvent("breaking", t, 0.0, float(y[0])) if y[0] > 2.0 else None
 
-    traj = integrate(np.array([1.0]), 0.0, [0.0, 1.0, 2.0], lambda y: 0.1,
-                     lambda y: y, keep, check=check)
+    y0 = np.array([1.0])
+    traj = integrate(y0, 0.0, [0.0, 1.0, 2.0], lambda y: 0.1,
+                     lambda y: y, keep, np.zeros_like(y0), check=check)
     assert traj.halt.reason == "breaking"
     t_halt, y_halt = traj.final_state
     assert t_halt == traj.halt.time and y_halt[0] > 2.0
@@ -79,9 +82,10 @@ def test_cavitation_check_raises_with_partial_trajectory():
     def check(y, t):
         return HaltEvent("cavitation", t, 0.0, 0.0) if y[0] < 0.5 else None
 
+    y0 = np.array([1.0])
     with pytest.raises(CavitationError, match="cavitation at t") as info:
-        integrate(np.array([1.0]), 0.0, [0.0, 0.5, 1.0], lambda y: 0.05,
-                  lambda y: -y, keep, check=check)
+        integrate(y0, 0.0, [0.0, 0.5, 1.0], lambda y: 0.05,
+                  lambda y: -y, keep, np.zeros_like(y0), check=check)
     traj = info.value.partial_trajectory
     assert [t for t, _ in traj.states] == pytest.approx([0.0, 0.5])
     assert traj.halt.reason == "cavitation"
@@ -94,8 +98,9 @@ def test_cavitation_in_a_stage_records_the_step_start():
             raise CavitationError("depth H + zeta reached zero")
         return -y
 
+    y0 = np.array([1.0])
     with pytest.raises(CavitationError) as info:
-        integrate(np.array([1.0]), 2.0, [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep)
+        integrate(y0, 2.0, [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep, np.zeros_like(y0))
     traj = info.value.partial_trajectory
     assert traj.halt.reason == "cavitation"
     assert 2.5 - 1e-12 < traj.halt.time < 2.0 + np.log(2.0)
