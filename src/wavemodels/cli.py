@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invalid input (a bad argument included), 2 halt
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -26,14 +27,10 @@ from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import FLOAT_FORMAT, InitialData, compare, load_scenario, run, write_rows
+from .scenarios import (FLOAT_FORMAT, SOLITARY_MODELS, InitialData, compare, load_scenario,
+                        run, write_rows)
 from .spectral import Grid, SpectralField
-from .traveling import (
-    boussinesq_solitary_solve,
-    kdv_soliton,
-    petviashvili_solve,
-    suggested_domain_length,
-)
+from .traveling import solitary_wave, suggested_domain_length
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -65,10 +62,14 @@ def _add_physical_args(parser):
     parser.add_argument("--H", type=_finite_float, default=1.0, help="still-water depth [m]")
 
 
+@contextlib.contextmanager
 def _out_stream(path):
+    """stdout for no path, else the opened file, closed on exit."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
 
 
 def _cmd_run(args) -> int:
@@ -86,11 +87,9 @@ def _cmd_compare(args) -> int:
     with open(args.initial) as fh:
         ini = InitialData.from_dict(json.load(fh))
     report = compare(sa, sb, ini)
-    stream, close = _out_stream(args.out)
-    json.dump(report.to_dict(), stream, indent=2, sort_keys=True)
-    stream.write("\n")
-    if close:
-        stream.close()
+    with _out_stream(args.out) as stream:
+        json.dump(report.to_dict(), stream, indent=2, sort_keys=True)
+        stream.write("\n")
     return 0
 
 
@@ -104,11 +103,9 @@ def _cmd_dispersion(args) -> int:
         "group": {"cg_m_per_s": cg},
         "both": {"cp_m_per_s": cp, "cg_m_per_s": cg},
     }[args.quantity]
-    stream, close = _out_stream(args.out)
-    stream.write(",".join(["xi_per_m", *columns]) + "\n")
-    write_rows(stream, [xi, *columns.values()])
-    if close:
-        stream.close()
+    with _out_stream(args.out) as stream:
+        stream.write(",".join(["xi_per_m", *columns]) + "\n")
+        write_rows(stream, [xi, *columns.values()])
     return 0
 
 
@@ -120,47 +117,31 @@ def _solitary_grid(args, p, speed) -> Grid:
     return Grid(length, args.nodes)
 
 
-def _solve_solitary(model, speed, p, grid, abcd):
-    if model == "kdv":
-        sol = kdv_soliton(speed, p, grid)
-    elif model == "whitham":
-        sol = petviashvili_solve("whitham", speed, p, grid)
-    else:
-        sol = boussinesq_solitary_solve(abcd, speed, p, grid)
-    return sol.require_resolved()
-
-
 def _cmd_solitary(args) -> int:
     p = PhysicalParams(args.g, args.H)
-    abcd = None
-    if args.model == "boussinesq":
-        abcd = AbcdParams(args.a, args.b, args.c, args.d)
+    abcd = AbcdParams(args.a, args.b, args.c, args.d) if args.model == "boussinesq" else None
     if args.speed is None and args.speeds is None:
         raise ValueError("solitary requires --speed R or --speeds R1,R2,...")
     speeds = [args.speed] if args.speeds is None else args.speeds
     if args.speeds is not None:
         # amplitude-speed sweep: one row per speed, written once all are solved
-        sols = [_solve_solitary(args.model, s, p, _solitary_grid(args, p, s), abcd)
+        sols = [solitary_wave(args.model, s, p, _solitary_grid(args, p, s), abcd)
                 for s in speeds]
-        stream, close = _out_stream(args.out)
-        stream.write("speed_m_per_s,amplitude_m,residual,iterations\n")
-        write_rows(stream, [
-            speeds,
-            [sol.amplitude for sol in sols],
-            [sol.residual for sol in sols],
-            [sol.iterations for sol in sols],
-        ])
-        if close:
-            stream.close()
+        with _out_stream(args.out) as stream:
+            stream.write("speed_m_per_s,amplitude_m,residual,iterations\n")
+            write_rows(stream, [
+                speeds,
+                [sol.amplitude for sol in sols],
+                [sol.residual for sol in sols],
+                [sol.iterations for sol in sols],
+            ])
         return 0
 
     grid = _solitary_grid(args, p, args.speed)
-    sol = _solve_solitary(args.model, args.speed, p, grid, abcd)
-    stream, close = _out_stream(args.out)
-    stream.write("x_m,zeta_m\n")
-    write_rows(stream, [grid.axis_coordinates(0), sol.profile_zeta.values])
-    if close:
-        stream.close()
+    sol = solitary_wave(args.model, args.speed, p, grid, abcd)
+    with _out_stream(args.out) as stream:
+        stream.write("x_m,zeta_m\n")
+        write_rows(stream, [grid.axis_coordinates(0), sol.profile_zeta.values])
     meta = {
         "model": args.model,
         "speed": sol.speed,
@@ -189,11 +170,18 @@ def _cmd_shocktime(args) -> int:
                 grid, lambda x: args.amplitude * np.exp(-((args.width * x) ** 2))
             )
     else:
-        data = np.genfromtxt(args.profile, delimiter=",", names=True)
+        data = np.atleast_1d(np.genfromtxt(args.profile, delimiter=",", names=True))
         xs = np.asarray(data["x_m"], dtype=float)
+        if xs.size < 4:
+            raise ValueError(f"--profile needs at least 4 rows, got {xs.size}")
+        dx = (xs[-1] - xs[0]) / (xs.size - 1)
+        if not np.max(np.abs(xs - xs[0] - dx * np.arange(xs.size))) <= 1e-8 * dx:
+            raise ValueError("--profile x_m column must be uniformly spaced and increasing")
+        u = np.asarray(data["u_m_per_s"], dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise ValueError("--profile u_m_per_s column holds a non-finite value")
         length = float(xs[-1] - xs[0] + (xs[1] - xs[0]))
-        grid = Grid(length, xs.size)
-        u0 = SpectralField(grid, np.asarray(data["u_m_per_s"], dtype=float))
+        u0 = SpectralField(Grid(length, xs.size), u)
     print(FLOAT_FORMAT % breaking_time(u0))
     return 0
 
@@ -241,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=_cmd_dispersion)
 
     p_sol = sub.add_parser("solitary", help="traveling-wave profiles and sweeps")
-    p_sol.add_argument("--model", choices=("kdv", "whitham", "boussinesq"), required=True)
+    p_sol.add_argument("--model", choices=SOLITARY_MODELS, required=True)
     p_sol.add_argument("--speed", type=_finite_float, default=None)
     p_sol.add_argument("--speeds", type=_finite_floats, default=None,
                        help="comma-separated sweep speeds")

@@ -8,6 +8,12 @@ resolved configuration; re-running from a manifest reproduces the
 snapshot files byte for byte.  ``compare`` runs two scenarios on a common
 grid with identical initial data and reports relative L2 differences of
 the surface deformation over time.
+
+Every model is one row of the ``_MODELS`` table: its state type, the name
+of its second field, the fields it writes, and its run function.  Building
+the initial state, evolving it, writing its columns, the ``MODELS`` names
+and the CLI's solitary-wave models all read that row, so adding a model is
+adding one row.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,11 +50,12 @@ from .hyperbolic import (
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative
-from .stepping import DtControl, HaltEvent, snapshot_times
-from .traveling import boussinesq_solitary_solve, kdv_soliton, petviashvili_solve
+from .stepping import DtControl, HaltEvent, Trajectory, snapshot_times
+from .traveling import solitary_wave
 
 __all__ = [
     "MODELS",
+    "SOLITARY_MODELS",
     "InitialData",
     "Scenario",
     "ComparisonReport",
@@ -60,16 +68,6 @@ __all__ = [
     "OUTPUT_DIR_ENV",
 ]
 
-MODELS = (
-    "acoustic",
-    "airy",
-    "saint_venant",
-    "hopf",
-    "boussinesq",
-    "kdv",
-    "whitham",
-    "whitham2",
-)
 _KINDS = ("gaussian", "file", "traveling_wave", "simple_wave")
 _COMPANIONS = ("zero_velocity", "from_simple_wave_relation", "explicit")
 SCHEMA_VERSION = 1
@@ -124,23 +122,11 @@ class InitialData:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InitialData":
-        _reject_unknown(
-            raw,
-            {"kind", "amplitude", "width_parameter", "center", "companion", "speed", "path"},
-            "initial",
-        )
+        _reject_unknown(raw, {f.name for f in fields(cls)}, "initial")
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "width_parameter": self.width_parameter,
-            "center": self.center,
-            "companion": self.companion,
-            "speed": self.speed,
-            "path": self.path,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -158,8 +144,8 @@ class Scenario:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.dim == 2 and self.model not in ("acoustic", "airy"):
-            raise ScenarioError("dim = 2 is only supported for acoustic and airy")
+        if self.dim == 2 and not _MODELS[self.model].two_d:
+            raise ScenarioError(f"dim = 2 is only supported for {_model_names(lambda m: m.two_d)}")
         if self.model == "boussinesq":
             if self.abcd is None:
                 raise ScenarioError("model 'boussinesq' requires abcd parameters")
@@ -236,14 +222,12 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "version": SCHEMA_VERSION,
             "model": self.model,
             "dim": self.dim,
-            "physical": {"g": self.physical.g, "H": self.physical.H},
-            "abcd": None
-            if self.abcd is None
-            else {"a": self.abcd.a, "b": self.abcd.b, "c": self.abcd.c, "d": self.abcd.d},
+            "physical": asdict(self.physical),
+            "abcd": None if self.abcd is None else asdict(self.abcd),
             "grid": {
                 "length": list(self.grid.length) if self.dim > 1 else self.grid.length[0],
                 "nodes": list(self.grid.nodes) if self.dim > 1 else self.grid.nodes[0],
@@ -252,7 +236,6 @@ class Scenario:
             "t_end": self.t_end,
             "output": {"stride": self.output_stride, "directory": self.output_directory},
         }
-        return out
 
 
 def load_scenario(path) -> Scenario:
@@ -265,12 +248,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _gaussian_field(grid: Grid, amplitude: float, width: float, center: float) -> SpectralField:
-    if grid.dim == 1:
-        x = grid.meshgrid()[0]
-        r2 = (x - center) ** 2
-    else:
-        x, y = grid.meshgrid()
-        r2 = (x - center) ** 2 + (y - center) ** 2
+    r2 = sum((x - center) ** 2 for x in grid.meshgrid())
     return SpectralField(grid, amplitude * np.exp(-(width**2) * r2))
 
 
@@ -289,136 +267,129 @@ def _file_column(path: str, grid: Grid, name: str) -> SpectralField:
     return SpectralField(grid, np.asarray(data[name], dtype=float))
 
 
+@dataclass
+class _AcousticState:
+    zeta: SpectralField
+    zeta_t: SpectralField | None  # None in the snapshots, which write zeta only
+    time: float = 0.0
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One model: built as state(zeta, second, 0.0), or state(zeta, 0.0, name)
+    without a second field; run(scenario, state0) returns a Trajectory whose
+    states carry the ``writes`` fields.  Runs look solvers up as module
+    globals when called, so a solver patched on this module is the one run.
+    """
+
+    state: type
+    second: str | None  # "zeta_t", "psi", "u", or None for a scalar model
+    writes: tuple
+    run: Callable
+    two_d: bool = False
+    solitary: bool = False  # takes traveling_wave initial data
+
+
+# state field -> column name, in file initial data and in the snapshot CSVs
+_COLUMNS = {"zeta": "zeta_m", "psi": "psi_m2_per_s", "u": "u_m_per_s", "zeta_t": "zeta_t_m_per_s"}
+
+
+def _hopf_run(sc: Scenario, state0: SVState) -> Trajectory:
+    """Simple waves along characteristics; halts at breaking, with no state past it."""
+    p, u0 = sc.physical, state0.u
+    t_star = breaking_time(u0)
+    xs = sc.grid.axis_coordinates(0)
+    traj = Trajectory()
+    for t in snapshot_times(sc.t_end, sc.output_stride):
+        try:
+            u_t = hopf_characteristic_solve(u0, p, t, xs) if t > 0 else u0.values
+        except BreakingError:  # at or past t_star, or a non-monotone foot map
+            j = int(np.argmin(derivative(u0, 0, 1).values))
+            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star)
+            traj.halt = HaltEvent(reason="breaking", time=t_star, location=location,
+                                  max_gradient=math.inf, breaking_time_estimate=t_star)
+            break
+        u = SpectralField(sc.grid, u_t)
+        traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
+    return traj
+
+
+def _scalar_run(sc: Scenario, state0: ScalarWaveState) -> Trajectory:
+    return scalar_evolve(state0, sc.physical, sc.t_end, None, n_out=sc.output_stride)
+
+
+_MODELS = {
+    "acoustic": _Model(_AcousticState, "zeta_t", ("zeta",), lambda sc, s: Trajectory([
+        _AcousticState(acoustic_evolve(s.zeta, s.zeta_t, sc.physical, t), None, t)
+        for t in snapshot_times(sc.t_end, sc.output_stride)]), two_d=True),
+    "airy": _Model(AiryState, "psi", ("zeta", "psi"), lambda sc, s: Trajectory([
+        airy_evolve(s, sc.physical, t) for t in snapshot_times(sc.t_end, sc.output_stride)]),
+        two_d=True),
+    "saint_venant": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: sv_evolve(
+        s, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
+    "hopf": _Model(SVState, "u", ("zeta", "u"), _hopf_run),
+    "boussinesq": _Model(BoussinesqState, "u", ("zeta", "u"), lambda sc, s: abcd_evolve(
+        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride), solitary=True),
+    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary=True),
+    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary=True),
+    "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
+}
+MODELS = tuple(_MODELS)
+SOLITARY_MODELS = tuple(name for name, m in _MODELS.items() if m.solitary)
+
+
+def _model_names(test) -> str:
+    return " and ".join(name for name, m in _MODELS.items() if test(m))
+
+
 def _build_initial(sc: Scenario):
     """Materialize the model state at t = 0 from the InitialData record."""
     ini, grid, p = sc.initial, sc.grid, sc.physical
-    zeros = SpectralField.zeros(grid)
+    model = _MODELS[sc.model]
 
     if ini.kind == "traveling_wave":
         if ini.speed is None:
             raise ScenarioError("traveling_wave initial data requires a speed")
-        if sc.model == "kdv":
-            zeta = kdv_soliton(ini.speed, p, grid).require_resolved().profile_zeta
-            return ScalarWaveState(zeta, 0.0, "kdv")
-        if sc.model == "whitham":
-            sol = petviashvili_solve("whitham", ini.speed, p, grid).require_resolved()
-            return ScalarWaveState(sol.profile_zeta, 0.0, "whitham")
-        if sc.model == "boussinesq":
-            sol = boussinesq_solitary_solve(sc.abcd, ini.speed, p, grid).require_resolved()
-            return BoussinesqState(sol.profile_zeta, sol.profile_u, 0.0)
-        raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
+        if not model.solitary:
+            raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
+        sol = solitary_wave(sc.model, ini.speed, p, grid, sc.abcd)
+        zeta, second = sol.profile_zeta, sol.profile_u
+    else:
+        if ini.kind == "file":
+            if ini.path is None:
+                raise ScenarioError("file initial data requires a path")
+            zeta = _file_column(ini.path, grid, "zeta_m")
+        else:  # gaussian or simple_wave
+            zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
 
-    if ini.kind == "file":
-        if ini.path is None:
-            raise ScenarioError("file initial data requires a path")
-        zeta = _file_column(ini.path, grid, "zeta_m")
-    else:  # gaussian or simple_wave
-        zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
-
-    wants_simple_wave = ini.kind == "simple_wave" or ini.companion == "from_simple_wave_relation"
-    if wants_simple_wave and sc.model not in ("saint_venant", "hopf"):
-        raise ScenarioError(
-            "the simple-wave velocity relation applies to saint_venant and hopf only"
-        )
-
-    if sc.model == "acoustic":
-        if ini.companion == "explicit" and ini.kind == "file":
-            zeta_t = _file_column(ini.path, grid, "zeta_t_m_per_s")
+        # the simple-wave relation pairs zeta with the shallow-water velocity u
+        if ini.kind == "simple_wave" or ini.companion == "from_simple_wave_relation":
+            if model.state is not SVState:
+                names = _model_names(lambda m: m.state is SVState)
+                raise ScenarioError(f"the simple-wave velocity relation applies to {names} only")
+            second = simple_wave_velocity(zeta, p)
+        elif ini.companion == "explicit" and ini.kind == "file" and model.second is not None:
+            second = _file_column(ini.path, grid, _COLUMNS[model.second])
         else:
-            zeta_t = zeros
-        return (zeta, zeta_t)
-    if sc.model == "airy":
-        if ini.companion == "explicit" and ini.kind == "file":
-            psi = _file_column(ini.path, grid, "psi_m2_per_s")
-        else:
-            psi = zeros
-        return AiryState(zeta, psi, 0.0)
-    if sc.model in ("saint_venant", "hopf"):
-        if wants_simple_wave:
-            u = simple_wave_velocity(zeta, p)
-        elif ini.companion == "explicit" and ini.kind == "file":
-            u = _file_column(ini.path, grid, "u_m_per_s")
-        else:
-            u = zeros
-        return SVState(zeta, u, 0.0)
-    if sc.model == "boussinesq":
-        if ini.companion == "explicit" and ini.kind == "file":
-            u = _file_column(ini.path, grid, "u_m_per_s")
-        else:
-            u = zeros
-        return BoussinesqState(zeta, u, 0.0)
-    return ScalarWaveState(zeta, 0.0, sc.model)
+            second = SpectralField.zeros(grid)  # unused by a scalar model
 
-
-def _columns_for(sc: Scenario, snap) -> dict[str, np.ndarray]:
-    if sc.model == "airy":
-        return {"zeta_m": snap.zeta.values, "psi_m2_per_s": snap.psi.values}
-    if sc.model in ("saint_venant", "hopf", "boussinesq"):
-        return {"zeta_m": snap.zeta.values, "u_m_per_s": snap.u.values}
-    return {"zeta_m": snap.zeta.values}
+    if model.second is None:
+        return model.state(zeta, 0.0, sc.model)
+    return model.state(zeta, second, 0.0)
 
 
 def _evolve_series(sc: Scenario):
     """All snapshots of a scenario: (times, per-time column dicts, halt)."""
+    model = _MODELS[sc.model]
     state0 = _build_initial(sc)
-    times = snapshot_times(sc.t_end, sc.output_stride)
-    p = sc.physical
-
-    if sc.model == "acoustic":
-        zeta0, zeta_t0 = state0
-        snaps = [
-            {"zeta_m": acoustic_evolve(zeta0, zeta_t0, p, t).values} for t in times
-        ]
-        return times, snaps, None
-
-    if sc.model == "airy":
-        snaps = []
-        for t in times:
-            st = airy_evolve(state0, p, t)
-            snaps.append(_columns_for(sc, st))
-        return times, snaps, None
-
-    if sc.model == "hopf":
-        u0 = state0.u
-        t_star = breaking_time(u0)
-        xs = sc.grid.axis_coordinates(0)
-        snaps, kept = [], []
-        halt = None
-        for t in times:
-            try:
-                u_t = hopf_characteristic_solve(u0, p, t, xs) if t > 0 else u0.values
-            except BreakingError:  # at or past t_star, or a non-monotone foot map
-                du0 = derivative(u0, 0, 1).values
-                j = int(np.argmin(du0))
-                foot = xs[j]
-                halt = HaltEvent(
-                    reason="breaking",
-                    time=t_star,
-                    location=float(foot + (p.c0 + 1.5 * u0.values[j]) * t_star),
-                    max_gradient=float("inf"),
-                    breaking_time_estimate=t_star,
-                )
-                break
-            z_t = simple_wave_elevation(u_t, p)
-            snaps.append({"zeta_m": z_t, "u_m_per_s": u_t})
-            kept.append(t)
-        return kept, snaps, halt
-
-    dt_control = DtControl()
     try:
-        if sc.model == "saint_venant":
-            traj = sv_evolve(state0, p, sc.t_end, dt_control, n_out=sc.output_stride)
-        elif sc.model == "boussinesq":
-            traj = abcd_evolve(state0, sc.abcd, p, sc.t_end, dt_control, n_out=sc.output_stride)
-        else:
-            traj = scalar_evolve(state0, p, sc.t_end, None, n_out=sc.output_stride)
+        traj = model.run(sc, state0)
     except CavitationError as err:
         traj = err.partial_trajectory
         if traj is None:  # the initial data already cavitates
             raise
-
-    snaps = [_columns_for(sc, s) for s in traj.states]
-    return [s.time for s in traj.states], snaps, traj.halt
+    snaps = [{_COLUMNS[f]: getattr(s, f).values for f in model.writes} for s in traj.states]
+    return traj.times, snaps, traj.halt
 
 
 @dataclass
@@ -522,13 +493,7 @@ class ComparisonReport:
         return max(self.l2_relative_differences)
 
     def to_dict(self) -> dict:
-        return {
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "times": self.times,
-            "l2_relative_differences": self.l2_relative_differences,
-            "summary": self.summary,
-        }
+        return {**asdict(self), "summary": self.summary}
 
 
 def compare(scenario_a: Scenario, scenario_b: Scenario, shared_initial: InitialData) -> ComparisonReport:
@@ -544,8 +509,8 @@ def compare(scenario_a: Scenario, scenario_b: Scenario, shared_initial: InitialD
     if scenario_a.output_stride != scenario_b.output_stride:
         raise ScenarioError("compare requires identical output stride")
 
-    sa = Scenario(**{**_scenario_kwargs(scenario_a), "initial": shared_initial})
-    sb = Scenario(**{**_scenario_kwargs(scenario_b), "initial": shared_initial})
+    sa = replace(scenario_a, initial=shared_initial)
+    sb = replace(scenario_b, initial=shared_initial)
 
     times_a, snaps_a, halt_a = _evolve_series(sa)
     times_b, snaps_b, halt_b = _evolve_series(sb)
@@ -561,16 +526,3 @@ def compare(scenario_a: Scenario, scenario_b: Scenario, shared_initial: InitialD
         model_a=sa.model, model_b=sb.model, times=list(times_a), l2_relative_differences=diffs
     )
 
-
-def _scenario_kwargs(sc: Scenario) -> dict:
-    return {
-        "model": sc.model,
-        "physical": sc.physical,
-        "dim": sc.dim,
-        "abcd": sc.abcd,
-        "grid": sc.grid,
-        "initial": sc.initial,
-        "t_end": sc.t_end,
-        "output_stride": sc.output_stride,
-        "output_directory": sc.output_directory,
-    }

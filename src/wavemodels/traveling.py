@@ -30,6 +30,7 @@ __all__ = [
     "petviashvili_solve",
     "petviashvili_continuation",
     "boussinesq_solitary_solve",
+    "solitary_wave",
     "kdv_steady_residual",
     "whitham_steady_residual",
     "boussinesq_steady_residual",
@@ -98,7 +99,10 @@ def _decay_rate(speed: float, p: PhysicalParams) -> float:
 
 
 def suggested_domain_length(speed: float, p: PhysicalParams, factor: float = 40.0) -> float:
-    """Domain length so periodic tail interactions fall below tolerance."""
+    """Domain length so periodic tail interactions fall below tolerance (c > c0 only)."""
+    if speed <= p.c0:
+        raise ValueError(f"a solitary-wave domain length needs a speed above c0 = {p.c0}; "
+                         f"got speed {speed}")
     return factor / _decay_rate(speed, p)
 
 
@@ -335,3 +339,18 @@ def boussinesq_solitary_solve(
     return TravelingWaveSolution(
         SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it
     )
+
+
+def solitary_wave(
+    model: str, speed: float, p: PhysicalParams, grid: Grid, abcd: AbcdParams | None = None
+) -> TravelingWaveSolution:
+    """The kdv, whitham or boussinesq (``abcd``) solitary wave; ValueError if unresolved."""
+    if model == "kdv":
+        sol = kdv_soliton(speed, p, grid)
+    elif model == "whitham":
+        sol = petviashvili_solve("whitham", speed, p, grid)
+    elif model == "boussinesq":
+        sol = boussinesq_solitary_solve(abcd, speed, p, grid)
+    else:
+        raise ValueError(f"no solitary-wave solver for model {model!r}")
+    return sol.require_resolved()

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -10,12 +11,17 @@ import numpy as np
 import pytest
 
 from wavemodels import (
+    AbcdParams,
     BreakingError,
     DtControl,
     Grid,
     PhysicalParams,
     SpectralField,
+    boussinesq_solitary_solve,
     breaking_time,
+    kdv_soliton,
+    petviashvili_solve,
+    simple_wave_elevation,
     simple_wave_velocity,
 )
 from wavemodels import scenarios
@@ -338,6 +344,105 @@ class TestRun:
         assert result.manifest_path.parent == tmp_path / "env"
 
 
+MATRIX_GRID = Grid(100.0, 256)
+MATRIX_KINDS = {
+    "gaussian": {"kind": "gaussian", "amplitude": 0.05, "width_parameter": 0.3},
+    "file": {"kind": "file"},
+    "file_explicit": {"kind": "file", "companion": "explicit"},
+    "simple_wave": {"kind": "simple_wave", "amplitude": 0.05, "width_parameter": 0.3},
+    "from_simple_wave_relation": {"kind": "gaussian", "amplitude": 0.05, "width_parameter": 0.3,
+                                  "companion": "from_simple_wave_relation"},
+    "traveling_wave": {"kind": "traveling_wave", "speed": 3.3},
+}
+# the column each model's second field is read from, and the columns it writes
+SECOND_COLUMN = {"acoustic": "zeta_t_m_per_s", "airy": "psi_m2_per_s",
+                 "saint_venant": "u_m_per_s", "hopf": "u_m_per_s", "boussinesq": "u_m_per_s",
+                 "kdv": None, "whitham": None, "whitham2": None}
+WRITTEN = {"acoustic": ["zeta_m"], "airy": ["zeta_m", "psi_m2_per_s"],
+           "saint_venant": ["zeta_m", "u_m_per_s"], "hopf": ["zeta_m", "u_m_per_s"],
+           "boussinesq": ["zeta_m", "u_m_per_s"],
+           "kdv": ["zeta_m"], "whitham": ["zeta_m"], "whitham2": ["zeta_m"]}
+
+
+def write_initial_file(path, columns):
+    xs = MATRIX_GRID.axis_coordinates(0)
+    rows = zip(xs, *columns.values())
+    lines = [",".join(["x_m", *columns])] + [",".join(repr(float(v)) for v in r) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def expected_matrix_columns(model, kind, file_columns):
+    """The t = 0 columns a model writes for an initial kind, or the ScenarioError message."""
+    xs = MATRIX_GRID.axis_coordinates(0)
+    zero = np.zeros_like(xs)
+    if kind in ("simple_wave", "from_simple_wave_relation"):
+        if model not in ("saint_venant", "hopf"):
+            return "the simple-wave velocity relation applies to saint_venant and hopf only"
+        zeta = 0.05 * np.exp(-(0.3**2) * xs**2)
+        columns = {"zeta_m": zeta, "u_m_per_s": simple_wave_velocity(zeta, P)}
+    elif kind == "traveling_wave":
+        if model == "kdv":
+            return {"zeta_m": kdv_soliton(3.3, P, MATRIX_GRID).profile_zeta.values}
+        if model == "whitham":
+            sol = petviashvili_solve("whitham", 3.3, P, MATRIX_GRID)
+            return {"zeta_m": sol.profile_zeta.values}
+        if model == "boussinesq":
+            sol = boussinesq_solitary_solve(AbcdParams(**GOOD_ABCD), 3.3, P, MATRIX_GRID)
+            return {"zeta_m": sol.profile_zeta.values, "u_m_per_s": sol.profile_u.values}
+        return f"traveling_wave initial data unsupported for model {model!r}"
+    else:
+        zeta = 0.05 * np.exp(-(0.3**2) * xs**2) if kind == "gaussian" else file_columns["zeta_m"]
+        columns = {"zeta_m": zeta}
+        second = SECOND_COLUMN[model]
+        if second is not None:
+            columns[second] = file_columns[second] if kind == "file_explicit" else zero
+    if model == "hopf":  # hopf writes the elevation of the simple wave its u carries
+        columns["zeta_m"] = simple_wave_elevation(columns["u_m_per_s"], P)
+    return {name: columns[name] for name in WRITTEN[model]}
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+@pytest.mark.parametrize("model", list(SECOND_COLUMN))
+def test_model_initial_kind_matrix(tmp_path, model, kind):
+    xs = MATRIX_GRID.axis_coordinates(0)
+    file_columns = {
+        "zeta_m": 0.04 * np.exp(-0.1 * xs**2),
+        "zeta_t_m_per_s": 0.02 * np.exp(-0.2 * xs**2),
+        "psi_m2_per_s": 0.03 * np.sin(2.0 * np.pi * xs / 100.0),
+        "u_m_per_s": 0.01 * np.exp(-0.3 * (xs - 1.0) ** 2),
+    }
+    src = tmp_path / "init.csv"
+    write_initial_file(src, file_columns)
+
+    def scenario(path):
+        initial = dict(MATRIX_KINDS[kind])
+        if initial["kind"] == "file":
+            initial["path"] = str(path)
+        return Scenario(model=model, grid=MATRIX_GRID, initial=InitialData(**initial),
+                        abcd=AbcdParams(**GOOD_ABCD) if model == "boussinesq" else None,
+                        t_end=0.0, output_stride=1)
+
+    expected = expected_matrix_columns(model, kind, file_columns)
+    if isinstance(expected, str):
+        with pytest.raises(ScenarioError, match=re.escape(expected)):
+            run(scenario(src), output_dir=tmp_path / "out")
+        return
+    result = run(scenario(src), output_dir=tmp_path / "out")
+    assert result.exit_code == 0 and len(result.snapshot_paths) == 1
+    data = np.genfromtxt(result.snapshot_paths[0], delimiter=",", names=True)
+    assert list(data.dtype.names) == ["x_m", *expected]
+    for name, values in expected.items():
+        np.testing.assert_allclose(data[name], values, rtol=0.0, atol=1e-15, err_msg=name)
+
+    second = SECOND_COLUMN[model]
+    if kind == "file_explicit" and second is not None:
+        # the second field is read from its own column, which must be present
+        partial = tmp_path / "partial.csv"
+        write_initial_file(partial, {k: v for k, v in file_columns.items() if k != second})
+        with pytest.raises(ScenarioError, match=f"file initial data needs a {second} column"):
+            run(scenario(partial), output_dir=tmp_path / "partial_out")
+
+
 def test_write_rows_matches_per_value_format():
     # more rows than one formatting block, and the values a %-format could
     # render differently from str.format
@@ -453,6 +558,65 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("error: grid does not resolve the wave at speed 5.5")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, speed",
+        [("kdv", "1.0"), ("kdv", repr(P.c0)), ("whitham", repr(P.c0)),
+         ("boussinesq", repr(P.c0))],
+        ids=["kdv_below_c0", "kdv_at_c0", "whitham_at_c0", "boussinesq_at_c0"],
+    )
+    def test_solitary_at_or_below_c0_without_length(self, capsys, model, speed):
+        # the default domain length is set by the tail decay, which needs c > c0
+        assert main(["solitary", "--model", model, "--speed", speed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: a solitary-wave domain length needs a speed above c0 = 3.132091952673165"
+        )
+        assert len(captured.err.splitlines()) == 1
+
+    def test_solitary_at_c0_with_length_gives_zero_profile(self, tmp_path, capsys):
+        out = tmp_path / "profile.csv"
+        argv = ["solitary", "--model", "kdv", "--speed", repr(P.c0), "--length", "100",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().err)["amplitude"] == 0.0
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert np.all(np.asarray(data["zeta_m"]) == 0.0)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "error: --profile needs at least 4 rows, got 0"),
+            (["0.0,1.0"], "error: --profile needs at least 4 rows, got 1"),
+            (["0,0", "1,-1", "2,0", "5,1"],
+             "error: --profile x_m column must be uniformly spaced and increasing"),
+            (["3,0", "2,-1", "1,0", "0,1"],
+             "error: --profile x_m column must be uniformly spaced and increasing"),
+            (["0,0", "1,nan", "2,0", "3,1"],
+             "error: --profile u_m_per_s column holds a non-finite value"),
+        ],
+        ids=["header_only", "one_row", "non_uniform", "decreasing", "nan_velocity"],
+    )
+    def test_shocktime_profile_checks(self, tmp_path, capsys, rows, message):
+        profile = tmp_path / "u.csv"
+        profile.write_text("\n".join(["x_m,u_m_per_s", *rows]) + "\n")
+        assert main(["shocktime", "--profile", str(profile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+    def test_shocktime_uniform_profile(self, tmp_path, capsys):
+        grid = Grid(80.0, 256)
+        xs = grid.axis_coordinates(0)
+        u = 0.3 * np.exp(-(xs**2) / 9.0)
+        profile = tmp_path / "u.csv"
+        profile.write_text("x_m,u_m_per_s\n" + "".join(
+            f"{float(x)!r},{float(v)!r}\n" for x, v in zip(xs, u)))
+        assert main(["shocktime", "--profile", str(profile)]) == 0
+        t_star = float(capsys.readouterr().out)
+        assert t_star == pytest.approx(breaking_time(SpectralField(grid, u)), rel=1e-12)
 
     def test_run_and_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -26,7 +26,7 @@ from wavemodels import (
     whitham_steady_residual,
 )
 from wavemodels.stepping import DtControl
-from wavemodels.traveling import _steady_linear_symbol
+from wavemodels.traveling import _steady_linear_symbol, solitary_wave
 
 P = PhysicalParams(9.81, 1.0)
 GOOD = AbcdParams(-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
@@ -252,3 +252,30 @@ class TestSteadyResiduals:
         sol = kdv_soliton(1.05 * P.c0, P, grid)
         res = np.max(np.abs(whitham_steady_residual(sol.profile_zeta, 1.05 * P.c0, P)))
         assert res > 1e-6
+
+
+class TestSolitaryWaveDispatch:
+    @pytest.mark.parametrize("speed", [1.0, P.c0])
+    def test_domain_length_needs_speed_above_c0(self, speed):
+        # the tails do not decay at or below c0, so there is no length to suggest
+        with pytest.raises(ValueError, match=r"above c0 = 3\.13"):
+            suggested_domain_length(speed, P)
+
+    @pytest.mark.parametrize("model", ["kdv", "whitham", "boussinesq"])
+    def test_matches_the_model_solver(self, model):
+        grid = Grid(100.0, 256)
+        sol = solitary_wave(model, 3.3, P, grid, GOOD)
+        if model == "kdv":
+            ref = kdv_soliton(3.3, P, grid)
+        elif model == "whitham":
+            ref = petviashvili_solve("whitham", 3.3, P, grid)
+        else:
+            ref = boussinesq_solitary_solve(GOOD, 3.3, P, grid)
+        assert np.array_equal(sol.profile_zeta.values, ref.profile_zeta.values)
+        assert (sol.profile_u is None) == (model != "boussinesq")
+
+    def test_rejects_unresolved_wave_and_unknown_model(self):
+        with pytest.raises(ValueError, match="grid does not resolve the wave"):
+            solitary_wave("boussinesq", 3.3, P, Grid(100.0, 8), GOOD)
+        with pytest.raises(ValueError, match="no solitary-wave solver for model 'whitham2'"):
+            solitary_wave("whitham2", 3.3, P, Grid(100.0, 256))
