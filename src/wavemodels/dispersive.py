@@ -52,12 +52,16 @@ __all__ = [
     "abcd_evolve",
     "abcd_linear_evolve",
     "scalar_evolve",
+    "scalar_phase_speed",
     "whitham_multiplier_values",
 ]
 
 SCALAR_MODELS = ("kdv", "whitham", "whitham2")
 
 _CONSTRAINT_TOL = 1e-12
+
+# Max-norm agreement of two successive step halvings at which scalar_evolve stops.
+REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,28 @@ class WellPosednessVerdict:
     omega_squared_min: float
 
 
+def _abcd_factors(k, params: AbcdParams, p: PhysicalParams):
+    """(1 - a mu^2, 1 + b mu^2, 1 - c mu^2, 1 + d mu^2) at wavenumbers k, mu = H k.
+
+    Every abcd operator is built from these: the dispersion relation, the
+    characteristic symbols of the stepper and the steady traveling-wave system.
+    """
+    mu2 = (p.H * k) ** 2
+    return 1.0 - params.a * mu2, 1.0 + params.b * mu2, 1.0 - params.c * mu2, 1.0 + params.d * mu2
+
+
 def _abcd_omega_squared(k, params: AbcdParams, p: PhysicalParams):
     """Vectorized omega^2; may contain inf/nan at denominator zeros."""
     k = np.asarray(k, dtype=float)
-    mu2 = (p.H * k) ** 2
-    num = p.g * p.H * k**2 * (1.0 - params.a * mu2) * (1.0 - params.c * mu2)
-    den = (1.0 + params.b * mu2) * (1.0 + params.d * mu2)
+    fa, fb, fc, fd = _abcd_factors(k, params, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
+        return p.g * p.H * k**2 * fa * fc / (fb * fd)
 
 
 def abcd_symbol(k: float, params: AbcdParams, p: PhysicalParams) -> float:
     """omega^2(k) of the linearized four-parameter system at wavenumber k."""
-    mu2 = (p.H * k) ** 2
-    if (1.0 + params.b * mu2) * (1.0 + params.d * mu2) == 0.0:
+    _, fb, _, fd = _abcd_factors(k, params, p)
+    if fb * fd == 0.0:
         raise SingularSymbolError(f"dispersion denominator vanishes at k = {k!r}")
     return float(_abcd_omega_squared(k, params, p))
 
@@ -222,11 +234,10 @@ def _abcd_symbols(k, params: AbcdParams, p: PhysicalParams):
     with mu = H k.  Where a = c their common factor (1 - a mu^2) is
     cancelled in s by hand, so s is never 0/0.
     """
-    mu2 = (p.H * k) ** 2
-    inv_b = 1.0 / (1.0 + params.b * mu2)
-    inv_d = 1.0 / (1.0 + params.d * mu2)
-    alpha = p.H * (1.0 - params.a * mu2) * inv_b
-    beta = p.g * (1.0 - params.c * mu2) * inv_d
+    fa, fb, fc, fd = _abcd_factors(k, params, p)
+    inv_b, inv_d = 1.0 / fb, 1.0 / fd
+    alpha = p.H * fa * inv_b
+    beta = p.g * fc * inv_d
     s = np.sqrt(p.H * inv_b / (p.g * inv_d) if params.a == params.c else alpha / beta)
     return alpha, beta, s, inv_b, inv_d
 
@@ -279,9 +290,24 @@ def abcd_linear_evolve(
     )
 
 
+def scalar_phase_speed(model: str, k, p: PhysicalParams):
+    """Linear phase speed of a scalar model on an array of wavenumbers k.
+
+    c0 (1 - (H k)^2 / 6) for kdv, and the full-dispersion c_p(|k|) for
+    whitham and whitham2.  The evolution symbol -ik c and the steady
+    traveling-wave symbol (speed - c) are both built from it.
+    """
+    k = np.asarray(k, dtype=float)
+    if model == "kdv":
+        return p.c0 * (1.0 - (p.H * k) ** 2 / 6.0)
+    if model in ("whitham", "whitham2"):
+        return phase_velocity(np.abs(k), p)
+    raise ValueError(f"model must be one of {SCALAR_MODELS}, got {model!r}")
+
+
 def whitham_multiplier_values(k, p: PhysicalParams):
     """sqrt(tanh(H|k|)/(H|k|)) on an array of wavenumbers, 1 at k = 0."""
-    return phase_velocity(np.abs(np.asarray(k, dtype=float)), p) / p.c0
+    return scalar_phase_speed("whitham", k, p) / p.c0
 
 
 def _scalar_run(state, p, t_end, dt, n_out):
@@ -298,10 +324,7 @@ def _scalar_run(state, p, t_end, dt, n_out):
     mask = grid.dealias_mask()[half]
     rfft, irfft = np.fft.rfft, np.fft.irfft
     model = state.model
-    if model == "kdv":
-        lin = -p.c0 * ik * (1.0 - p.H**2 * grid.k2[half] / 6.0)
-    else:  # whitham and whitham2 share the linear propagator c_p(|k|) d_x
-        lin = -ik * phase_velocity(grid.wavenumber_magnitude()[half], p)
+    lin = -ik * scalar_phase_speed(model, grid.wavenumbers(0)[half], p)
     sqrt_gH = math.sqrt(p.g * p.H)
 
     def nonlinear_hat(zhat):
@@ -333,37 +356,29 @@ def scalar_evolve(
 
     The linear part is exponentiated exactly mode-wise and the nonlinear
     part advanced with four-stage Runge-Kutta on the filtered variable, so
-    the step is accuracy-limited, not stiffness-limited.  By default the
+    the step is accuracy-limited, not stiffness-limited.  A pinned ``dt``
+    makes one run at that step, with no accuracy check.  Otherwise the
     first run takes PAIR_STEP_MULTIPLE times the advective CFL step
     dt0 = cfl dx / (c0 + 1.5 (c0/H) max|zeta|), as ``integrate_pair``
-    does, and the step is halved until two successive runs agree to 1e-8
-    in the max norm at the final time; the finer run is returned.  No run
-    takes a step below dt0 2^-14: failing to agree by then raises
-    StepSizeUnderflowError.  A pinned ``dt`` or ``refine_tol=None`` makes
-    one run, at that dt or at dt0, with no accuracy check.
+    does, and the step is halved until two successive runs agree to
+    REFINE_TOL in the max norm at the final time; the finer run is
+    returned.  No run takes a step below dt0 2^-14: failing to agree by
+    then raises StepSizeUnderflowError.
     """
-    ctrl = dt_control or DtControl(refine_tol=1e-8)
+    ctrl = dt_control or DtControl()
     grid = state.grid
     if grid.dim != 1:
         raise ValueError("scalar models are 1D")
     if state.model == "whitham2" and float(np.min(p.H + state.zeta.values)) <= 0.0:
         raise CavitationError("initial data violates non-cavitation")
     if t_end == 0.0:
-        traj = Trajectory()
-        traj.states.append(state)
-        return traj
-
-    dx = grid.spacing[0]
-    zmax = float(np.max(np.abs(state.zeta.values)))
-    speed = p.c0 + 1.5 * (p.c0 / p.H) * zmax
-    dt_cfl = ctrl.cfl * dx / speed
-    dt0 = min(dt_cfl, ctrl.dt_max)
+        return Trajectory([state])
     if ctrl.dt is not None:
         return _scalar_run(state, p, t_end, ctrl.dt, n_out)
-    if ctrl.refine_tol is None:
-        return _scalar_run(state, p, t_end, dt0, n_out)
 
-    dt = min(PAIR_STEP_MULTIPLE * dt_cfl, ctrl.dt_max)
+    zmax = float(np.max(np.abs(state.zeta.values)))
+    dt0 = ctrl.cfl * grid.spacing[0] / (p.c0 + 1.5 * (p.c0 / p.H) * zmax)
+    dt = PAIR_STEP_MULTIPLE * dt0
     dt_min = dt0 * 2.0**-14
     traj = _scalar_run(state, p, t_end, dt, n_out)
     while 0.5 * dt >= dt_min:
@@ -375,8 +390,8 @@ def scalar_evolve(
                 np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
             )
         traj = finer
-        if diff < ctrl.refine_tol:
+        if diff < REFINE_TOL:
             return traj
     raise StepSizeUnderflowError(
-        f"step refinement did not reach tolerance {ctrl.refine_tol} (last dt = {dt})"
+        f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dt})"
     )

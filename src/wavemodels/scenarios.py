@@ -262,9 +262,15 @@ def _file_column(path: str, grid: Grid, name: str) -> SpectralField:
         raise ScenarioError(f"file initial data needs a {name} column, found {names}")
     x = np.asarray(data["x_m"], dtype=float)
     xs = grid.axis_coordinates(0)
-    if x.shape != xs.shape or np.max(np.abs(x - xs)) > 1e-8 * grid.spacing[0]:
+    # written so that a NaN in x fails it
+    if x.shape != xs.shape or not np.max(np.abs(x - xs)) <= 1e-8 * grid.spacing[0]:
         raise ScenarioError("file x column does not match the scenario grid")
-    return SpectralField(grid, np.asarray(data[name], dtype=float))
+    values = np.asarray(data[name], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:  # genfromtxt reads a non-numeric cell as NaN
+        raise ScenarioError(f"file initial data column {name} holds a non-finite or "
+                            f"non-numeric value in data row {int(bad[0]) + 1}")
+    return SpectralField(grid, values)
 
 
 @dataclass

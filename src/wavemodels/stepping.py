@@ -10,8 +10,9 @@ Saint-Venant and abcd step the characteristic pair w+- = zeta-hat +- s
 u-hat through ``integrate_pair``, in which their linear waves are
 diagonal and propagate exactly.  Every model starts from one step policy,
 PAIR_STEP_MULTIPLE times its advective CFL step: the pair systems keep
-that step, and ``dispersive.scalar_evolve`` by default halves it from
-there until two successive runs agree, down to a floor of 2^-14 CFL steps.
+that step, and ``dispersive.scalar_evolve``, unless ``DtControl.dt`` pins
+the step, halves it from there until two successive runs agree to
+``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.
 """
 
 from __future__ import annotations
@@ -40,16 +41,11 @@ class DtControl:
     """Time-step policy for the method-of-lines solvers.
 
     ``dt`` pins the step explicitly.  Otherwise the step is derived from
-    the CFL number and the solver's speed scale, capped at ``dt_max``.
-    ``refine_tol`` (scalar models only) requests successive
-    halving of the step until the final states of two consecutive
-    refinements differ by less than the tolerance in the max norm.
+    the CFL number ``cfl`` and the solver's speed scale.
     """
 
     dt: float | None = None
     cfl: float = 0.4
-    dt_max: float = math.inf
-    refine_tol: float | None = None
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0.0:
@@ -187,8 +183,8 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     transform of (zeta u, u u_x); the inverse transform of the latest
     state is kept, so the halt check, the next step's first stage, the
     step bound and the snapshot share it.  The step is PAIR_STEP_MULTIPLE
-    times the advective CFL step ctrl.cfl dx / max_speed(zeta, u), capped
-    at ctrl.dt_max; a CFL step below MIN_STEP raises StepSizeUnderflowError.
+    times the advective CFL step ctrl.cfl dx / max_speed(zeta, u); a CFL
+    step below MIN_STEP raises StepSizeUnderflowError.
     A depth ``depth`` + zeta <= 0 raises CavitationError at the start and
     is a cavitation halt after a step; otherwise ``check(u_x, t)`` runs.
     Snapshots have the type of ``state``.
@@ -228,7 +224,7 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
         dt_cfl = ctrl.cfl * dx / max_speed(*fields(w)[:2])
         if not dt_cfl >= MIN_STEP:
             raise StepSizeUnderflowError(f"time step underflow: dt = {dt_cfl}")
-        dt_raw = min(PAIR_STEP_MULTIPLE * dt_cfl, ctrl.dt_max)
+        dt_raw = PAIR_STEP_MULTIPLE * dt_cfl
         if ctrl.dt is None:
             return dt_raw
         if ctrl.dt > dt_raw:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersive import AbcdParams, classify_abcd
+from .dispersive import AbcdParams, _abcd_factors, classify_abcd, scalar_phase_speed
 from .errors import ConvergenceError, IllPosedError, ResonanceError
-from .linear import phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
-from .traveling_newton import steady_residual
 
 __all__ = [
     "TravelingWaveSolution",
@@ -129,28 +127,44 @@ def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSol
 
 
 def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalParams):
-    if model == "kdv":
-        return speed - p.c0 * (1.0 - (p.H * kk) ** 2 / 6.0)
-    if model == "whitham":
-        return speed - phase_velocity(np.abs(kk), p)
-    raise ValueError(f"unsupported traveling-wave model {model!r}")
+    if model not in ("kdv", "whitham"):
+        raise ValueError(f"unsupported traveling-wave model {model!r}")
+    return speed - scalar_phase_speed(model, kk, p)
 
 
-def _scalar_steady_residual(model: str, zeta: SpectralField, speed: float, p: PhysicalParams):
-    """Pointwise residual of the once-integrated steady equation."""
-    lin = _steady_linear_symbol(model, speed, zeta.grid.wavenumbers(0), p)
-    n = (3.0 * p.c0 / (4.0 * p.H)) * zeta.values**2
-    return np.fft.ifft(lin * zeta.hat).real - n
+def _scalar_operator(model: str, speed: float, p: PhysicalParams, grid: Grid):
+    """(L, N) of the once-integrated steady scalar equation L zeta = (3 c0/(4 H)) zeta^2."""
+    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
+    nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
+    return lin[None, None], lambda v: nl_coeff * np.fft.fft(v * v)
+
+
+def _boussinesq_operator(params: AbcdParams, speed: float, p: PhysicalParams, grid: Grid):
+    """(L, N) of the once-integrated steady abcd system for v = (zeta, u).
+
+    The mode-wise 2x2 symbol is
+    L = [[-c (1 + b mu^2), H (1 - a mu^2)], [g (1 - c_param mu^2), -c (1 + d mu^2)]]
+    with mu = H k, and the quadratic term is N = -(zeta u, u^2 / 2), zero
+    integration constants (decay gauge).
+    """
+    fa, fb, fc, fd = _abcd_factors(grid.wavenumbers(0), params, p)
+    lin = np.array([[-speed * fb, p.H * fa], [p.g * fc, -speed * fd]])
+    return lin, lambda v: -np.fft.fft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2)))
+
+
+def _residual(lin: np.ndarray, term_hat, v: np.ndarray) -> np.ndarray:
+    """L v - N(v) at the nodes for a stacked state v of shape (m, N)."""
+    return np.fft.ifft(np.einsum("ijk,jk->ik", lin, np.fft.fft(v)) - term_hat(v)).real
 
 
 def kdv_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
     """Pointwise residual of the once-integrated steady KdV equation."""
-    return _scalar_steady_residual("kdv", zeta, speed, p)
+    return _residual(*_scalar_operator("kdv", speed, p, zeta.grid), zeta.values[None])[0]
 
 
 def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
     """Pointwise residual of the once-integrated steady Whitham equation."""
-    return _scalar_steady_residual("whitham", zeta, speed, p)
+    return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
 def _symmetrize_centered(v: np.ndarray) -> np.ndarray:
@@ -170,7 +184,8 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
     M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>, inverting L mode by mode
     through its adjugate and determinant; the exponent 2 is the standard
     optimal choice for a quadratic term.  Stops when the sup-norm update
-    falls below ``tol`` and returns (v, iterations).  Divergence raises
+    falls below ``tol`` and returns (v, iterations, residual), the last
+    the sup-norm of ``_residual`` at v.  Divergence raises
     ConvergenceError whose ``history`` holds the trace of M values.
     """
     if v.shape[0] == 1:
@@ -200,7 +215,7 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
         if not np.isfinite(delta) or float(np.max(np.abs(v))) > 1e6:
             raise ConvergenceError(f"iteration diverged at step {it}", m_history)
         if delta < tol:
-            return v, it
+            return v, it, float(np.max(np.abs(_residual(lin, term_hat, v))))
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (last update {delta})", m_history
     )
@@ -218,23 +233,19 @@ def petviashvili_solve(
     """Petviashvili iteration for steady profiles of the scalar models.
 
     Solves L zeta = (3 c0 / (4 H)) zeta^2 with L the steady symbol of
-    ``model``; ``tol`` bounds the sup-norm update at exit.  Divergence
-    raises ConvergenceError whose ``history`` holds the trace of M values.
+    ``model``; ``tol`` bounds the sup-norm update at exit, and ``residual``
+    is the sup-norm of L zeta - N(zeta).  Divergence raises
+    ConvergenceError whose ``history`` holds the trace of M values.
     """
     if speed <= p.c0:
         raise ValueError(f"supercritical speed required; got {speed} <= c0 = {p.c0}")
-    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
+    lin, term_hat = _scalar_operator(model, speed, p, grid)
     if initial_guess is None:
         z = kdv_soliton(speed, p, grid).profile_zeta.values
     else:
         z = initial_guess.values
-    nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
-    v, it = _petviashvili(
-        lin[None, None], lambda v: nl_coeff * np.fft.fft(v * v), z[None], tol, max_iter
-    )
-    zeta = SpectralField(grid, v[0])
-    res = float(np.max(np.abs(_scalar_steady_residual(model, zeta, speed, p))))
-    return TravelingWaveSolution(zeta, None, speed, res, it)
+    v, it, res = _petviashvili(lin, term_hat, z[None], tol, max_iter)
+    return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it)
 
 
 def petviashvili_continuation(
@@ -286,7 +297,8 @@ def boussinesq_steady_residual(
     r2 = -c (u - d H^2 u'') + g (zeta + c_param H^2 zeta'') + u^2 / 2
     with zero integration constants (decay gauge).
     """
-    return steady_residual(zeta.values, u.values, params, speed, p, zeta.grid)
+    return tuple(_residual(*_boussinesq_operator(params, speed, p, zeta.grid),
+                           np.stack((zeta.values, u.values))))
 
 
 def boussinesq_solitary_solve(
@@ -300,14 +312,12 @@ def boussinesq_solitary_solve(
     """Petviashvili iteration for solitary waves (zeta, u) of the abcd system.
 
     In Fourier space the once-integrated steady system is L v = N(v) for
-    v = (zeta, u), with the mode-wise 2x2 symbol
-    L11 = -c (1 + b H^2 k^2),  L12 = H - a H^3 k^2,
-    L21 = g (1 - c_param H^2 k^2),  L22 = -c (1 + d H^2 k^2)
-    and the quadratic term N = -(zeta u, u^2 / 2).  ``tol`` bounds the
-    sup-norm update at exit, ``iterations`` counts the sweeps, and a
-    ConvergenceError carries the trace of the normalization factor M in
-    its ``history``.  The initial guess is the closed-form sech^2 profile
-    with the leading-order closure u = c zeta / (H + zeta).
+    v = (zeta, u), with L and N from ``_boussinesq_operator``.  ``tol``
+    bounds the sup-norm update at exit, ``iterations`` counts the sweeps,
+    ``residual`` is the sup-norm of L v - N(v), and a ConvergenceError
+    carries the trace of the normalization factor M in its ``history``.
+    The initial guess is the closed-form sech^2 profile with the
+    leading-order closure u = c zeta / (H + zeta).
     """
     verdict = classify_abcd(params, p)
     if verdict.verdict != "well_posed":
@@ -320,22 +330,10 @@ def boussinesq_solitary_solve(
         zeros = SpectralField.zeros(grid)
         return TravelingWaveSolution(zeros, SpectralField.zeros(grid), speed, 0.0, 0)
 
-    h2k2 = p.H**2 * grid.k2
-    lin = np.array([
-        [-speed * (1.0 + params.b * h2k2), p.H * (1.0 - params.a * h2k2)],
-        [p.g * (1.0 - params.c * h2k2), -speed * (1.0 + params.d * h2k2)],
-    ])
+    lin, term_hat = _boussinesq_operator(params, speed, p, grid)
     guess_z = kdv_soliton(speed, p, grid).profile_zeta.values
     guess_u = speed * guess_z / (p.H + guess_z)
-    v, it = _petviashvili(
-        lin,
-        lambda v: -np.fft.fft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2))),
-        np.stack((guess_z, guess_u)),
-        tol,
-        max_iter,
-    )
-    r1, r2 = steady_residual(v[0], v[1], params, speed, p, grid)
-    res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+    v, it, res = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)), tol, max_iter)
     return TravelingWaveSolution(
         SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it
     )

@@ -787,6 +787,40 @@ class TestCli:
         assert captured.err.startswith(message)
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "model, column, cell, message",
+        [
+            ("airy", "zeta_m", "nan", "column zeta_m holds a non-finite or non-numeric value"),
+            ("kdv", "zeta_m", "nan", "column zeta_m holds a non-finite or non-numeric value"),
+            ("airy", "zeta_m", "abc", "column zeta_m holds a non-finite or non-numeric value"),
+            ("kdv", "zeta_m", "abc", "column zeta_m holds a non-finite or non-numeric value"),
+            ("saint_venant", "u_m_per_s", "inf",
+             "column u_m_per_s holds a non-finite or non-numeric value"),
+            ("airy", "x_m", "nan", "file x column does not match the scenario grid"),
+        ],
+        ids=["airy_nan", "kdv_nan", "airy_text", "kdv_text", "explicit_velocity_inf", "nan_x"],
+    )
+    def test_non_finite_file_initial_data_exit_code(self, tmp_path, capsys, model, column,
+                                                    cell, message):
+        grid = Grid(40.0, 16)
+        xs = grid.axis_coordinates(0)
+        table = {"x_m": [repr(float(x)) for x in xs],
+                 "zeta_m": [repr(float(z)) for z in 0.01 * np.exp(-(xs**2))],
+                 "u_m_per_s": ["0.0"] * 16}
+        table[column][5] = cell
+        src = tmp_path / "init.csv"
+        src.write_text("x_m,zeta_m,u_m_per_s\n"
+                       + "".join(",".join(row) + "\n" for row in zip(*table.values())))
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model=model, grid={"length": 40.0, "nodes": 16}, t_end=1.0,
+                     initial={"kind": "file", "path": str(src), "companion": "explicit"},
+                     output={"stride": 2, "directory": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["dispersion", "--help"])

@@ -17,6 +17,7 @@ from wavemodels import (
     abcd_evolve,
     boussinesq_solitary_solve,
     boussinesq_steady_residual,
+    derivative,
     kdv_soliton,
     kdv_steady_residual,
     petviashvili_continuation,
@@ -35,6 +36,38 @@ GOOD = AbcdParams(-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
 # at c = 1.05 c0 (regression baseline; stable across L in {200,300,400} and
 # N in {1024,1536,2048} to 14 digits).
 WHITHAM_AMPLITUDE_AT_105 = 0.1026833864710825
+
+
+# a = c with b != d (GOOD has a != c and b = d), so swapping a with c or b with d
+# in an operator changes one of the two residuals
+EQUAL_AC = AbcdParams(1.0 / 12.0, 1.0 / 24.0, 1.0 / 12.0, 1.0 / 8.0)
+
+
+def kdv_pde_residual(zeta, speed, p):
+    """(c - c0) zeta - (c0 H^2 / 6) zeta'' - (3 c0 / (4 H)) zeta^2, term by term."""
+    zxx = derivative(zeta, 0, 2).values
+    z = zeta.values
+    return (speed - p.c0) * z - (p.c0 * p.H**2 / 6.0) * zxx - (3.0 * p.c0 / (4.0 * p.H)) * z**2
+
+
+def boussinesq_pde_residual(zeta, u, params, speed, p):
+    """The once-integrated steady abcd system, term by term in physical space.
+
+    r1 = -c (zeta - b H^2 zeta'') + (H + zeta) u + a H^3 u''
+    r2 = -c (u - d H^2 u'') + g (zeta + c_param H^2 zeta'') + u^2 / 2
+    """
+    z, v = zeta.values, u.values
+    zxx, vxx = derivative(zeta, 0, 2).values, derivative(u, 0, 2).values
+    r1 = -speed * (z - params.b * p.H**2 * zxx) + (p.H + z) * v + params.a * p.H**3 * vxx
+    r2 = -speed * (v - params.d * p.H**2 * vxx) + p.g * (z + params.c * p.H**2 * zxx) + 0.5 * v**2
+    return r1, r2
+
+
+def random_even_field(grid, rng, modes=12):
+    """A smooth even field that solves no steady equation: random cosine modes."""
+    x, L = grid.axis_coordinates(0), grid.length[0]
+    amps = 0.05 * rng.standard_normal(modes) / (1.0 + np.arange(modes)) ** 2
+    return SpectralField(grid, sum(a * np.cos(2.0 * np.pi * j * x / L) for j, a in enumerate(amps)))
 
 
 def translate_spectrally(field, shift):
@@ -252,6 +285,47 @@ class TestSteadyResiduals:
         sol = kdv_soliton(1.05 * P.c0, P, grid)
         res = np.max(np.abs(whitham_steady_residual(sol.profile_zeta, 1.05 * P.c0, P)))
         assert res > 1e-6
+
+
+class TestResidualsAgainstThePde:
+    """The public residuals and the solvers' ``residual`` come from the same
+    (L, N) pair the iteration solves; these checks hold L against the PDE
+    written out in physical space."""
+
+    @pytest.mark.parametrize("depth", [1.0, 0.7])
+    def test_kdv_residual_on_random_fields(self, depth):
+        p = PhysicalParams(9.81, depth)
+        grid = Grid(60.0 * depth, 256)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            zeta = random_even_field(grid, rng)
+            ref = kdv_pde_residual(zeta, 1.1 * p.c0, p)
+            got = kdv_steady_residual(zeta, 1.1 * p.c0, p)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("depth", [1.0, 0.7])
+    @pytest.mark.parametrize("params", [GOOD, EQUAL_AC], ids=["good", "equal_a_c"])
+    def test_boussinesq_residual_on_random_fields(self, params, depth):
+        p = PhysicalParams(9.81, depth)
+        grid = Grid(60.0 * depth, 256)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            zeta, u = random_even_field(grid, rng), random_even_field(grid, rng)
+            for got, ref in zip(boussinesq_steady_residual(zeta, u, params, 1.1 * p.c0, p),
+                                boussinesq_pde_residual(zeta, u, params, 1.1 * p.c0, p)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("depth", [1.0, 0.7])
+    def test_reported_residuals_are_small_pde_residuals(self, depth):
+        p = PhysicalParams(9.81, depth)
+        grid = Grid(200.0 * depth, 512)
+        kdv = petviashvili_solve("kdv", 1.05 * p.c0, p, grid)
+        ref = np.max(np.abs(kdv_pde_residual(kdv.profile_zeta, kdv.speed, p)))
+        assert kdv.residual < 1e-11 and abs(kdv.residual - ref) < 1e-13
+        sol = boussinesq_solitary_solve(GOOD, 1.05 * p.c0, p, grid)
+        r1, r2 = boussinesq_pde_residual(sol.profile_zeta, sol.profile_u, GOOD, sol.speed, p)
+        ref = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+        assert sol.residual < 1e-10 and abs(sol.residual - ref) < 1e-13
 
 
 class TestSolitaryWaveDispatch:
