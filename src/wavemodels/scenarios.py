@@ -18,6 +18,7 @@ adding one row.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -146,6 +147,10 @@ class Scenario:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.dim == 2 and not _MODELS[self.model].two_d:
             raise ScenarioError(f"dim = 2 is only supported for {_model_names(lambda m: m.two_d)}")
+        if self.dim == 2 and self.initial.kind == "file":
+            # traveling_wave and simple_wave data need a model that is 1-D only
+            raise ScenarioError("file initial data is 1-D (one x_m column); "
+                                "dim = 2 accepts initial.kind 'gaussian' only")
         if self.model == "boussinesq":
             if self.abcd is None:
                 raise ScenarioError("model 'boussinesq' requires abcd parameters")
@@ -385,9 +390,12 @@ def _build_initial(sc: Scenario):
 
 
 def _evolve_series(sc: Scenario):
-    """All snapshots of a scenario: (times, per-time column dicts, halt)."""
+    """All snapshots of a scenario: (times, per-time column dicts, halt,
+    wall seconds of the build and evolve phases)."""
     model = _MODELS[sc.model]
+    t0 = time.perf_counter()
     state0 = _build_initial(sc)
+    t1 = time.perf_counter()
     try:
         traj = model.run(sc, state0)
     except CavitationError as err:
@@ -395,7 +403,7 @@ def _evolve_series(sc: Scenario):
         if traj is None:  # the initial data already cavitates
             raise
     snaps = [{_COLUMNS[f]: getattr(s, f).values for f in model.writes} for s in traj.states]
-    return traj.times, snaps, traj.halt
+    return traj.times, snaps, traj.halt, {"build": t1 - t0, "evolve": time.perf_counter() - t1}
 
 
 @dataclass
@@ -406,26 +414,47 @@ class RunResult:
     halt: HaltEvent | None
 
 
-def write_rows(stream, columns):
-    """Write equal-length columns as CSV rows of FLOAT_FORMAT fields.
+def _block_formats(leads, n_rows: int, n_values: int) -> list[str]:
+    """One %-format per block of _BLOCK_ROWS CSV rows: each row is its lead
+    text, taken in turn from the iterable ``leads``, followed by n_values
+    FLOAT_FORMAT slots."""
+    tail = ",".join([FLOAT_FORMAT] * n_values) + "\n"
+    leads = iter(leads)
+    return ["".join([lead + tail for lead in itertools.islice(leads, _BLOCK_ROWS)])
+            for _ in range(0, n_rows, _BLOCK_ROWS)]
 
-    Rows are formatted a block at a time by one %-operation per block, so
-    a large table never sits in memory as one string.
-    """
+
+def _write_blocks(stream, formats, columns):
+    """Write the rows of equal-length columns through ``_block_formats``,
+    one %-operation per block, so a large table never sits in memory as
+    one string."""
     table = np.column_stack(columns)
-    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start : start + _BLOCK_ROWS]
-        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+    for start, fmt in zip(range(0, len(table), _BLOCK_ROWS), formats):
+        stream.write(fmt % tuple(table[start : start + _BLOCK_ROWS].ravel().tolist()))
 
 
-def _write_snapshot(path: Path, grid: Grid, columns: dict[str, np.ndarray]):
-    names = list(columns)
-    axes = ["x_m"] if grid.dim == 1 else ["x_m", "y_m"]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(axes + names) + "\n")
-        coords = [x.ravel() for x in grid.meshgrid()]
-        write_rows(fh, coords + [columns[n].ravel() for n in names])
+def write_rows(stream, columns):
+    """Write equal-length columns as CSV rows of FLOAT_FORMAT fields."""
+    n = len(columns[0])
+    formats = _block_formats(itertools.repeat("", n), n, len(columns))
+    _write_blocks(stream, formats, columns)
+
+
+def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list) -> list:
+    """Write one CSV per snapshot.  The node coordinates lead every row, in
+    meshgrid ("ij") order; each axis is formatted once per run."""
+    axes = [[FLOAT_FORMAT % x for x in grid.axis_coordinates(a).tolist()] for a in range(grid.dim)]
+    leads = (",".join(node) + "," for node in itertools.product(*axes))
+    formats = _block_formats(leads, math.prod(grid.shape), len(names))
+    header = ",".join(["x_m", "y_m"][: grid.dim] + names) + "\n"
+    paths = []
+    for idx, columns in enumerate(snaps):
+        path = target / f"snapshot_{idx:04d}.csv"
+        with open(path, "w", newline="\n") as fh:
+            fh.write(header)
+            _write_blocks(fh, formats, [columns[n].ravel() for n in names])
+        paths.append(path)
+    return paths
 
 
 def _halt_to_dict(halt: HaltEvent | None):
@@ -449,17 +478,15 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     """
     t_start = time.perf_counter()
     target = os.environ.get(OUTPUT_DIR_ENV) or output_dir or scenario.output_directory or "."
-    times, snaps, halt = _evolve_series(scenario)
+    times, snaps, halt, phase_seconds = _evolve_series(scenario)
 
+    t_write = time.perf_counter()
     # made only now, so that a run failing with exit 1 leaves no directory behind
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
-
-    snapshot_paths = []
-    for idx, columns in enumerate(snaps):
-        path = target / f"snapshot_{idx:04d}.csv"
-        _write_snapshot(path, scenario.grid, columns)
-        snapshot_paths.append(path)
+    names = [_COLUMNS[f] for f in _MODELS[scenario.model].writes]
+    snapshot_paths = _write_snapshots(target, scenario.grid, names, snaps)
+    phase_seconds["write"] = time.perf_counter() - t_write
 
     manifest = {
         "version": SCHEMA_VERSION,
@@ -471,6 +498,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
         "halt": _halt_to_dict(halt),
         "exit_code": 2 if halt is not None else 0,
         "timing_seconds": time.perf_counter() - t_start,
+        "diagnostics": {"phase_seconds": phase_seconds},
     }
     manifest_path = target / "manifest.json"
     with open(manifest_path, "w", newline="\n") as fh:
@@ -518,8 +546,8 @@ def compare(scenario_a: Scenario, scenario_b: Scenario, shared_initial: InitialD
     sa = replace(scenario_a, initial=shared_initial)
     sb = replace(scenario_b, initial=shared_initial)
 
-    times_a, snaps_a, halt_a = _evolve_series(sa)
-    times_b, snaps_b, halt_b = _evolve_series(sb)
+    times_a, snaps_a, halt_a, _ = _evolve_series(sa)
+    times_b, snaps_b, halt_b, _ = _evolve_series(sb)
     if halt_a is not None or halt_b is not None:
         raise ScenarioError("compare requires both runs to complete without halting")
 

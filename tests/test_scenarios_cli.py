@@ -103,6 +103,24 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="model"):
             Scenario(model="euler")
 
+    @pytest.mark.parametrize("model", ["airy", "acoustic"])
+    def test_file_initial_data_rejected_in_two_dimensions(self, tmp_path, capsys, model):
+        # a valid 1-D file on the x axis of the 2-D grid
+        xs = Grid(40.0, 16).axis_coordinates(0)
+        src = tmp_path / "init.csv"
+        src.write_text("x_m,zeta_m\n" + "".join(f"{float(x)!r},0.0\n" for x in xs))
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model=model, dim=2, grid={"length": 40.0, "nodes": 16},
+                     initial={"kind": "file", "path": str(src)},
+                     output={"stride": 2, "directory": str(out)})
+        message = ("file initial data is 1-D (one x_m column); "
+                   "dim = 2 accepts initial.kind 'gaussian' only")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(cfg)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRun:
     def test_airy_run_writes_snapshots_and_manifest(self, tmp_path):
@@ -121,6 +139,23 @@ class TestRun:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["exit_code"] == 0
         assert manifest["scenario"]["model"] == "airy"
+
+    @pytest.mark.parametrize(
+        "model, initial, code",
+        [("airy", InitialData(), 0),
+         ("hopf", InitialData(kind="simple_wave", amplitude=0.5, width_parameter=0.1), 2)],
+        ids=["complete", "breaking_halt"],
+    )
+    def test_manifest_records_phase_seconds(self, tmp_path, model, initial, code):
+        sc = Scenario(model=model, grid=Grid(200.0, 256), initial=initial, t_end=50.0,
+                      output_stride=10)
+        result = run(sc, output_dir=tmp_path)
+        assert result.exit_code == code
+        manifest = json.loads(result.manifest_path.read_text())
+        phases = manifest["diagnostics"]["phase_seconds"]
+        assert set(phases) == {"build", "evolve", "write"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= manifest["timing_seconds"]
 
     def test_determinism_and_manifest_round_trip(self, tmp_path):
         sc = Scenario(
@@ -454,6 +489,33 @@ def test_write_rows_matches_per_value_format():
     stream = io.StringIO()
     scenarios.write_rows(stream, [a, b])
     assert stream.getvalue() == "".join("{:.17g},{:.17g}\n".format(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "scenario, code",
+    [
+        # 9216 rows: two full formatting blocks and a partial one; unequal
+        # axis lengths tell x from y
+        (Scenario(model="airy", dim=2, grid=Grid((50.0, 30.0), (96, 96), dim=2),
+                  initial=InitialData(center=3.0), t_end=1.0, output_stride=2), 0),
+        (Scenario(model="airy", grid=Grid(600.0, 6000), t_end=1.0, output_stride=1), 0),
+        (Scenario(model="hopf", grid=Grid(200.0, 256), t_end=50.0, output_stride=10,
+                  initial=InitialData(kind="simple_wave", amplitude=0.5, width_parameter=0.1)),
+         2),
+    ],
+    ids=["airy_2d_96x96", "airy_6000_nodes", "hopf_breaking_halt"],
+)
+def test_snapshot_rows_match_per_value_format(tmp_path, scenario, code):
+    result = run(scenario, output_dir=tmp_path)
+    assert result.exit_code == code and len(result.snapshot_paths) > 1
+    coords = [x.ravel() for x in scenario.grid.meshgrid()]
+    for path in result.snapshot_paths:
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        assert len(lines) == coords[0].size
+        values = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert lines == [",".join("{:.17g}".format(v) for v in row) + "\n" for row in values]
+        for column, x in zip(values.T, coords):
+            assert np.array_equal(column, x)
 
 
 class TestCompare:
