@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -36,8 +37,14 @@ from .traveling import solitary_wave, suggested_domain_length
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors as ValueError, which ``main`` reports as invalid input.
 
-    argparse would print the usage and exit 2, the code of a halt.
+    argparse would print the usage and exit 2, the code of a halt.  A negative
+    number in scientific notation (``--a -3.3e-1``) is read as a value, where
+    argparse's own pattern takes it for an option flag.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)
@@ -55,6 +62,20 @@ def _finite_float(text: str) -> float:
 
 def _finite_floats(text: str) -> list[float]:
     return [_finite_float(item) for item in text.split(",")]
+
+
+_MAX_SAMPLES = 10**6
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 2 <= value <= _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [2, {_MAX_SAMPLES}], got {text!r}")
+    return value
 
 
 def _add_physical_args(parser):
@@ -182,7 +203,10 @@ def _cmd_shocktime(args) -> int:
             raise ValueError("--profile u_m_per_s column holds a non-finite value")
         length = float(xs[-1] - xs[0] + (xs[1] - xs[0]))
         u0 = SpectralField(Grid(length, xs.size), u)
-    print(FLOAT_FORMAT % breaking_time(u0))
+    t_break = breaking_time(u0)  # inf: the profile never breaks
+    if math.isnan(t_break):
+        raise ValueError("the breaking time is not a number: the profile slope is not finite")
+    print(FLOAT_FORMAT % t_break)
     return 0
 
 
@@ -222,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disp = sub.add_parser("dispersion", help="phase/group velocity curves")
     p_disp.add_argument("--ximax", type=_finite_float, required=True)
-    p_disp.add_argument("--samples", type=int, required=True)
+    p_disp.add_argument("--samples", type=_sample_count, required=True)
     p_disp.add_argument("--quantity", choices=("phase", "group", "both"), default="both")
     p_disp.add_argument("--out", default=None)
     _add_physical_args(p_disp)
@@ -264,11 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure is one ``error:`` line on stderr.
+
+    Floating-point warnings are off: a non-finite result is reported by the
+    check that rejects it, not by numpy.
+    """
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (WavemodelsError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        with np.errstate(all="ignore"):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+    except (WavemodelsError, ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "abcd_linear_evolve",
     "scalar_evolve",
     "scalar_phase_speed",
-    "whitham_multiplier_values",
 ]
 
 SCALAR_MODELS = ("kdv", "whitham", "whitham2")
@@ -303,11 +302,6 @@ def scalar_phase_speed(model: str, k, p: PhysicalParams):
     if model in ("whitham", "whitham2"):
         return phase_velocity(np.abs(k), p)
     raise ValueError(f"model must be one of {SCALAR_MODELS}, got {model!r}")
-
-
-def whitham_multiplier_values(k, p: PhysicalParams):
-    """sqrt(tanh(H|k|)/(H|k|)) on an array of wavenumbers, 1 at k = 0."""
-    return scalar_phase_speed("whitham", k, p) / p.c0
 
 
 def _scalar_run(state, p, t_end, dt, n_out):

@@ -72,9 +72,6 @@ class CharacteristicFan:
     speeds: np.ndarray
     breaking_time: float
 
-    def positions(self, t: float) -> np.ndarray:
-        return self.foot_points + self.speeds * t
-
 
 def sv_eigenvalues(zeta, u, p: PhysicalParams, direction=None) -> np.ndarray:
     """Characteristic speeds {u.d, u.d +- sqrt(g h)} at one node.

@@ -64,8 +64,8 @@ def omega(xi_mag, p: PhysicalParams):
 
 
 def omega_prime(xi_mag, p: PhysicalParams):
-    """d omega / d xi, analytic, with a series branch for H|xi| << 1."""
-    xi = np.atleast_1d(np.asarray(xi_mag, dtype=float))
+    """d omega / d|xi|, analytic and even in xi, with a series branch for H|xi| << 1."""
+    xi = np.abs(np.atleast_1d(np.asarray(xi_mag, dtype=float)))
     mu = p.H * xi
     out = np.empty_like(xi)
 
@@ -80,15 +80,15 @@ def omega_prime(xi_mag, p: PhysicalParams):
         xi_b, mu_b = xi[big], mu[big]
         T = np.tanh(mu_b)
         S2 = 1.0 - T * T
-        w = np.sqrt(p.g * xi_b * T)
+        w = omega(xi_b, p)
         out[big] = p.g * (T + mu_b * S2) / (2.0 * w)
 
     return out if np.ndim(xi_mag) else float(out[0])
 
 
 def omega_double_prime(xi_mag, p: PhysicalParams):
-    """d^2 omega / d xi^2, analytic, with a series branch for H|xi| << 1."""
-    xi = np.atleast_1d(np.asarray(xi_mag, dtype=float))
+    """d^2 omega / d|xi|^2, analytic and even in xi, with a series branch for H|xi| << 1."""
+    xi = np.abs(np.atleast_1d(np.asarray(xi_mag, dtype=float)))
     mu = p.H * xi
     out = np.empty_like(xi)
 
@@ -105,7 +105,7 @@ def omega_double_prime(xi_mag, p: PhysicalParams):
         xi_b, mu_b = xi[big], mu[big]
         T = np.tanh(mu_b)
         S2 = 1.0 - T * T
-        w = np.sqrt(p.g * xi_b * T)
+        w = omega(xi_b, p)
         P = T + mu_b * S2
         Q = 2.0 * p.H * S2 * (1.0 - mu_b * T)
         out[big] = p.g * Q / (2.0 * w) - p.g**2 * P**2 / (4.0 * w**3)
@@ -124,20 +124,8 @@ def phase_velocity(xi_mag, p: PhysicalParams):
 
 
 def group_velocity(xi_mag, p: PhysicalParams):
-    """Group velocity of surface gravity waves; equal to c0 at xi = 0.
-
-    cg = sqrt(gH) [ (1/2)(tanh(mu)/mu)^(1/2) + (sech^2(mu)/2)(mu/tanh(mu))^(1/2) ]
-    with mu = H|xi|.
-    """
-    xi = np.atleast_1d(np.asarray(xi_mag, dtype=float))
-    mu = p.H * xi
-    out = np.full_like(xi, p.c0)
-    nz = mu != 0.0
-    m = mu[nz]
-    T = np.tanh(m)
-    S2 = 1.0 - T * T
-    out[nz] = p.c0 * (0.5 * np.sqrt(T / m) + 0.5 * S2 * np.sqrt(m / T))
-    return out if np.ndim(xi_mag) else float(out[0])
+    """Group velocity cg = omega'(|xi|) of surface gravity waves; c0 at xi = 0."""
+    return omega_prime(xi_mag, p)
 
 
 def mode_propagator(w: np.ndarray, t: float):
@@ -210,8 +198,7 @@ def airy_quadratic_energy(s: AiryState, p: PhysicalParams) -> float:
     Coefficients are weighted by cell_volume/prod(N) so the zeta part matches
     the physical integral g/2 * int zeta^2 dx.
     """
-    xi = s.grid.wavenumber_magnitude()
-    w2 = p.g * xi * np.tanh(p.H * xi)
+    w2 = omega(s.grid.wavenumber_magnitude(), p) ** 2
     n_total = float(np.prod(s.grid.nodes))
     weight = s.grid.cell_volume / n_total
     return 0.5 * weight * float(

@@ -18,8 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 __all__ = ["Grid", "SpectralField", "derivative"]
 
 
@@ -167,7 +165,7 @@ class SpectralField:
     """Real field sampled on a periodic grid, with a Fourier-coefficient view.
 
     ``values`` is the physical-space array; ``hat`` returns the (cached)
-    full complex DFT.  All arithmetic returns new fields; nothing mutates.
+    full complex DFT.  Every operation returns a new field; nothing mutates.
     """
 
     __slots__ = ("grid", "values", "_hat")
@@ -246,37 +244,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        if isinstance(other, SpectralField):
-            if not self.same_grid(other):
-                raise GridMismatchError("cannot add fields on different grids")
-            return SpectralField(self.grid, self.values + other.values)
-        return SpectralField(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SpectralField):
-            if not self.same_grid(other):
-                raise GridMismatchError("cannot subtract fields on different grids")
-            return SpectralField(self.grid, self.values - other.values)
-        return SpectralField(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, SpectralField):
-            if not self.same_grid(other):
-                raise GridMismatchError("cannot multiply fields on different grids")
-            return SpectralField(self.grid, self.values * other.values)
-        return SpectralField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.values)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:

@@ -70,8 +70,11 @@ class TravelingWaveSolution:
         return float(np.max(coef[coef.size - coef.size // 3 :])) / peak
 
     def require_resolved(self) -> TravelingWaveSolution:
-        """Return self, or raise ValueError if spectral_tail exceeds MAX_SPECTRAL_TAIL."""
-        if self.spectral_tail > MAX_SPECTRAL_TAIL:
+        """Return self, or raise ValueError unless spectral_tail <= MAX_SPECTRAL_TAIL.
+
+        A NaN tail, from a non-finite profile, fails the test too.
+        """
+        if not self.spectral_tail <= MAX_SPECTRAL_TAIL:
             raise ValueError(
                 f"grid does not resolve the wave at speed {self.speed}: spectral tail "
                 f"{self.spectral_tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes"

@@ -27,7 +27,6 @@ from wavemodels import (
     scalar_evolve,
 )
 from wavemodels import dispersive, stepping
-from wavemodels.dispersive import whitham_multiplier_values
 
 P = PhysicalParams(9.81, 1.0)
 
@@ -115,7 +114,7 @@ class TestAbcdEvolve:
         z0 = SpectralField.from_function(g, lambda x: 0.25 * np.exp(-0.1 * x**2))
         traj = abcd_evolve(BoussinesqState(z0, SpectralField.zeros(g)), GOOD, P, 10.0, n_out=5)
         final = traj.final_state.zeta
-        assert final.max_abs() < 0.25
+        assert np.max(np.abs(final.values)) < 0.25
         # counter-propagating wave trains: energy on both sides of the origin
         x = g.axis_coordinates(0)
         left = np.sum(final.values[x < -5.0] ** 2)
@@ -205,7 +204,8 @@ class TestScalarEvolve:
 
     def test_whitham_linear_phase_speed_matches_dispersion(self):
         kk = np.linspace(0.0, 20.0, 2001)
-        assert np.max(np.abs(P.c0 * whitham_multiplier_values(kk, P) - phase_velocity(kk, P))) < 1e-13
+        speed = dispersive.scalar_phase_speed("whitham", kk, P)
+        assert np.max(np.abs(speed - phase_velocity(kk, P))) < 1e-13
 
     def test_whitham2_requires_non_cavitation(self):
         g = Grid(100.0, 256)

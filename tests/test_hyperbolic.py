@@ -219,7 +219,7 @@ class TestCharacteristicFan:
         exact_speeds = P.c0 + 1.5 * (-0.2 * np.sin(feet))
         assert np.max(np.abs(fan.speeds - exact_speeds)) < 1e-10
         assert fan.breaking_time == pytest.approx(2.0 / (3.0 * 0.2), rel=1e-10)
-        assert np.allclose(fan.positions(1.0), feet + fan.speeds, atol=1e-14)
+        assert np.allclose(fan.foot_points + fan.speeds, feet + fan.speeds, atol=1e-14)
 
 
 class TestSVEvolve:

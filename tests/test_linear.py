@@ -176,6 +176,15 @@ class TestVelocities:
         xi = np.linspace(1e-6, 60.0, 5000)
         assert np.max(np.abs(group_velocity(xi, P) - omega_prime(xi, P))) < 1e-12
 
+    def test_group_velocity_matches_closed_form_on_both_signs(self):
+        # cg = c0 [ (1/2)(tanh mu/mu)^(1/2) + (sech^2 mu/2)(mu/tanh mu)^(1/2) ], mu = H|xi|
+        xi = np.concatenate([np.linspace(-60.0, 60.0, 12001), np.linspace(-0.02, 0.02, 4001)])
+        mu = P.H * np.abs(xi[xi != 0.0])
+        T = np.tanh(mu)
+        closed = np.full_like(xi, C0)
+        closed[xi != 0.0] = C0 * (0.5 * np.sqrt(T / mu) + 0.5 * (1.0 - T * T) * np.sqrt(mu / T))
+        assert np.max(np.abs(group_velocity(xi, P) - closed) / closed) < 1e-15
+
 
 class TestOmegaDerivatives:
     """Closed-form derivatives cross-checked against central differences."""
@@ -191,6 +200,13 @@ class TestOmegaDerivatives:
         h = 1e-5 * max(xi, 1e-2)
         fd = (omega_prime(xi + h, P) - omega_prime(xi - h, P)) / (2 * h)
         assert omega_double_prime(xi, P) == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("derivative", [omega_prime, omega_double_prime])
+    def test_even_in_xi(self, derivative):
+        # both the series branch (H|xi| < 0.01) and the closed form
+        xi = np.concatenate([np.geomspace(1e-8, 0.0099, 200), np.linspace(0.01, 60.0, 2000)])
+        assert np.array_equal(derivative(-xi, P), derivative(xi, P))
+        assert derivative(-2.5, P) == derivative(2.5, P)
 
 
 class TestRayAsymptotics:

@@ -1,11 +1,13 @@
 """Tests for scenario configuration, the run/compare drivers, and the CLI."""
 
+import contextlib
 import io
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,9 +59,27 @@ def write_config(path, **overrides):
 
 
 def cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "wavemodels", *args], capture_output=True, text=True
-    )
+    """Run ``main`` in-process and return what ``python -m wavemodels`` would.
+
+    Warnings print to the captured stderr once per location, as in a fresh
+    interpreter, so a test that counts stderr lines sees them.  An exception
+    that escapes ``main`` fails the test, as a traceback would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(["wavemodels", *args], code, out.getvalue(),
+                                       err.getvalue())
 
 
 class TestScenarioValidation:
@@ -838,9 +858,13 @@ class TestCli:
             (["dispersion", "--ximax", "2.0", "--samples", "3", "--quantity", "speed"],
              "error: argument --quantity: invalid choice"),
             ([], "error: the following arguments are required: command"),
+            *((["dispersion", "--ximax", "1", "--samples", n],
+               f"error: argument --samples: expected an integer in [2, 1000000], got {n!r}")
+              for n in ("0", "1", "1000001", "2.5", "many")),
         ],
         ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
-             "bad_choice", "no_command"],
+             "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
+             "samples_2.5", "samples_many"],
     )
     def test_argument_error_exit_code(self, capsys, argv, message):
         assert main(argv) == 1
@@ -882,6 +906,106 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_classify_negative_scientific_notation(self):
+        third = "3.33333333333333315e-01"
+        r = cli("classify", "--a", "-" + third, "--b", third, "--c", "-0e0", "--d", third)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["verdict"] == "well_posed"
+
+    def test_dispersion_negative_ximax_mirrors_positive(self):
+        def table(ximax):
+            r = cli("dispersion", "--ximax", ximax, "--samples", "11")
+            return np.loadtxt(io.StringIO(r.stdout), delimiter=",", skiprows=1)
+
+        neg, pos = table("-5e0"), table("5")
+        assert np.array_equal(neg[:, 0], -pos[:, 0])
+        assert np.array_equal(neg[:, 1:], pos[:, 1:])
+
+    def test_dispersion_two_samples(self):
+        r = cli("dispersion", "--ximax", "1", "--samples", "2")
+        assert r.returncode == 0
+        assert len(r.stdout.splitlines()) == 3
+
+    def test_shocktime_non_finite_result_exit_code(self):
+        r = cli("shocktime", "--builtin", "gaussian-bump", "--amplitude", "1e308")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == ("error: the breaking time is not a number: "
+                            "the profile slope is not finite\n")
+
+    def test_shocktime_never_breaking_prints_inf(self):
+        r = cli("shocktime", "--builtin", "gaussian-bump", "--amplitude", "0")
+        assert (r.returncode, r.stdout, r.stderr) == (0, "inf\n", "")
+
+    def test_solitary_non_finite_profile_exit_code(self, tmp_path):
+        # H = 1e-300 makes the sech^2 guess NaN, and so its spectral tail
+        out = tmp_path / "profile.csv"
+        r = cli("solitary", "--model", "kdv", "--speed", "3.3", "--H", "1e-300", "--nodes", "64",
+                "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: grid does not resolve the wave at speed 3.3: "
+                                   "spectral tail nan")
+        assert len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_finite_traveling_wave_run_exit_code(self, tmp_path):
+        cfg, out = tmp_path / "tw.json", tmp_path / "out"
+        write_config(cfg, model="kdv", physical={"g": 9.81, "H": 1e-300},
+                     grid={"length": 100.0, "nodes": 64},
+                     initial={"kind": "traveling_wave", "speed": 3.3},
+                     output={"stride": 2, "directory": str(out)})
+        r = cli("run", "--config", str(cfg))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: grid does not resolve the wave at speed 3.3: "
+                                   "spectral tail nan")
+        assert len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solitary", "--model", "kdv", "--speed", "1e6"],
+         ["solitary", "--model", "boussinesq", "--speed", "3.3", "--length", "1e-300"]],
+        ids=["kdv_huge_speed", "boussinesq_tiny_length"],
+    )
+    def test_no_floating_point_warnings_before_the_error(self, argv):
+        r = cli(*argv)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+          "error: Unable to allocate 745. GiB for an array with shape (100000000000,)\n"),
+         (MemoryError(), "error: MemoryError\n")],
+        ids=["numpy_message", "bare"],
+    )
+    def test_memory_error_is_one_line(self, monkeypatch, error, line):
+        # a stand-in command: a real 1e11-node grid would exhaust the machine
+        def exhaust(args):
+            raise error
+
+        monkeypatch.setattr("wavemodels.cli._cmd_solitary", exhaust)
+        r = cli("solitary", "--model", "kdv", "--speed", "3.3")
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", line)
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_module_entry_point_exit_code(self, tmp_path, code):
+        # the one test that runs `python -m wavemodels` in a fresh interpreter
+        cfg = tmp_path / "hopf.json"
+        write_config(cfg, model="hopf",
+                     initial={"kind": "simple_wave", "amplitude": 0.5, "width_parameter": 0.1},
+                     t_end=50.0, output={"stride": 10, "directory": str(tmp_path / "out")})
+        argv = {0: ["classify", *(f"--{k}={v!r}" for k, v in GOOD_ABCD.items())],
+                1: ["dispersion", "--ximax", "1", "--samples", "0"],
+                2: ["run", "--config", str(cfg)]}[code]
+        r = subprocess.run([sys.executable, "-m", "wavemodels", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        if code == 1:
+            assert len(r.stderr.splitlines()) == 1
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
