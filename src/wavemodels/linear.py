@@ -81,7 +81,9 @@ def omega_prime(xi_mag, p: PhysicalParams):
         T = np.tanh(mu_b)
         S2 = 1.0 - T * T
         w = omega(xi_b, p)
-        out[big] = p.g * (T + mu_b * S2) / (2.0 * w)
+        # mu sech^2 mu -> 0; where sech^2 rounds to 0, mu may be inf, and inf * 0 is nan
+        mu_S2 = np.multiply(mu_b, S2, out=np.zeros_like(S2), where=S2 != 0.0)
+        out[big] = p.g * (T + mu_S2) / (2.0 * w)
 
     return out if np.ndim(xi_mag) else float(out[0])
 

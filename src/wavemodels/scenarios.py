@@ -23,7 +23,9 @@ import json
 import math
 import numbers
 import os
+import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -76,6 +78,7 @@ OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
 FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
+_MAX_WRITERS = 4  # processes writing one run's snapshot files
 
 
 class ScenarioError(WavemodelsError, ValueError):
@@ -440,21 +443,92 @@ def write_rows(stream, columns):
     _write_blocks(stream, formats, columns)
 
 
-def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list) -> list:
-    """Write one CSV per snapshot.  The node coordinates lead every row, in
-    meshgrid ("ij") order; each axis is formatted once per run."""
+def _writer_count(n_files: int) -> int:
+    """Processes that write a run's snapshot files: one per core, up to
+    _MAX_WRITERS and the file count.  Forking is safe only without other
+    Python threads (numpy's native BLAS threads are never called by a
+    writer) and only where fork and sched_getaffinity exist (Linux);
+    otherwise the files are written inline."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_files, _MAX_WRITERS))
+
+
+def _fork_writer(write_share, first: int, step: int):
+    """Fork a child that calls write_share(first, step); return (pid, fd of
+    a pipe that carries the child's error message, if any)."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that fork in a multi-threaded process may
+        # deadlock.  The only other threads are numpy's BLAS pool, which a
+        # writer never calls, and the warning would be an extra stderr line.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        # The child leaves only through os._exit: it runs no atexit handler,
+        # flushes no inherited stdio buffer and never raises into the caller.
+        status = 1
+        try:
+            write_share(first, step)
+            status = 0
+        except BaseException as err:
+            os.write(write_fd, (str(err) or repr(err)).encode("utf-8", "replace"))
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_writer(pid: int, read_fd: int, first_file: Path):
+    """Wait for a writer child; its error message, or None if it succeeded."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        message = pipe.read().decode("utf-8", "replace")
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    if code < 0:
+        return f"the writer of {first_file} was killed by signal {-code}"
+    return message or f"the writer of {first_file} exited with status {code}"
+
+
+def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
+    """Write one CSV per snapshot; return (paths, number of writer processes).
+
+    The node coordinates lead every row, in meshgrid ("ij") order; each axis
+    is formatted once per run.  With w writers, writer r writes files
+    r, r + w, ...: writers 1..w-1 are forked children that share ``snaps``
+    and the row formats copy-on-write, and this process writes share 0.
+    """
     axes = [[FLOAT_FORMAT % x for x in grid.axis_coordinates(a).tolist()] for a in range(grid.dim)]
     leads = (",".join(node) + "," for node in itertools.product(*axes))
     formats = _block_formats(leads, math.prod(grid.shape), len(names))
     header = ",".join(["x_m", "y_m"][: grid.dim] + names) + "\n"
-    paths = []
-    for idx, columns in enumerate(snaps):
-        path = target / f"snapshot_{idx:04d}.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header)
-            _write_blocks(fh, formats, [columns[n].ravel() for n in names])
-        paths.append(path)
-    return paths
+    paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
+
+    def write_share(first, step):
+        for path, columns in zip(paths[first::step], snaps[first::step]):
+            try:
+                with open(path, "w", newline="\n") as fh:
+                    fh.write(header)
+                    _write_blocks(fh, formats, [columns[n].ravel() for n in names])
+            except Exception as err:
+                detail = getattr(err, "strerror", None) or repr(err)
+                raise WavemodelsError(f"cannot write {path}: {detail}") from err
+
+    workers = _writer_count(len(paths))
+    children = []
+    try:
+        for r in range(1, workers):
+            children.append(_fork_writer(write_share, r, workers))
+        write_share(0, workers)
+    finally:
+        failures = [_join_writer(pid, fd, paths[r])
+                    for r, (pid, fd) in enumerate(children, start=1)]
+    for failure in failures:
+        if failure is not None:
+            raise WavemodelsError(failure)
+    return paths, workers
 
 
 def _halt_to_dict(halt: HaltEvent | None):
@@ -485,7 +559,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
     names = [_COLUMNS[f] for f in _MODELS[scenario.model].writes]
-    snapshot_paths = _write_snapshots(target, scenario.grid, names, snaps)
+    snapshot_paths, write_workers = _write_snapshots(target, scenario.grid, names, snaps)
     phase_seconds["write"] = time.perf_counter() - t_write
 
     manifest = {
@@ -498,7 +572,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
         "halt": _halt_to_dict(halt),
         "exit_code": 2 if halt is not None else 0,
         "timing_seconds": time.perf_counter() - t_start,
-        "diagnostics": {"phase_seconds": phase_seconds},
+        "diagnostics": {"phase_seconds": phase_seconds, "write_workers": write_workers},
     }
     manifest_path = target / "manifest.json"
     with open(manifest_path, "w", newline="\n") as fh:

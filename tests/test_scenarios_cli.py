@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,7 @@ from wavemodels import (
     Grid,
     PhysicalParams,
     SpectralField,
+    WavemodelsError,
     boussinesq_solitary_solve,
     breaking_time,
     kdv_soliton,
@@ -176,6 +179,9 @@ class TestRun:
         assert set(phases) == {"build", "evolve", "write"}
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= manifest["timing_seconds"]
+        workers = manifest["diagnostics"]["write_workers"]
+        assert type(workers) is int
+        assert workers == min(len(os.sched_getaffinity(0)), len(manifest["snapshot_files"]), 4)
 
     def test_determinism_and_manifest_round_trip(self, tmp_path):
         sc = Scenario(
@@ -397,6 +403,106 @@ class TestRun:
         sc = Scenario(model="airy", grid=Grid(100.0, 128), t_end=1.0, output_stride=1)
         result = run(sc, output_dir=tmp_path / "arg")
         assert result.manifest_path.parent == tmp_path / "env"
+
+
+# five snapshot files of 32 x 32 rows
+AIRY_2D = Scenario(model="airy", dim=2, grid=Grid(50.0, 32, dim=2), t_end=2.0, output_stride=4)
+
+
+class TestParallelWrite:
+    """Snapshot files are split over min(cores, files, 4) writer processes."""
+
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def written(result):
+        manifest = json.loads(result.manifest_path.read_text())
+        files = {p.name: p.read_bytes() for p in result.snapshot_paths}
+        return manifest["diagnostics"]["write_workers"], files
+
+    def test_inline_and_forked_writes_are_byte_identical(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 1)
+        inline_workers, inline = self.written(run(AIRY_2D, output_dir=tmp_path / "inline"))
+        self.cores(monkeypatch, 8)
+        forked_workers, forked = self.written(run(AIRY_2D, output_dir=tmp_path / "forked"))
+        assert (inline_workers, forked_workers) == (1, 4)
+        assert len(inline) == 5
+        assert forked == inline
+
+    def test_a_second_python_thread_writes_inline(self, tmp_path, monkeypatch):
+        import threading
+
+        self.cores(monkeypatch, 4)
+        _, reference = self.written(run(AIRY_2D, output_dir=tmp_path / "reference"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            workers, files = self.written(run(AIRY_2D, output_dir=tmp_path / "threaded"))
+        finally:
+            release.set()
+            thread.join()
+        assert workers == 1
+        assert files == reference
+
+    def test_the_fork_deprecation_warning_is_silenced(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns on fork in a process with threads; numpy's BLAS
+        # pool is one.  Model that warning so it is checked on every Python.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        self.cores(monkeypatch, 2)
+        monkeypatch.setattr(scenarios.os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            workers, files = self.written(run(AIRY_2D, output_dir=tmp_path))
+        assert workers == 2 and len(files) == 5
+
+    @pytest.mark.parametrize("n_cores, bad",[(1, 3), (2, 3), (4, 3), (2, 0)],
+                             ids=["inline", "child_of_2", "child_of_4", "parent_share"])
+    def test_a_failed_writer_raises_naming_the_file(self, tmp_path, monkeypatch, n_cores, bad):
+        self.cores(monkeypatch, n_cores)
+        (tmp_path / f"snapshot_{bad:04d}.csv").mkdir(parents=True)
+        with pytest.raises(WavemodelsError, match=f"snapshot_{bad:04d}.csv"):
+            run(AIRY_2D, output_dir=tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):  # every writer was waited for
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_writer_is_cli_exit_one(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(AIRY_2D.to_dict()))
+        out = tmp_path / "out"
+        (out / "snapshot_0003.csv").mkdir(parents=True)
+        r = cli("run", "--config", str(cfg), "--outdir", str(out))
+        assert r.returncode == 1
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("error: cannot write ") and "snapshot_0003.csv" in r.stderr
+        assert r.stdout == ""
+        assert not (out / "manifest.json").exists()
+
+    def test_a_killed_writer_raises_naming_its_first_file(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 2)
+        parent = os.getpid()
+        write_blocks = scenarios._write_blocks
+
+        def killed_in_a_child(stream, formats, columns):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_blocks(stream, formats, columns)
+
+        monkeypatch.setattr(scenarios, "_write_blocks", killed_in_a_child)
+        with pytest.raises(WavemodelsError,
+                           match=r"writer of \S*snapshot_0001\.csv was killed by signal 9"):
+            run(AIRY_2D, output_dir=tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
 
 
 MATRIX_GRID = Grid(100.0, 256)
@@ -926,6 +1032,13 @@ class TestCli:
         r = cli("dispersion", "--ximax", "1", "--samples", "2")
         assert r.returncode == 0
         assert len(r.stdout.splitlines()) == 3
+
+    def test_dispersion_group_velocity_finite_where_h_xi_overflows(self):
+        # H xi = 1e310 overflows to inf, where cg -> sqrt(g / (4 xi)) ~ 1.6e-150
+        r = cli("dispersion", "--ximax", "1e300", "--samples", "3", "--H", "1e10")
+        assert r.returncode == 0
+        cg = np.loadtxt(io.StringIO(r.stdout), delimiter=",", skiprows=1)[:, 2]
+        assert np.all(np.isfinite(cg)) and np.all(cg >= 0.0)
 
     def test_shocktime_non_finite_result_exit_code(self):
         r = cli("shocktime", "--builtin", "gaussian-bump", "--amplitude", "1e308")
