@@ -63,6 +63,15 @@ def omega(xi_mag, p: PhysicalParams):
     return np.sqrt(p.g * xi * np.tanh(p.H * xi))
 
 
+def _times_sech2(a, s):
+    """a * s for s >= 0 a multiple of sech^2 mu; a zero of a's sign where s is 0.
+
+    The product tends to 0 as mu grows, but where s rounds to 0, mu may be
+    inf, and inf * 0 is nan.  For finite a the bits are those of a * s.
+    """
+    return np.multiply(a, s, out=np.copysign(np.zeros_like(s), a), where=s != 0.0)
+
+
 def omega_prime(xi_mag, p: PhysicalParams):
     """d omega / d|xi|, analytic and even in xi, with a series branch for H|xi| << 1."""
     xi = np.abs(np.atleast_1d(np.asarray(xi_mag, dtype=float)))
@@ -81,9 +90,7 @@ def omega_prime(xi_mag, p: PhysicalParams):
         T = np.tanh(mu_b)
         S2 = 1.0 - T * T
         w = omega(xi_b, p)
-        # mu sech^2 mu -> 0; where sech^2 rounds to 0, mu may be inf, and inf * 0 is nan
-        mu_S2 = np.multiply(mu_b, S2, out=np.zeros_like(S2), where=S2 != 0.0)
-        out[big] = p.g * (T + mu_S2) / (2.0 * w)
+        out[big] = p.g * (T + _times_sech2(mu_b, S2)) / (2.0 * w)
 
     return out if np.ndim(xi_mag) else float(out[0])
 
@@ -108,8 +115,8 @@ def omega_double_prime(xi_mag, p: PhysicalParams):
         T = np.tanh(mu_b)
         S2 = 1.0 - T * T
         w = omega(xi_b, p)
-        P = T + mu_b * S2
-        Q = 2.0 * p.H * S2 * (1.0 - mu_b * T)
+        P = T + _times_sech2(mu_b, S2)
+        Q = _times_sech2(1.0 - mu_b * T, 2.0 * p.H * S2)
         out[big] = p.g * Q / (2.0 * w) - p.g**2 * P**2 / (4.0 * w**3)
 
     return out if np.ndim(xi_mag) else float(out[0])

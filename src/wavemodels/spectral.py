@@ -168,7 +168,7 @@ class SpectralField:
     full complex DFT.  Every operation returns a new field; nothing mutates.
     """
 
-    __slots__ = ("grid", "values", "_hat")
+    __slots__ = ("grid", "values", "_hat", "_modes")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -179,6 +179,7 @@ class SpectralField:
         self.grid = grid
         self.values = values
         self._hat = None
+        self._modes = None
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable) -> "SpectralField":
@@ -201,23 +202,39 @@ class SpectralField:
     def evaluate(self, points) -> np.ndarray:
         """Band-limited evaluation at arbitrary 1D coordinates.
 
-        Sums the trigonometric interpolant of the samples over the N/2 + 1
+        Sums the trigonometric interpolant of the samples over the K = N/2 + 1
         real-FFT modes: interior modes count twice (for their conjugates)
-        and the Nyquist mode once, as a pure cosine.
+        and the Nyquist mode once, as a pure cosine.  The mode numbers are
+        integers, so the sum factors exactly: with theta = 2 pi (x + L/2) / L,
+        B = ceil(sqrt(K)) and k = k1*B + k0, sum_k c_k e^{ik theta} equals
+        sum_k1 e^{i k1 B theta} sum_k0 c_{k1 B + k0} e^{i k0 theta}.
+        M points cost M*(B + ceil(K/B)) complex exponentials, one
+        (M x B)(B x ceil(K/B)) matrix product and a row-wise dot, where the
+        direct sum costs M*K exponentials.  The zero-padded B x ceil(K/B)
+        coefficient block is built on the first call and cached, as ``hat``
+        is: fields do not change.
         """
         if self.grid.dim != 1:
             raise NotImplementedError("off-grid evaluation only supported in 1D")
         points = np.atleast_1d(np.asarray(points, dtype=float))
         L = self.grid.length[0]
-        n = self.grid.nodes[0]
-        coef = np.fft.rfft(self.values) / n
-        coef[1 : n // 2] *= 2.0
-        xi = (2.0 * np.pi / L) * np.arange(n // 2 + 1)
+        if self._modes is None:
+            n = self.grid.nodes[0]
+            coef = np.fft.rfft(self.values) / n
+            coef[1 : n // 2] *= 2.0
+            width = math.isqrt(coef.size - 1) + 1  # ceil(sqrt(K))
+            padded = np.pad(coef, (0, -coef.size % width))
+            self._modes = padded.reshape(-1, width).T  # [k0, k1] = c_{k1 B + k0}
+        width, rows = self._modes.shape
+        dxi = 2.0 * np.pi / L
+        fine = dxi * np.arange(width)
+        coarse = dxi * (width * np.arange(rows))
         out = np.empty(points.size)
-        for start in range(0, points.size, 1024):  # cap the phase-matrix size
-            block = points[start : start + 1024]
-            phase = np.exp(1j * np.outer(block + 0.5 * L, xi))
-            out[start : start + 1024] = (phase @ coef).real
+        for start in range(0, points.size, 1024):  # cap the phase-matrix sizes
+            shifted = points[start : start + 1024, None] + 0.5 * L
+            inner = np.exp(1j * (shifted * fine)) @ self._modes
+            outer = np.exp(1j * (shifted * coarse))
+            out[start : start + 1024] = np.einsum("mr,mr->m", outer, inner).real
         return out
 
     def upsample(self, nodes: int) -> "SpectralField":

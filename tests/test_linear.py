@@ -205,6 +205,16 @@ class TestOmegaDerivatives:
         fd = (omega_prime(xi + h, P) - omega_prime(xi - h, P)) / (2 * h)
         assert omega_double_prime(xi, P) == pytest.approx(fd, abs=1e-6)
 
+    def test_second_derivative_finite_where_h_xi_overflows(self):
+        # H xi = 1e350 overflows to inf; deep water gives -sqrt(g)/4 xi^(-3/2)
+        with np.errstate(over="ignore"):
+            assert omega_double_prime(1e150, PhysicalParams(H=1e200)) == pytest.approx(
+                -0.25 * math.sqrt(9.81) * 1e150**-1.5, rel=1e-12)
+            # the true value, -7.8e-451, underflows
+            assert omega_double_prime(1e300, PhysicalParams(H=1e10)) == 0.0
+            sweep = omega_double_prime(np.geomspace(1e-3, 1e308, 400), PhysicalParams(H=1e10))
+        assert np.all(np.isfinite(sweep)) and np.all(sweep <= 0.0)
+
     @pytest.mark.parametrize("derivative", [omega_prime, omega_double_prime])
     def test_even_in_xi(self, derivative):
         # both the series branch (H|xi| < 0.01) and the closed form

@@ -140,6 +140,72 @@ class TestTransformContract:
         assert np.max(np.abs(fine.values - np.cos(k_nyq * (xf + 0.5 * L)))) < 1e-12
 
 
+def direct_sum(values, length, points):
+    """The interpolant as a sum over every two-sided mode, and the sum of |coefficients|.
+
+    Modes k = -N/2+1 .. N/2-1 are complex exponentials; the Nyquist mode,
+    which has no partner, is a cosine.
+    """
+    n = values.size
+    coef = np.fft.fft(values) / n
+    shifted = np.asarray(points, dtype=float) + 0.5 * length
+    total = np.zeros(shifted.size, dtype=complex)
+    for k, c in zip(np.fft.fftfreq(n, d=1.0 / n), coef):
+        theta = shifted * (2.0 * np.pi * k / length)
+        total += c * (np.cos(theta) if k == -n // 2 else np.exp(1j * theta))
+    return total.real, np.sum(np.abs(coef))
+
+
+class TestEvaluateAgainstDirectSum:
+    """``evaluate`` against a dense sum over every mode, written here."""
+
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025, 2500])
+    @pytest.mark.parametrize("nodes", [4, 8, 10, 64, 1024, 2048])
+    def test_random_field(self, nodes, count):
+        # K = N/2 + 1 modes: N = 8 has K - 1 = 4 a perfect square, N = 10
+        # fills its mode block exactly and the rest pad the last row; the
+        # point counts straddle the 1024-point blocks
+        rng = np.random.default_rng(nodes * 10007 + count)
+        g = Grid(7.3, nodes)
+        f = SpectralField(g, rng.standard_normal(nodes))
+        pts = rng.uniform(-7.3, 7.3, count)
+        ref, scale = direct_sum(f.values, 7.3, pts)
+        got = f.evaluate(pts)
+        assert got.shape == (count,)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("nodes", [4, 10, 64, 1024, 2048])
+    def test_nyquist_only_field(self, nodes):
+        # A double phase k*theta is off by up to eps*|k*theta| in any
+        # evaluation, the direct sum's included; one top mode shows all of it
+        # (at N = 2048 the direct sum is 1e-12 off an extended-precision cosine).
+        g = Grid(3.0, nodes)
+        f = SpectralField(g, (-1.0) ** np.arange(nodes))
+        pts = np.linspace(-4.0, 4.0, 1500)
+        ref, scale = direct_sum(f.values, 3.0, pts)
+        theta_max = (nodes // 2) * 2.0 * np.pi * (4.0 + 1.5) / 3.0
+        phase_rounding = 2.0 * np.finfo(float).eps * theta_max
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= (1e-13 + phase_rounding) * scale
+
+    def test_repeated_calls_return_identical_bits(self):
+        g = Grid(7.3, 1024)
+        f = random_field(g)
+        pts = np.linspace(-5.0, 5.0, 3001)
+        first = f.evaluate(pts)
+        assert np.array_equal(f.evaluate(pts), first)
+        assert np.array_equal(SpectralField(g, f.values).evaluate(pts), first)
+
+    def test_derived_fields_evaluate_their_own_values(self):
+        # the parent's mode block is cached before the fields are derived
+        g = Grid(7.3, 64)
+        f = random_field(g)
+        pts = np.linspace(-4.0, 4.0, 301)
+        f.evaluate(pts)
+        for child in (derivative(f), derivative(f, order=2), f.upsample(256)):
+            ref, scale = direct_sum(child.values, 7.3, pts)
+            assert np.max(np.abs(child.evaluate(pts) - ref)) <= 1e-13 * scale
+
+
 class TestDealias:
     def test_low_mode_unchanged(self):
         g = Grid(2 * np.pi, 64)
