@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -287,25 +288,51 @@ def hopf_characteristic_solve(
     Raises BreakingError when t is at or past the crossing time, or when
     the sampled foot-point map is not increasing.
     """
-    query = np.atleast_1d(np.asarray(query_points, dtype=float))
+    return _hopf_solve(_hopf_profile(u0, grid, u0_prime), p, t, query_points)
+
+
+@dataclass(frozen=True)
+class _HopfProfile:
+    """What the Hopf solve needs of u0 at every time: u0 and its derivative
+    as callables, the derivative at the scan points, the crossing time T*,
+    the length scale, and for a SpectralField the samples of one closed
+    period of its upsampled interpolant (None for a callable)."""
+
+    u_fn: Callable
+    du_fn: Callable
+    du_scan: np.ndarray
+    t_star: float
+    length_scale: float
+    period: tuple | None
+
+
+def _hopf_profile(u0, grid: Grid | None = None, u0_prime=None) -> _HopfProfile:
+    """The per-profile work of ``hopf_characteristic_solve``, done once."""
     du_fn, xs_scan, du_scan = _profile_derivative(u0, grid, u0_prime)
     t_star = _crossing_time(du_fn, xs_scan, du_scan)
-    if t >= t_star:
+    if not isinstance(u0, SpectralField):
+        u_fn = lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
+        return _HopfProfile(u_fn, du_fn, du_scan, t_star, grid.length[0], None)
+    length_scale = u0.grid.length[0]
+    fine = u0.upsample(max(4096, u0.grid.nodes[0]))
+    # close the period so the wrap-around pair is checked too
+    period = (np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale),
+              np.append(fine.values, fine.values[0]))
+    return _HopfProfile(u0.evaluate, du_fn, du_scan, t_star, length_scale, period)
+
+
+def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
+    """``hopf_characteristic_solve`` on a profile prepared by ``_hopf_profile``."""
+    query = np.atleast_1d(np.asarray(query_points, dtype=float))
+    if t >= prof.t_star:
         raise BreakingError(
-            f"characteristics cross at T* = {t_star}; requested t = {t}"
+            f"characteristics cross at T* = {prof.t_star}; requested t = {t}"
         )
 
-    periodic = isinstance(u0, SpectralField)
-    if periodic:
-        u_fn = u0.evaluate
-        length_scale = u0.grid.length[0]
-        fine = u0.upsample(max(4096, u0.grid.nodes[0]))
-        # close the period so the wrap-around pair is checked too
-        xs = np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale)
-        uvals = np.append(fine.values, fine.values[0])
+    u_fn, length_scale = prof.u_fn, prof.length_scale
+    if prof.period is not None:
+        xs, uvals = prof.period
     else:
-        u_fn = lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
-        length_scale = grid.length[0]
         # Two probe passes so the sampled velocity range covers the feet
         # even when they sit far behind the queries (non-periodic profiles).
         lo_q, hi_q = float(np.min(query)), float(np.max(query))
@@ -330,9 +357,9 @@ def hopf_characteristic_solve(
     # phi(x0 + L) = phi(x0) + L on a periodic profile, so every query moves
     # into the sampled period by whole periods; u at its foot is unchanged.
     shift = 0.0
-    if periodic:
+    if prof.period is not None:
         shift = length_scale * np.floor((query - phi[0]) / length_scale)
-    out = _foot_points(query - shift, xs, phi, u_fn, du_fn, p.c0, t,
+    out = _foot_points(query - shift, xs, phi, u_fn, prof.du_fn, p.c0, t,
                        1e-10 * length_scale)
     return out if np.ndim(query_points) else float(out[0])
 

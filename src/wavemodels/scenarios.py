@@ -44,15 +44,15 @@ from .dispersive import (
 from .errors import BreakingError, CavitationError, WavemodelsError
 from .hyperbolic import (
     SVState,
-    breaking_time,
-    hopf_characteristic_solve,
+    _hopf_profile,
+    _hopf_solve,
     simple_wave_elevation,
     simple_wave_velocity,
     sv_evolve,
 )
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
-from .spectral import Grid, SpectralField, derivative
+from .spectral import Grid, SpectralField
 from .stepping import DtControl, HaltEvent, Trajectory, snapshot_times
 from .traveling import solitary_wave
 
@@ -301,7 +301,7 @@ class _Model:
     writes: tuple
     run: Callable
     two_d: bool = False
-    solitary: bool = False  # takes traveling_wave initial data
+    solitary: str | None = None  # how traveling_wave initial data is solved for, if taken
 
 
 # state field -> column name, in file initial data and in the snapshot CSVs
@@ -311,17 +311,17 @@ _COLUMNS = {"zeta": "zeta_m", "psi": "psi_m2_per_s", "u": "u_m_per_s", "zeta_t":
 def _hopf_run(sc: Scenario, state0: SVState) -> Trajectory:
     """Simple waves along characteristics; halts at breaking, with no state past it."""
     p, u0 = sc.physical, state0.u
-    t_star = breaking_time(u0)
+    prof = _hopf_profile(u0)  # derivative, T* and upsampled period, once per run
     xs = sc.grid.axis_coordinates(0)
     traj = Trajectory()
     for t in snapshot_times(sc.t_end, sc.output_stride):
         try:
-            u_t = hopf_characteristic_solve(u0, p, t, xs) if t > 0 else u0.values
-        except BreakingError:  # at or past t_star, or a non-monotone foot map
-            j = int(np.argmin(derivative(u0, 0, 1).values))
-            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star)
-            traj.halt = HaltEvent(reason="breaking", time=t_star, location=location,
-                                  max_gradient=math.inf, breaking_time_estimate=t_star)
+            u_t = _hopf_solve(prof, p, t, xs) if t > 0 else u0.values
+        except BreakingError:  # at or past T*, or a non-monotone foot map
+            j = int(np.argmin(prof.du_scan))
+            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * prof.t_star)
+            traj.halt = HaltEvent(reason="breaking", time=prof.t_star, location=location,
+                                  max_gradient=math.inf, breaking_time_estimate=prof.t_star)
             break
         u = SpectralField(sc.grid, u_t)
         traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
@@ -343,9 +343,10 @@ _MODELS = {
         s, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
     "hopf": _Model(SVState, "u", ("zeta", "u"), _hopf_run),
     "boussinesq": _Model(BoussinesqState, "u", ("zeta", "u"), lambda sc, s: abcd_evolve(
-        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride), solitary=True),
-    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary=True),
-    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary=True),
+        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride),
+        solitary="petviashvili"),
+    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary="closed_form"),
+    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary="petviashvili"),
     "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
 }
 MODELS = tuple(_MODELS)
@@ -357,9 +358,11 @@ def _model_names(test) -> str:
 
 
 def _build_initial(sc: Scenario):
-    """Materialize the model state at t = 0 from the InitialData record."""
+    """Materialize the model state at t = 0 from the InitialData record;
+    returns (state, the manifest's diagnostics.solver record)."""
     ini, grid, p = sc.initial, sc.grid, sc.physical
     model = _MODELS[sc.model]
+    solver = None
 
     if ini.kind == "traveling_wave":
         if ini.speed is None:
@@ -368,6 +371,8 @@ def _build_initial(sc: Scenario):
             raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
         sol = solitary_wave(sc.model, ini.speed, p, grid, sc.abcd)
         zeta, second = sol.profile_zeta, sol.profile_u
+        solver = {"method": model.solitary, "iterations": sol.iterations,
+                  "residual": sol.residual, "normalization_history": sol.normalization_history}
     else:
         if ini.kind == "file":
             if ini.path is None:
@@ -388,16 +393,17 @@ def _build_initial(sc: Scenario):
             second = SpectralField.zeros(grid)  # unused by a scalar model
 
     if model.second is None:
-        return model.state(zeta, 0.0, sc.model)
-    return model.state(zeta, second, 0.0)
+        return model.state(zeta, 0.0, sc.model), solver
+    return model.state(zeta, second, 0.0), solver
 
 
 def _evolve_series(sc: Scenario):
     """All snapshots of a scenario: (times, per-time column dicts, halt,
-    wall seconds of the build and evolve phases)."""
+    diagnostics: the solver record and the wall seconds of the build and
+    evolve phases)."""
     model = _MODELS[sc.model]
     t0 = time.perf_counter()
-    state0 = _build_initial(sc)
+    state0, solver = _build_initial(sc)
     t1 = time.perf_counter()
     try:
         traj = model.run(sc, state0)
@@ -406,7 +412,8 @@ def _evolve_series(sc: Scenario):
         if traj is None:  # the initial data already cavitates
             raise
     snaps = [{_COLUMNS[f]: getattr(s, f).values for f in model.writes} for s in traj.states]
-    return traj.times, snaps, traj.halt, {"build": t1 - t0, "evolve": time.perf_counter() - t1}
+    phase_seconds = {"build": t1 - t0, "evolve": time.perf_counter() - t1}
+    return traj.times, snaps, traj.halt, {"phase_seconds": phase_seconds, "solver": solver}
 
 
 @dataclass
@@ -552,7 +559,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     """
     t_start = time.perf_counter()
     target = os.environ.get(OUTPUT_DIR_ENV) or output_dir or scenario.output_directory or "."
-    times, snaps, halt, phase_seconds = _evolve_series(scenario)
+    times, snaps, halt, diagnostics = _evolve_series(scenario)
 
     t_write = time.perf_counter()
     # made only now, so that a run failing with exit 1 leaves no directory behind
@@ -560,7 +567,8 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     target.mkdir(parents=True, exist_ok=True)
     names = [_COLUMNS[f] for f in _MODELS[scenario.model].writes]
     snapshot_paths, write_workers = _write_snapshots(target, scenario.grid, names, snaps)
-    phase_seconds["write"] = time.perf_counter() - t_write
+    diagnostics["phase_seconds"]["write"] = time.perf_counter() - t_write
+    diagnostics["write_workers"] = write_workers
 
     manifest = {
         "version": SCHEMA_VERSION,
@@ -572,7 +580,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
         "halt": _halt_to_dict(halt),
         "exit_code": 2 if halt is not None else 0,
         "timing_seconds": time.perf_counter() - t_start,
-        "diagnostics": {"phase_seconds": phase_seconds, "write_workers": write_workers},
+        "diagnostics": diagnostics,
     }
     manifest_path = target / "manifest.json"
     with open(manifest_path, "w", newline="\n") as fh:

@@ -6,13 +6,18 @@ systems (zeta, u).
 All profiles live on a periodic grid large enough that the wrap-around
 interaction of the exponential tails sits below the solver tolerance, are
 centered with their maximum at x = 0, and are symmetrized every iteration
-to pin the translation mode.
+to pin the translation mode.  Every steady symbol is even in k and every
+grid has an even node count, so the operators and the iteration work on
+the N/2 + 1 real-FFT modes: a sweep makes one rfft and one irfft, and the
+inner products of the normalization factor weight the interior modes
+twice and modes 0 and N/2 once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +56,7 @@ class TravelingWaveSolution:
     speed: float
     residual: float
     iterations: int
+    normalization_history: list = field(default_factory=list)  # M per sweep
 
     @property
     def amplitude(self) -> float:
@@ -137,9 +143,9 @@ def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalP
 
 def _scalar_operator(model: str, speed: float, p: PhysicalParams, grid: Grid):
     """(L, N) of the once-integrated steady scalar equation L zeta = (3 c0/(4 H)) zeta^2."""
-    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
+    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0)[: grid.nodes[0] // 2 + 1], p)
     nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
-    return lin[None, None], lambda v: nl_coeff * np.fft.fft(v * v)
+    return lin[None, None], lambda v: nl_coeff * np.fft.rfft(v * v)
 
 
 def _boussinesq_operator(params: AbcdParams, speed: float, p: PhysicalParams, grid: Grid):
@@ -150,14 +156,15 @@ def _boussinesq_operator(params: AbcdParams, speed: float, p: PhysicalParams, gr
     with mu = H k, and the quadratic term is N = -(zeta u, u^2 / 2), zero
     integration constants (decay gauge).
     """
-    fa, fb, fc, fd = _abcd_factors(grid.wavenumbers(0), params, p)
+    fa, fb, fc, fd = _abcd_factors(grid.wavenumbers(0)[: grid.nodes[0] // 2 + 1], params, p)
     lin = np.array([[-speed * fb, p.H * fa], [p.g * fc, -speed * fd]])
-    return lin, lambda v: -np.fft.fft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2)))
+    return lin, lambda v: -np.fft.rfft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2)))
 
 
 def _residual(lin: np.ndarray, term_hat, v: np.ndarray) -> np.ndarray:
     """L v - N(v) at the nodes for a stacked state v of shape (m, N)."""
-    return np.fft.ifft(np.einsum("ijk,jk->ik", lin, np.fft.fft(v)) - term_hat(v)).real
+    lv_hat = np.einsum("ijk,jk->ik", lin, np.fft.rfft(v))
+    return np.fft.irfft(lv_hat - term_hat(v), v.shape[-1])
 
 
 def kdv_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams) -> np.ndarray:
@@ -170,25 +177,53 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
-def _symmetrize_centered(v: np.ndarray) -> np.ndarray:
-    """Center every component on the maximum of the first and average it
-    with its even reflection."""
-    n = v.shape[-1]
-    v = np.roll(v, n // 2 - int(np.argmax(v[0])), axis=-1)
-    return 0.5 * (v + v[:, (-np.arange(n)) % n])
+def _half_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> over the full spectrum of two real fields of even N, from
+    their N/2 + 1 real-FFT modes (last axis): the interior modes count
+    twice, for their conjugates, and modes 0 and N/2 once."""
+    weights = np.full(a.shape[-1], 2.0)
+    weights[[0, -1]] = 1.0
+    return float(np.vdot(a * weights, b).real)
+
+
+def _symmetrize_centered(v_hat: np.ndarray, n: int):
+    """The iterate with real-FFT modes v_hat, every component rolled so the
+    maximum of the first sits at node N/2 (x = 0), then averaged with its
+    even reflection; returns (nodes, modes).
+
+    A roll by s nodes multiplies mode k by e^{-2 pi i k s / N}; the even
+    reflection j -> -j is the slice v[:, :0:-1] at the nodes and the
+    conjugate in the modes, so the average keeps Re v_hat.
+    """
+    v = np.fft.irfft(v_hat, n)
+    shift = n // 2 - int(np.argmax(v[0]))
+    if shift:
+        v = np.roll(v, shift, axis=-1)
+        v_hat = v_hat * np.exp(-2j * np.pi * shift / n * np.arange(v_hat.shape[-1]))
+    v[:, 1:] = 0.5 * (v[:, 1:] + v[:, :0:-1])
+    return v, v_hat.real
 
 
 def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter: int):
     """Petviashvili iteration for L v = N(v) on a stacked state v of shape (m, N).
 
-    ``lin`` is the per-mode linear symbol, shape (m, m, N); ``term_hat``
-    maps v to the transform of its quadratic term N(v), shape (m, N).
-    Iterates v <- M^2 L^{-1} N(v) with the stabilizing factor
-    M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>, inverting L mode by mode
-    through its adjugate and determinant; the exponent 2 is the standard
-    optimal choice for a quadratic term.  Stops when the sup-norm update
-    falls below ``tol`` and returns (v, iterations, residual), the last
-    the sup-norm of ``_residual`` at v.  Divergence raises
+    ``lin`` is the linear symbol on the N/2 + 1 real-FFT modes, shape
+    (m, m, N/2 + 1); ``term_hat`` maps v to the real-FFT modes of its
+    quadratic term N(v), shape (m, N/2 + 1).  Iterates
+    v <- M^2 L^{-1} N(v) with the stabilizing factor
+    M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>; the exponent 2 is the
+    standard optimal choice for a quadratic term.  The inner products are
+    ``_half_dot``, equal to the full-spectrum ones, and L^{-1} = adj L / det L
+    is formed once, mode by mode.
+
+    A sweep carries the modes v_hat of the iterate with its node values and
+    makes two half-size transforms: the rfft of N(v) and the irfft of the
+    new modes.  The first sweep takes the rfft of the guess.  Every new
+    iterate is centered on the maximum of its first component and averaged
+    with its even reflection (``_symmetrize_centered``), which pins the
+    translation mode.  Stops when the sup-norm update at the nodes falls
+    below ``tol`` and returns (v, iterations, residual, M values), the
+    residual the sup-norm of ``_residual`` at v.  Divergence raises
     ConvergenceError whose ``history`` holds the trace of M values.
     """
     if v.shape[0] == 1:
@@ -198,30 +233,40 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
         adj = np.array([[lin[1, 1], -lin[0, 1]], [-lin[1, 0], lin[0, 0]]])
     if np.any(det == 0.0):
         raise ResonanceError("steady linear symbol is singular at a grid wavenumber")
+    inverse = adj / det
 
+    n = v.shape[-1]
+    v_hat = np.fft.rfft(v)
     m_history = []
     for it in range(1, max_iter + 1):
-        vhat = np.fft.fft(v)
         n_hat = term_hat(v)
-        denom = float(np.real(np.vdot(vhat, n_hat)))
-        numer = float(np.real(np.vdot(vhat, np.einsum("ijk,jk->ik", lin, vhat))))
+        denom = _half_dot(v_hat, n_hat)
+        numer = _half_dot(v_hat, np.einsum("ijk,jk->ik", lin, v_hat))
         if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(numer):
             raise ConvergenceError(
                 f"normalization factor broke down at iteration {it}", m_history
             )
         m_factor = numer / denom
         m_history.append(m_factor)
-        v_hat_new = np.einsum("ijk,jk->ik", adj, m_factor**2 * n_hat) / det
-        v_new = _symmetrize_centered(np.fft.ifft(v_hat_new).real)
+        v_new, v_hat = _symmetrize_centered(
+            np.einsum("ijk,jk->ik", inverse, m_factor**2 * n_hat), n)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if not np.isfinite(delta) or float(np.max(np.abs(v))) > 1e6:
             raise ConvergenceError(f"iteration diverged at step {it}", m_history)
         if delta < tol:
-            return v, it, float(np.max(np.abs(_residual(lin, term_hat, v))))
+            return v, it, float(np.max(np.abs(_residual(lin, term_hat, v)))), m_history
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (last update {delta})", m_history
     )
+
+
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """ValueError unless ``tol`` is finite and positive and ``max_iter`` is an integer >= 1."""
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1; got {max_iter!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive; got {tol!r}")
 
 
 def petviashvili_solve(
@@ -240,6 +285,7 @@ def petviashvili_solve(
     is the sup-norm of L zeta - N(zeta).  Divergence raises
     ConvergenceError whose ``history`` holds the trace of M values.
     """
+    _check_iteration(tol, max_iter)
     if speed <= p.c0:
         raise ValueError(f"supercritical speed required; got {speed} <= c0 = {p.c0}")
     lin, term_hat = _scalar_operator(model, speed, p, grid)
@@ -247,8 +293,8 @@ def petviashvili_solve(
         z = kdv_soliton(speed, p, grid).profile_zeta.values
     else:
         z = initial_guess.values
-    v, it, res = _petviashvili(lin, term_hat, z[None], tol, max_iter)
-    return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it)
+    v, it, res, history = _petviashvili(lin, term_hat, z[None], tol, max_iter)
+    return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it, history)
 
 
 def petviashvili_continuation(
@@ -267,6 +313,9 @@ def petviashvili_continuation(
     stage diverges, the result records the failing speed and returns the
     stages solved so far; it does not raise.
     """
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1; got {steps!r}")
+    _check_iteration(tol, max_iter)
     start = 1.05 * p.c0 if start_speed is None else start_speed
     ratio = (target_speed / start) ** (1.0 / steps)
     speeds = [start * ratio**j for j in range(steps + 1)]
@@ -322,6 +371,7 @@ def boussinesq_solitary_solve(
     The initial guess is the closed-form sech^2 profile with the
     leading-order closure u = c zeta / (H + zeta).
     """
+    _check_iteration(tol, max_iter)
     verdict = classify_abcd(params, p)
     if verdict.verdict != "well_posed":
         raise IllPosedError("cannot continue solitary waves of an ill-posed system")
@@ -336,9 +386,10 @@ def boussinesq_solitary_solve(
     lin, term_hat = _boussinesq_operator(params, speed, p, grid)
     guess_z = kdv_soliton(speed, p, grid).profile_zeta.values
     guess_u = speed * guess_z / (p.H + guess_z)
-    v, it, res = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)), tol, max_iter)
+    v, it, res, history = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)), tol,
+                                        max_iter)
     return TravelingWaveSolution(
-        SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it
+        SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it, history
     )
 
 

@@ -31,6 +31,7 @@ from wavemodels import (
 )
 from wavemodels import scenarios
 from wavemodels.cli import main
+from wavemodels.traveling import solitary_wave
 from wavemodels.scenarios import (
     ComparisonReport,
     InitialData,
@@ -183,6 +184,39 @@ class TestRun:
         assert type(workers) is int
         assert workers == min(len(os.sched_getaffinity(0)), len(manifest["snapshot_files"]), 4)
 
+    @pytest.mark.parametrize("model", ["kdv", "whitham", "boussinesq"])
+    def test_manifest_records_traveling_wave_solver(self, tmp_path, model):
+        speed = 1.05 * P.c0
+        sc = Scenario(model=model, grid=Grid(200.0, 512),
+                      abcd=AbcdParams(**GOOD_ABCD) if model == "boussinesq" else None,
+                      initial=InitialData(kind="traveling_wave", speed=speed),
+                      t_end=0.0, output_stride=1)
+        result = run(sc, output_dir=tmp_path / "a")
+        solver = json.loads(result.manifest_path.read_text())["diagnostics"]["solver"]
+        assert set(solver) == {"method", "iterations", "residual", "normalization_history"}
+        sol = solitary_wave(model, speed, P, sc.grid, sc.abcd)
+        assert solver["iterations"] == sol.iterations
+        assert solver["residual"] == sol.residual < 1e-10
+        assert solver["normalization_history"] == sol.normalization_history
+        if model == "kdv":
+            assert solver["method"] == "closed_form"
+            assert solver["iterations"] == 0 and solver["normalization_history"] == []
+        else:
+            assert solver["method"] == "petviashvili"
+            history = solver["normalization_history"]
+            assert solver["iterations"] == len(history) > 5
+            assert all(type(m) is float for m in history)
+            assert abs(history[-1] - 1.0) < 1e-9  # M -> 1 at the fixed point
+        rerun = run(load_scenario(result.manifest_path), output_dir=tmp_path / "b")
+        assert (rerun.snapshot_paths[0].read_bytes()
+                == result.snapshot_paths[0].read_bytes())
+
+    def test_manifest_solver_is_null_without_traveling_wave(self, tmp_path):
+        sc = Scenario(model="kdv", grid=Grid(200.0, 256), initial=InitialData(),
+                      t_end=0.0, output_stride=1)
+        manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
+        assert manifest["diagnostics"]["solver"] is None
+
     def test_determinism_and_manifest_round_trip(self, tmp_path):
         sc = Scenario(
             model="kdv",
@@ -270,7 +304,7 @@ class TestRun:
         def breaks(*args):
             raise BreakingError("foot-point map is not monotone: breaking detected")
 
-        monkeypatch.setattr(scenarios, "hopf_characteristic_solve", breaks)
+        monkeypatch.setattr(scenarios, "_hopf_solve", breaks)
         sc = Scenario(
             model="hopf",
             grid=Grid(200.0, 256),

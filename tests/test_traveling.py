@@ -26,8 +26,16 @@ from wavemodels import (
     suggested_domain_length,
     whitham_steady_residual,
 )
+from wavemodels.dispersive import _abcd_factors
 from wavemodels.stepping import DtControl
-from wavemodels.traveling import _steady_linear_symbol, solitary_wave
+from wavemodels.traveling import (
+    _boussinesq_operator,
+    _half_dot,
+    _petviashvili,
+    _steady_linear_symbol,
+    _symmetrize_centered,
+    solitary_wave,
+)
 
 P = PhysicalParams(9.81, 1.0)
 GOOD = AbcdParams(-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
@@ -353,3 +361,132 @@ class TestSolitaryWaveDispatch:
             solitary_wave("boussinesq", 3.3, P, Grid(100.0, 8), GOOD)
         with pytest.raises(ValueError, match="no solitary-wave solver for model 'whitham2'"):
             solitary_wave("whitham2", 3.3, P, Grid(100.0, 256))
+
+
+def full_fft_petviashvili(lin, term_hat, v, tol=1e-12, max_iter=500):
+    """Reference Petviashvili loop on the full complex spectrum.
+
+    ``lin`` has shape (m, m, N) and ``term_hat`` returns the full ``fft`` of
+    N(v).  Each sweep transforms v, forms M from full-spectrum ``vdot``s,
+    inverts L through its adjugate, rolls the maximum of the first
+    component to node N/2 and averages with the even reflection.  Returns
+    (iterates, sweeps): every iterate up to one sweep past the first whose
+    sup-norm update is below ``tol``, and the number of that sweep.
+    """
+    n = v.shape[-1]
+    if v.shape[0] == 1:
+        det, adj = lin[0, 0], np.ones((1, 1, 1))
+    else:
+        det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
+        adj = np.array([[lin[1, 1], -lin[0, 1]], [-lin[1, 0], lin[0, 0]]])
+    iterates, sweeps = [], None
+    for it in range(1, max_iter + 1):
+        vhat, n_hat = np.fft.fft(v), term_hat(v)
+        numer = np.real(np.vdot(vhat, np.einsum("ijk,jk->ik", lin, vhat)))
+        m_factor = numer / np.real(np.vdot(vhat, n_hat))
+        w = np.fft.ifft(np.einsum("ijk,jk->ik", adj, m_factor**2 * n_hat) / det).real
+        w = np.roll(w, n // 2 - int(np.argmax(w[0])), axis=-1)
+        w = 0.5 * (w + w[:, (-np.arange(n)) % n])
+        delta, v = np.max(np.abs(w - v)), w
+        iterates.append(v)
+        if sweeps is None and delta < tol:
+            sweeps = it
+        if sweeps is not None and it == sweeps + 1:
+            return iterates, sweeps
+    raise AssertionError("reference loop did not converge")
+
+
+def reference_operator(model, speed, grid):
+    """(L, N) on the full spectrum, for ``full_fft_petviashvili``."""
+    k = grid.wavenumbers(0)
+    if model == "whitham":
+        nl = 3.0 * P.c0 / (4.0 * P.H)
+        lin = _steady_linear_symbol("whitham", speed, k, P)[None, None]
+        return lin, lambda v: nl * np.fft.fft(v * v)
+    fa, fb, fc, fd = _abcd_factors(k, GOOD, P)
+    lin = np.array([[-speed * fb, P.H * fa], [P.g * fc, -speed * fd]])
+    return lin, lambda v: -np.fft.fft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2)))
+
+
+class TestHalfSpectrumSweep:
+    """The solvers sweep on the N/2 + 1 real-FFT modes; these checks hold
+    them against the full-spectrum loop written out above."""
+
+    @pytest.mark.parametrize("speed", [1.05 * P.c0, 3.3], ids=["c1.05c0", "c3.3"])
+    @pytest.mark.parametrize("nodes", [256, 1024, 2048])
+    @pytest.mark.parametrize("model", ["whitham", "boussinesq"])
+    def test_matches_full_spectrum_loop(self, model, nodes, speed):
+        grid = Grid(max(suggested_domain_length(speed, P), 100.0), nodes)
+        z = kdv_soliton(speed, P, grid).profile_zeta.values
+        if model == "whitham":
+            sol = petviashvili_solve("whitham", speed, P, grid)
+            guess, got = z[None], sol.profile_zeta.values[None]
+        else:
+            sol = boussinesq_solitary_solve(GOOD, speed, P, grid)
+            guess = np.stack((z, speed * z / (P.H + z)))
+            got = np.stack((sol.profile_zeta.values, sol.profile_u.values))
+        iterates, sweeps = full_fft_petviashvili(*reference_operator(model, speed, grid), guess)
+        assert abs(sol.iterations - sweeps) <= 1
+        # the same number of sweeps from the same guess agrees to round-off
+        want = iterates[sol.iterations - 1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want[0]))
+
+    @pytest.mark.parametrize("nodes", [4, 6, 64, 1024])
+    def test_half_dot_equals_full_vdot(self, nodes):
+        rng = np.random.default_rng(nodes)
+        a, b = rng.standard_normal((2, 2, nodes))
+        for x, y in ((a, b), (a, a), (b[:1], a[:1])):
+            full = np.real(np.vdot(np.fft.fft(x), np.fft.fft(y)))
+            half = _half_dot(np.fft.rfft(x), np.fft.rfft(y))
+            assert abs(half - full) <= 1e-13 * abs(full)
+
+    def test_boussinesq_off_centre_iterate_is_centred(self):
+        # The first sweep rolls the iterate and turns the phase of its modes.
+        # A translate of the solution is a fixed point, so M stays 1 while the
+        # modes the next sweep reads match the rolled nodes.
+        grid = Grid(suggested_domain_length(3.3, P), 1024)
+        sol = boussinesq_solitary_solve(GOOD, 3.3, P, grid)
+        state = np.stack((sol.profile_zeta.values, sol.profile_u.values))
+        lin, term_hat = _boussinesq_operator(GOOD, 3.3, P, grid)
+        v, sweeps, residual, history = _petviashvili(
+            lin, term_hat, np.roll(state, -37, axis=-1), 1e-12, 500)
+        assert int(np.argmax(v[0])) == grid.nodes[0] // 2
+        assert np.max(np.abs(v - state)) < 1e-10
+        assert residual < 1e-10 and sweeps > 1
+        assert max(abs(m - 1.0) for m in history) < 1e-9
+
+    @pytest.mark.parametrize("shift", [0, 5, -200])
+    def test_centring_keeps_nodes_and_modes_together(self, shift):
+        grid = Grid(100.0, 256)
+        x = grid.axis_coordinates(0)
+        bump = np.exp(-((x - 0.1 * shift) ** 2)) + 0.1 * np.exp(-((x - 0.1 * shift - 3.0) ** 2))
+        modes = np.fft.rfft(np.stack((bump, 0.5 * bump**2)))
+        v, v_hat = _symmetrize_centered(modes, grid.nodes[0])
+        assert int(np.argmax(v[0])) == grid.nodes[0] // 2
+        assert np.array_equal(v[:, 1:], v[:, :0:-1])  # even about x = 0
+        assert np.max(np.abs(np.fft.rfft(v) - v_hat)) < 1e-13 * np.max(np.abs(v_hat))
+
+
+class TestSolverArguments:
+    GRID = Grid(200.0, 256)
+
+    @pytest.mark.parametrize("solve", [
+        lambda **kw: petviashvili_solve("whitham", 1.05 * P.c0, P, TestSolverArguments.GRID, **kw),
+        lambda **kw: petviashvili_continuation("whitham", 1.1 * P.c0, P,
+                                               TestSolverArguments.GRID, **kw),
+        lambda **kw: boussinesq_solitary_solve(GOOD, 1.05 * P.c0, P, TestSolverArguments.GRID,
+                                               **kw),
+    ], ids=["petviashvili_solve", "petviashvili_continuation", "boussinesq_solitary_solve"])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": 0.0}, "tol"),
+    ], ids=["max_iter_0", "tol_nan", "tol_inf", "tol_0"])
+    def test_bad_iteration_arguments_rejected(self, solve, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            solve(**kwargs)
+
+    def test_continuation_needs_a_step(self):
+        with pytest.raises(ValueError, match="^steps must be"):
+            petviashvili_continuation("whitham", 1.1 * P.c0, P, self.GRID, steps=0)
