@@ -1,0 +1,121 @@
+"""Independent tasks computed in order, some of them in forked children.
+
+``in_order(fn, items, workers, task)`` yields fn(item) for each item in
+order.  Before an item is needed, the next ``workers - 1`` items are
+started in forked children, which share this process's memory
+copy-on-write and send their result back pickled through a pipe; the item
+itself is then read from its child or, if no child has it, computed in this
+process.  The snapshot writer and the scalar step refinement both run
+through it, with ``worker_count`` deciding how many processes to use.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import threading
+import warnings
+
+from .errors import WavemodelsError
+
+MAX_WORKERS = 4  # processes that one call keeps busy
+
+
+def worker_count(tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks: one per core, up to
+    MAX_WORKERS and the task count.  Forking is safe only without other
+    Python threads (numpy's native BLAS threads are never called by a task)
+    and only where fork and sched_getaffinity exist (Linux); otherwise the
+    tasks run inline, in one process."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), tasks, MAX_WORKERS))
+
+
+def _pickled_error(err: BaseException) -> bytes:
+    try:
+        payload = pickle.dumps((False, err), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)  # some exception types cannot be rebuilt from their args
+        return payload
+    except Exception:
+        return pickle.dumps((False, WavemodelsError(str(err) or repr(err))))
+
+
+def _start(fn, item):
+    """Fork a child that sends the pickled (True, fn(item)), or (False, the
+    exception it raised), down a pipe; return (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that fork in a multi-threaded process may
+        # deadlock.  The only other threads are numpy's BLAS pool, which a
+        # task never calls, and the warning would be an extra stderr line.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        # The child leaves only through os._exit: it runs no atexit handler
+        # or finally clause of its caller and flushes no inherited stdio buffer.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as err:
+                payload = _pickled_error(err)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(pid: int, read_fd: int, task: str):
+    """The result of a child, which is reaped; its exception is re-raised."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise WavemodelsError(f"{task} was killed by signal {-code}")
+    if code != 0 or not payload:
+        raise WavemodelsError(f"{task} exited with status {code}")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
+def in_order(fn, items, workers: int, task):
+    """Yield fn(item) for each of ``items`` in order, on ``workers`` processes.
+
+    This process computes the item it needs next, unless a child already
+    has it; up to workers - 1 later items run ahead in forked children.  A
+    child's exception is re-raised when its item is reached, and a child
+    killed by a signal raises WavemodelsError naming ``task(item)``.  When
+    the generator is closed, or an exception leaves it, the children still
+    running are killed and reaped.  With one worker every item is computed
+    here, only when it is needed.
+    """
+    items = list(items)
+    children = {}  # item index -> (pid, read end of its pipe)
+    try:
+        for j, item in enumerate(items):
+            for ahead in range(j + 1, min(j + workers, len(items))):
+                if ahead not in children:
+                    children[ahead] = _start(fn, items[ahead])
+            if j in children:
+                yield _join(*children.pop(j), task(item))
+            else:
+                yield fn(item)
+    finally:
+        for pid, read_fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)

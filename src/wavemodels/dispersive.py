@@ -18,11 +18,13 @@ nonlinear term constrains the step.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import in_order, worker_count
 from .errors import (
     CavitationError,
     IllPosedError,
@@ -61,6 +63,18 @@ _CONSTRAINT_TOL = 1e-12
 
 # Max-norm agreement of two successive step halvings at which scalar_evolve stops.
 REFINE_TOL = 1e-8
+
+# Node-steps (steps x nodes) of its first run from which scalar_evolve runs
+# its refinement levels concurrently.  Measured on a 2-core Linux machine: a
+# level read from a child costs up to two forks (its own, and the one that
+# starts the next level while it is awaited), each 3-10 ms more than inline
+# (2-3 ms to fork and join, the rest copy-on-write faults and the pickled
+# result).  Overlapping saves at least the first run's time, at >= ~95 ns per
+# node-step (kdv at N = 2048, the cheapest model per node; whitham2 costs
+# ~250 ns).  Covering 2 x 10 ms takes 2.1e5 node-steps; 2^18 = 2.6e5 rounds
+# that up.  A 2048-node, 15 s evolve run (~6e5) forks; the 1024-node, 2 s
+# solitary-wave scenario runs (~2e4) and small test grids do not.
+_FORK_NODE_STEPS = 2**18
 
 
 @dataclass(frozen=True)
@@ -319,18 +333,21 @@ def _scalar_run(state, p, t_end, dt, n_out):
     rfft, irfft = np.fft.rfft, np.fft.irfft
     model = state.model
     lin = -ik * scalar_phase_speed(model, grid.wavenumbers(0)[half], p)
-    sqrt_gH = math.sqrt(p.g * p.H)
+    g, H = p.g, p.H
+    sqrt_gH = math.sqrt(g * H)
+    quadratic = -(3.0 * p.c0 / (4.0 * H)) * ik * mask  # (zeta^2)^ into the kdv/whitham tendency
+    neg_mask = -1.0 * mask  # the whitham2 product into its tendency
 
     def nonlinear_hat(zhat):
         if model == "whitham2":
             z, zx = irfft(np.stack([zhat, ik * zhat]), n)
-            depth = p.H + z
+            depth = H + z
             if float(np.min(depth)) <= 0.0:
                 raise CavitationError("depth H + zeta reached zero")
-            coeff = 3.0 * np.sqrt(p.g * depth) - 3.0 * sqrt_gH
-            return -(mask * rfft(coeff * zx))
+            coeff = 3.0 * np.sqrt(g * depth) - 3.0 * sqrt_gH
+            return neg_mask * rfft(coeff * zx)
         z = irfft(zhat, n)
-        return -(3.0 * p.c0 / (4.0 * p.H)) * ik * (mask * rfft(z * z))
+        return quadratic * rfft(z * z)
 
     def snapshot(zhat, t):
         return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
@@ -356,8 +373,20 @@ def scalar_evolve(
     dt0 = cfl dx / (c0 + 1.5 (c0/H) max|zeta|), as ``integrate_pair``
     does, and the step is halved until two successive runs agree to
     REFINE_TOL in the max norm at the final time; the finer run is
-    returned.  No run takes a step below dt0 2^-14: failing to agree by
-    then raises StepSizeUnderflowError.
+    returned, with ``refinement`` recording the runs consumed and the
+    process count.  No run takes a step below dt0 2^-14: failing to agree
+    by then raises StepSizeUnderflowError.
+
+    The runs, one per level dt = 4 dt0 2^-j, are consumed in that order.
+    When the first run has at least _FORK_NODE_STEPS node-steps
+    (ceil(t_end / 4 dt0) x N; the derivation is at the constant), they are
+    computed on min(cores, levels, 4) processes (``_fork.in_order``): this
+    process computes the level it needs next, unless a child already has
+    it, and up to workers - 1 later levels run ahead in forked children.
+    Once two levels agree, the children still running are killed and
+    reaped.  A level is the same computation wherever it runs, so the
+    returned trajectory, or the exception raised, is bit for bit what
+    the one-process loop gives; only when each level is computed changes.
     """
     ctrl = dt_control or DtControl()
     grid = state.grid
@@ -372,20 +401,28 @@ def scalar_evolve(
 
     zmax = float(np.max(np.abs(state.zeta.values)))
     dt0 = ctrl.cfl * grid.spacing[0] / (p.c0 + 1.5 * (p.c0 / p.H) * zmax)
-    dt = PAIR_STEP_MULTIPLE * dt0
-    dt_min = dt0 * 2.0**-14
-    traj = _scalar_run(state, p, t_end, dt, n_out)
-    while 0.5 * dt >= dt_min:
-        dt *= 0.5
-        finer = _scalar_run(state, p, t_end, dt, n_out)
-        diff = math.inf  # a halted run has no final state to compare
-        if traj.halt is None and finer.halt is None:
-            diff = float(
-                np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
-            )
-        traj = finer
-        if diff < REFINE_TOL:
-            return traj
+    dts = [PAIR_STEP_MULTIPLE * dt0]
+    while 0.5 * dts[-1] >= dt0 * 2.0**-14:
+        dts.append(0.5 * dts[-1])
+    workers = 1
+    if math.ceil(t_end / dts[0]) * grid.nodes[0] >= _FORK_NODE_STEPS:
+        workers = worker_count(len(dts))
+    runs = in_order(lambda dt: _scalar_run(state, p, t_end, dt, n_out), dts, workers,
+                    lambda dt: f"the refinement run at dt = {dt}")
+    levels = []
+    traj = None
+    with contextlib.closing(runs):
+        for dt, finer in zip(dts, runs):
+            diff = None  # a halted run has no final state to compare
+            if traj is not None and traj.halt is None and finer.halt is None:
+                diff = float(
+                    np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
+                )
+            levels.append({"dt": dt, "diff": diff})
+            traj = finer
+            if diff is not None and diff < REFINE_TOL:
+                traj.refinement = {"workers": workers, "levels": levels}
+                return traj
     raise StepSizeUnderflowError(
-        f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dt})"
+        f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dts[-1]})"
     )

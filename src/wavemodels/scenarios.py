@@ -23,9 +23,7 @@ import json
 import math
 import numbers
 import os
-import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -33,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__ as _package_version
+from ._fork import in_order, worker_count
 from .dispersive import (
     AbcdParams,
     BoussinesqState,
@@ -78,7 +77,6 @@ OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
 FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
-_MAX_WRITERS = 4  # processes writing one run's snapshot files
 
 
 class ScenarioError(WavemodelsError, ValueError):
@@ -399,8 +397,8 @@ def _build_initial(sc: Scenario):
 
 def _evolve_series(sc: Scenario):
     """All snapshots of a scenario: (times, per-time column dicts, halt,
-    diagnostics: the solver record and the wall seconds of the build and
-    evolve phases)."""
+    diagnostics: the solver record, the refinement record of a scalar model
+    and the wall seconds of the build and evolve phases)."""
     model = _MODELS[sc.model]
     t0 = time.perf_counter()
     state0, solver = _build_initial(sc)
@@ -413,7 +411,8 @@ def _evolve_series(sc: Scenario):
             raise
     snaps = [{_COLUMNS[f]: getattr(s, f).values for f in model.writes} for s in traj.states]
     phase_seconds = {"build": t1 - t0, "evolve": time.perf_counter() - t1}
-    return traj.times, snaps, traj.halt, {"phase_seconds": phase_seconds, "solver": solver}
+    return traj.times, snaps, traj.halt, {"phase_seconds": phase_seconds, "solver": solver,
+                                          "refinement": traj.refinement}
 
 
 @dataclass
@@ -450,55 +449,6 @@ def write_rows(stream, columns):
     _write_blocks(stream, formats, columns)
 
 
-def _writer_count(n_files: int) -> int:
-    """Processes that write a run's snapshot files: one per core, up to
-    _MAX_WRITERS and the file count.  Forking is safe only without other
-    Python threads (numpy's native BLAS threads are never called by a
-    writer) and only where fork and sched_getaffinity exist (Linux);
-    otherwise the files are written inline."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_files, _MAX_WRITERS))
-
-
-def _fork_writer(write_share, first: int, step: int):
-    """Fork a child that calls write_share(first, step); return (pid, fd of
-    a pipe that carries the child's error message, if any)."""
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that fork in a multi-threaded process may
-        # deadlock.  The only other threads are numpy's BLAS pool, which a
-        # writer never calls, and the warning would be an extra stderr line.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        # The child leaves only through os._exit: it runs no atexit handler,
-        # flushes no inherited stdio buffer and never raises into the caller.
-        status = 1
-        try:
-            write_share(first, step)
-            status = 0
-        except BaseException as err:
-            os.write(write_fd, (str(err) or repr(err)).encode("utf-8", "replace"))
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _join_writer(pid: int, read_fd: int, first_file: Path):
-    """Wait for a writer child; its error message, or None if it succeeded."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        message = pipe.read().decode("utf-8", "replace")
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    if code < 0:
-        return f"the writer of {first_file} was killed by signal {-code}"
-    return message or f"the writer of {first_file} exited with status {code}"
-
-
 def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     """Write one CSV per snapshot; return (paths, number of writer processes).
 
@@ -512,9 +462,10 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     formats = _block_formats(leads, math.prod(grid.shape), len(names))
     header = ",".join(["x_m", "y_m"][: grid.dim] + names) + "\n"
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
+    workers = worker_count(len(paths))
 
-    def write_share(first, step):
-        for path, columns in zip(paths[first::step], snaps[first::step]):
+    def write_share(r):
+        for path, columns in zip(paths[r::workers], snaps[r::workers]):
             try:
                 with open(path, "w", newline="\n") as fh:
                     fh.write(header)
@@ -523,18 +474,7 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err
 
-    workers = _writer_count(len(paths))
-    children = []
-    try:
-        for r in range(1, workers):
-            children.append(_fork_writer(write_share, r, workers))
-        write_share(0, workers)
-    finally:
-        failures = [_join_writer(pid, fd, paths[r])
-                    for r, (pid, fd) in enumerate(children, start=1)]
-    for failure in failures:
-        if failure is not None:
-            raise WavemodelsError(failure)
+    list(in_order(write_share, range(workers), workers, lambda r: f"the writer of {paths[r]}"))
     return paths, workers
 
 

@@ -12,7 +12,13 @@ diagonal and propagate exactly.  Every model starts from one step policy,
 PAIR_STEP_MULTIPLE times its advective CFL step: the pair systems keep
 that step, and ``dispersive.scalar_evolve``, unless ``DtControl.dt`` pins
 the step, halves it from there until two successive runs agree to
-``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.
+``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.  Those
+runs depend only on the initial state, so a refinement whose first run
+has at least 2^18 node-steps computes them concurrently: this process
+computes the level it needs next while forked children compute up to
+min(cores, levels, 4) - 1 later ones, which are killed once two levels
+agree.  Each run is the same computation wherever it runs, so the
+trajectories are bit for bit those of running the levels one after another.
 """
 
 from __future__ import annotations
@@ -67,10 +73,17 @@ class HaltEvent:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an evolution, plus the halt record if the run stopped."""
+    """Snapshots of an evolution, plus the halt record if the run stopped.
+
+    ``refinement`` is set by a refined scalar run: {"workers": processes
+    used, "levels": [{"dt", "diff"}, ...]}, one entry per run consumed, with
+    diff the max-norm gap to the previous run at the final time (None for
+    the first run and wherever either run halted).
+    """
 
     states: list = field(default_factory=list)
     halt: HaltEvent | None = None
+    refinement: dict | None = None
 
     @property
     def times(self):
@@ -137,22 +150,25 @@ def integrate(
         if not dt_raw >= MIN_STEP:
             raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
         m, h = resolve_substeps(t_target - t_now, dt_raw)
-        e_half = np.exp(0.5 * h * factor)
+        half_h, sixth_h = 0.5 * h, h / 6.0
+        e_half = np.exp(half_h * factor)
         e_full = e_half * e_half
         two_e_half = 2.0 * e_half
+        h_e_half = h * e_half
         for _ in range(m):
             try:
                 k1 = rhs(y)
-                k2 = rhs(e_half * (y + 0.5 * h * k1))
-                k3 = rhs(e_half * y + 0.5 * h * k2)
-                k4 = rhs(e_full * y + h * e_half * k3)
+                k2 = rhs(e_half * (y + half_h * k1))
+                k3 = rhs(e_half * y + half_h * k2)
+                e_full_y = e_full * y
+                k4 = rhs(e_full_y + h_e_half * k3)
             except CavitationError as err:
                 traj.halt = HaltEvent("cavitation", t0 + t_now, math.nan, math.nan)
                 raise CavitationError(
                     f"cavitation at t = {t0 + t_now}", partial_trajectory=traj
                 ) from err
             # with L = 0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
-            y = e_full * y + (h / 6.0) * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
+            y = e_full_y + sixth_h * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
             t_now += h
             halt = None if check is None else check(y, t0 + t_now)
             if halt is None:

@@ -1,6 +1,8 @@
 """Tests for the dispersive model family and its well-posedness screen."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from wavemodels import (
     CavitationError,
     DtControl,
     Grid,
+    HaltEvent,
     IllPosedError,
     PhysicalParams,
     ScalarWaveState,
@@ -291,6 +294,144 @@ class TestScalarEvolve:
         reference = run(ScalarWaveState(z0, 0.0, model), P, 1.0, dt0 / 32.0, 1)
         gap = np.max(np.abs(refined.final_state.zeta.values - reference.final_state.zeta.values))
         assert gap < 1e-8
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # every forked level was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedRefinement:
+    """Refinement levels run ahead in forked children above the fork gate;
+    the gate is lowered to 0 here so that small grids fork too."""
+
+    @staticmethod
+    def force_fork(monkeypatch, cores):
+        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+    @staticmethod
+    def steep(model, amplitude=0.2):
+        g = Grid(50.0, 128)
+        z0 = SpectralField.from_function(g, lambda x: amplitude * np.exp(-(x**2)))
+        return ScalarWaveState(z0, 0.0, model)
+
+    @staticmethod
+    def same_states(a, b):
+        assert a.times == b.times and repr(a.halt) == repr(b.halt)  # NaN != NaN
+        for sa, sb in zip(a.states, b.states, strict=True):
+            assert sa.zeta.values.tobytes() == sb.zeta.values.tobytes()
+
+    @pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
+    def test_forked_and_inline_runs_are_bit_identical(self, model, monkeypatch):
+        self.force_fork(monkeypatch, 1)
+        inline = scalar_evolve(self.steep(model), P, 1.0, n_out=3)
+        self.force_fork(monkeypatch, 3)
+        forked = scalar_evolve(self.steep(model), P, 1.0, n_out=3)
+        no_child_left()
+        assert (inline.refinement["workers"], forked.refinement["workers"]) == (1, 3)
+        assert len(forked.refinement["levels"]) >= 3  # levels were read from children
+        assert forked.refinement["levels"] == inline.refinement["levels"]
+        self.same_states(forked, inline)
+
+    def test_a_cavitating_child_reraises_with_its_partial_trajectory(self, monkeypatch):
+        run = dispersive._scalar_run
+        state = self.steep("whitham2", amplitude=-0.9)
+        first = []
+
+        def first_run_halts(state, p, t_end, dt, n_out):
+            # so that the second level, which a child computes, is the one that cavitates
+            if not first or dt == first[0]:
+                first.append(dt)
+                return Trajectory([state], HaltEvent("non_finite", 0.0, math.nan, math.nan))
+            return run(state, p, t_end, dt, n_out)
+
+        monkeypatch.setattr(dispersive, "_scalar_run", first_run_halts)
+        raised = {}
+        for cores in (1, 2):
+            self.force_fork(monkeypatch, cores)
+            with pytest.raises(CavitationError, match="cavitation at t") as info:
+                scalar_evolve(state, P, 3.0, n_out=6)
+            no_child_left()
+            raised[cores] = info.value
+        inline, forked = raised[1], raised[2]
+        assert str(forked) == str(inline)
+        assert forked.partial_trajectory.halt.reason == "cavitation"
+        assert len(forked.partial_trajectory) >= 2
+        self.same_states(forked.partial_trajectory, inline.partial_trajectory)
+
+    def test_the_floor_raises_after_the_same_steps(self, monkeypatch):
+        g = Grid(50.0, 64)
+        state = ScalarWaveState(SpectralField.zeros(g), 0.0, "kdv")
+        dt0 = TestScalarEvolve.cfl_step(g, state.zeta)
+
+        def never_agreeing(state, p, t_end, dt, n_out):
+            # a run ends at the value dt: successive runs differ by dt/2 >> REFINE_TOL
+            return Trajectory([ScalarWaveState(SpectralField(g, np.full(64, dt)), t_end)])
+
+        consumed = {}
+        in_order = dispersive.in_order
+
+        def recording(fn, items, workers, task):
+            for traj in in_order(fn, items, workers, task):
+                consumed.setdefault(workers, []).append(traj.final_state.zeta.values[0])
+                yield traj
+
+        monkeypatch.setattr(dispersive, "_scalar_run", never_agreeing)
+        monkeypatch.setattr(dispersive, "in_order", recording)
+        messages = []
+        for cores in (1, 2, 4):
+            self.force_fork(monkeypatch, cores)
+            with pytest.raises(StepSizeUnderflowError) as info:
+                scalar_evolve(state, P, 1.0)
+            no_child_left()
+            messages.append(str(info.value))
+        assert sorted(consumed) == [1, 2, 4]
+        assert consumed[1] == [4.0 * dt0 * 0.5**j for j in range(17)]
+        assert consumed[2] == consumed[4] == consumed[1]
+        assert messages == [f"step refinement did not reach tolerance 1e-08 "
+                            f"(last dt = {dt0 * 2.0**-14})"] * 3
+
+    def test_a_second_python_thread_runs_inline(self, monkeypatch):
+        self.force_fork(monkeypatch, 4)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            threaded = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        forked = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
+        no_child_left()
+        assert (threaded.refinement["workers"], forked.refinement["workers"]) == (1, 4)
+        self.same_states(threaded, forked)
+
+    def test_runs_below_the_gate_stay_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        traj = scalar_evolve(self.steep("whitham"), P, 1.0, n_out=3)
+        assert traj.refinement["workers"] == 1
+
+    def test_refinement_records_the_levels_consumed(self, monkeypatch):
+        run = dispersive._scalar_run
+        halted = []
+
+        def second_run_halts(state, p, t_end, dt, n_out):
+            traj = run(state, p, t_end, dt, n_out)
+            if len(halted) == 1:  # inline, so the runs come in order
+                traj.halt = HaltEvent("non_finite", t_end, math.nan, math.nan)
+            halted.append(dt)
+            return traj
+
+        monkeypatch.setattr(dispersive, "_scalar_run", second_run_halts)
+        traj = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
+        levels = traj.refinement["levels"]
+        assert [level["dt"] for level in levels] == halted
+        assert levels[0]["diff"] is levels[1]["diff"] is levels[2]["diff"] is None
+        assert all(level["diff"] >= dispersive.REFINE_TOL for level in levels[3:-1])
+        assert levels[-1]["diff"] < dispersive.REFINE_TOL
+        assert scalar_evolve(self.steep("kdv"), P, 1.0, DtControl(dt=0.01)).refinement is None
 
 
 class TestDispersiveShockWave:

@@ -29,7 +29,7 @@ from wavemodels import (
     simple_wave_elevation,
     simple_wave_velocity,
 )
-from wavemodels import scenarios
+from wavemodels import dispersive, scenarios
 from wavemodels.cli import main
 from wavemodels.traveling import solitary_wave
 from wavemodels.scenarios import (
@@ -537,6 +537,59 @@ class TestParallelWrite:
                            match=r"writer of \S*snapshot_0001\.csv was killed by signal 9"):
             run(AIRY_2D, output_dir=tmp_path)
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestRefinementRun:
+    """The manifest's diagnostics.refinement, and forked refinement levels through ``run``."""
+
+    @pytest.mark.parametrize("model, passes", [("kdv", 3), ("whitham", 2)])
+    def test_manifest_records_the_refinement(self, tmp_path, model, passes):
+        # the grid, horizon and Gaussian of the benchmark's evolve runs
+        sc = Scenario(model=model, grid=Grid(200.0, 2048), initial=InitialData(amplitude=0.01),
+                      t_end=15.0, output_stride=10)
+        manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
+        refinement = manifest["diagnostics"]["refinement"]
+        assert set(refinement) == {"workers", "levels"}
+        # its first run, ~300 steps of 2048 nodes, is above the fork gate
+        assert refinement["workers"] == min(len(os.sched_getaffinity(0)), 4)
+        levels = refinement["levels"]
+        assert [set(level) for level in levels] == [{"dt", "diff"}] * passes
+        assert [level["dt"] for level in levels] == [
+            levels[0]["dt"] * 0.5**j for j in range(passes)]
+        assert levels[0]["diff"] is None
+        assert all(level["diff"] >= 1e-8 for level in levels[1:-1])
+        assert levels[-1]["diff"] < 1e-8
+
+    @pytest.mark.parametrize("model", ["airy", "boussinesq"])
+    def test_manifest_refinement_is_null_for_other_models(self, tmp_path, model):
+        sc = Scenario(model=model, grid=Grid(200.0, 256), t_end=1.0, output_stride=1,
+                      abcd=AbcdParams(**GOOD_ABCD) if model == "boussinesq" else None)
+        manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
+        assert manifest["diagnostics"]["refinement"] is None
+
+    def test_a_killed_refinement_run_is_cli_exit_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)  # fork on a small grid
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        scalar_run = dispersive._scalar_run
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scalar_run(*args)
+
+        monkeypatch.setattr(dispersive, "_scalar_run", killed_in_a_child)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model="kdv", t_end=2.0)
+        out = tmp_path / "out"
+        r = cli("run", "--config", str(cfg), "--outdir", str(out))
+        assert r.returncode == 1
+        assert re.fullmatch(r"error: the refinement run at dt = \S+ was killed by signal 9\n",
+                            r.stderr)
+        assert r.stdout == ""
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # the speculative level was reaped too
+            os.waitpid(-1, os.WNOHANG)
 
 
 MATRIX_GRID = Grid(100.0, 256)
