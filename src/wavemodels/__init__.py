@@ -29,11 +29,9 @@ from .errors import (
     WavemodelsError,
 )
 from .hyperbolic import (
-    CharacteristicFan,
     RiemannPair,
     SVState,
     breaking_time,
-    characteristic_fan,
     from_riemann,
     hopf_characteristic_solve,
     simple_wave_elevation,

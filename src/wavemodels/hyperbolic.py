@@ -24,7 +24,6 @@ from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
 __all__ = [
     "SVState",
     "RiemannPair",
-    "CharacteristicFan",
     "sv_eigenvalues",
     "to_riemann",
     "from_riemann",
@@ -32,7 +31,6 @@ __all__ = [
     "simple_wave_elevation",
     "breaking_time",
     "hopf_characteristic_solve",
-    "characteristic_fan",
     "sv_evolve",
 ]
 
@@ -63,15 +61,6 @@ class RiemannPair:
 
     r_plus: SpectralField
     r_minus: SpectralField
-
-
-@dataclass(frozen=True)
-class CharacteristicFan:
-    """Straight-line characteristics of the scalar transport equation."""
-
-    foot_points: np.ndarray
-    speeds: np.ndarray
-    breaking_time: float
 
 
 def sv_eigenvalues(zeta, u, p: PhysicalParams, direction=None) -> np.ndarray:
@@ -163,40 +152,22 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _profile_derivative(u0, grid: Grid | None, u0_prime):
-    """Return (derivative callable, scan points, derivative at those points).
-
-    SpectralField profiles use the spectral derivative: its node values
-    directly, trigonometric interpolation between nodes.  Callables use the
-    supplied ``u0_prime`` or central differences, scanned over the grid
-    extent.
-    """
-    if isinstance(u0, SpectralField):
-        du = derivative(u0, axis=0, order=1)
-        return du.evaluate, u0.grid.axis_coordinates(0), du.values
-    if grid is None:
-        raise ValueError("a grid is required to scan a callable profile")
-    xs = grid.axis_coordinates(0)
-    if u0_prime is not None:
-        dfn = lambda x: np.asarray(u0_prime(np.asarray(x, dtype=float)))
-    else:
-        h = 1e-6 * max(grid.spacing[0], 1.0)
-
-        def dfn(x):
-            x = np.asarray(x, dtype=float)
-            return (np.asarray(u0(x + h)) - np.asarray(u0(x - h))) / (2.0 * h)
-
-    return dfn, xs, np.asarray(dfn(xs), dtype=float)
+def _profile_derivative(u0: SpectralField):
+    """Return (derivative callable, scan points, derivative at those points):
+    the spectral derivative, its node values directly and trigonometric
+    interpolation between nodes."""
+    du = derivative(u0, axis=0, order=1)
+    return du.evaluate, u0.grid.axis_coordinates(0), du.values
 
 
-def breaking_time(u0, grid: Grid | None = None, u0_prime=None) -> float:
+def breaking_time(u0: SpectralField) -> float:
     """First crossing time of the characteristics seeded by u0.
 
     Returns -2 / (3 m) with m = inf u0', or +inf when m >= 0.  The infimum
     is located by a grid scan refined with golden-section minimization;
     ties go to the smallest x.
     """
-    return _crossing_time(*_profile_derivative(u0, grid, u0_prime))
+    return _crossing_time(*_profile_derivative(u0))
 
 
 def _crossing_time(dfn, xs, dvals) -> float:
@@ -208,21 +179,6 @@ def _crossing_time(dfn, xs, dvals) -> float:
     if m >= 0.0:
         return math.inf
     return -2.0 / (3.0 * m)
-
-
-def characteristic_fan(u0, p: PhysicalParams, foot_points, grid: Grid | None = None,
-                       u0_prime=None) -> CharacteristicFan:
-    """Bundle foot points, speeds c0 + (3/2) u0, and the breaking time."""
-    foot_points = np.asarray(foot_points, dtype=float)
-    if isinstance(u0, SpectralField):
-        uvals = u0.evaluate(foot_points)
-    else:
-        uvals = np.asarray(u0(foot_points), dtype=float)
-    return CharacteristicFan(
-        foot_points=foot_points,
-        speeds=p.c0 + 1.5 * uvals,
-        breaking_time=breaking_time(u0, grid=grid, u0_prime=u0_prime),
-    )
 
 
 def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
@@ -267,52 +223,43 @@ def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
 
 
 def hopf_characteristic_solve(
-    u0,
-    p: PhysicalParams,
-    t: float,
-    query_points,
-    grid: Grid | None = None,
-    u0_prime=None,
+    u0: SpectralField, p: PhysicalParams, t: float, query_points
 ) -> np.ndarray:
     """Solve the transport equation d_t u + (c0 + 3u/2) d_x u = 0 exactly.
 
     For each query x the unique foot point x0 with
     x = x0 + (c0 + 1.5 u0(x0)) t is found by safeguarded Newton iteration
     on the monotone foot-point map, to within 1e-10 L, and u(t, x) = u0(x0)
-    is returned.  The map is first sampled densely: for a SpectralField on
-    one period of its interpolant upsampled to at least 4096 nodes (the
-    map gains exactly L per period), for a callable over a window sized by
-    probing its velocity range.  The samples bracket every foot and give
-    the first guesses.
+    is returned.  The map is first sampled densely, on one period of the
+    interpolant of u0 upsampled to at least 4096 nodes (the map gains
+    exactly L per period).  The samples bracket every foot and give the
+    first guesses.
 
     Raises BreakingError when t is at or past the crossing time, or when
     the sampled foot-point map is not increasing.
     """
-    return _hopf_solve(_hopf_profile(u0, grid, u0_prime), p, t, query_points)
+    return _hopf_solve(_hopf_profile(u0), p, t, query_points)
 
 
 @dataclass(frozen=True)
 class _HopfProfile:
     """What the Hopf solve needs of u0 at every time: u0 and its derivative
     as callables, the derivative at the scan points, the crossing time T*,
-    the length scale, and for a SpectralField the samples of one closed
-    period of its upsampled interpolant (None for a callable)."""
+    the period L, and the samples of one closed period of the upsampled
+    interpolant."""
 
     u_fn: Callable
     du_fn: Callable
     du_scan: np.ndarray
     t_star: float
     length_scale: float
-    period: tuple | None
+    period: tuple
 
 
-def _hopf_profile(u0, grid: Grid | None = None, u0_prime=None) -> _HopfProfile:
+def _hopf_profile(u0: SpectralField) -> _HopfProfile:
     """The per-profile work of ``hopf_characteristic_solve``, done once."""
-    du_fn, xs_scan, du_scan = _profile_derivative(u0, grid, u0_prime)
+    du_fn, xs_scan, du_scan = _profile_derivative(u0)
     t_star = _crossing_time(du_fn, xs_scan, du_scan)
-    if not isinstance(u0, SpectralField):
-        u_fn = lambda x: np.asarray(u0(np.asarray(x, dtype=float)), dtype=float)
-        return _HopfProfile(u_fn, du_fn, du_scan, t_star, grid.length[0], None)
     length_scale = u0.grid.length[0]
     fine = u0.upsample(max(4096, u0.grid.nodes[0]))
     # close the period so the wrap-around pair is checked too
@@ -329,37 +276,15 @@ def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
             f"characteristics cross at T* = {prof.t_star}; requested t = {t}"
         )
 
-    u_fn, length_scale = prof.u_fn, prof.length_scale
-    if prof.period is not None:
-        xs, uvals = prof.period
-    else:
-        # Two probe passes so the sampled velocity range covers the feet
-        # even when they sit far behind the queries (non-periodic profiles).
-        lo_q, hi_q = float(np.min(query)), float(np.max(query))
-        pad = max(1e-9 * length_scale, 1e-12)
-        window = (lo_q - p.c0 * t - 2.0 * length_scale, hi_q + length_scale)
-        for _ in range(2):
-            probe = u_fn(np.linspace(window[0], window[1], 4096))
-            smin = p.c0 + 1.5 * float(np.min(probe))
-            smax = p.c0 + 1.5 * float(np.max(probe))
-            lo = query - smax * t - pad
-            hi = query - smin * t + pad
-            window = (
-                min(window[0], float(np.min(lo)) - length_scale),
-                max(window[1], float(np.max(hi)) + length_scale),
-            )
-        xs = np.linspace(float(np.min(lo)), float(np.max(hi)), 4096)
-        uvals = u_fn(xs)
-
+    xs, uvals = prof.period
     phi = xs + (p.c0 + 1.5 * uvals) * t
     if np.any(np.diff(phi) <= 0.0):
         raise BreakingError("foot-point map is not monotone: breaking detected")
-    # phi(x0 + L) = phi(x0) + L on a periodic profile, so every query moves
-    # into the sampled period by whole periods; u at its foot is unchanged.
-    shift = 0.0
-    if prof.period is not None:
-        shift = length_scale * np.floor((query - phi[0]) / length_scale)
-    out = _foot_points(query - shift, xs, phi, u_fn, prof.du_fn, p.c0, t,
+    # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
+    # period by whole periods; u at its foot is unchanged.
+    length_scale = prof.length_scale
+    shift = length_scale * np.floor((query - phi[0]) / length_scale)
+    out = _foot_points(query - shift, xs, phi, prof.u_fn, prof.du_fn, p.c0, t,
                        1e-10 * length_scale)
     return out if np.ndim(query_points) else float(out[0])
 

@@ -18,7 +18,6 @@ adding one row.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -32,6 +31,7 @@ import numpy as np
 
 from . import __version__ as _package_version
 from ._fork import in_order, worker_count
+from ._format import csv_rows, lead_text
 from .dispersive import (
     AbcdParams,
     BoussinesqState,
@@ -423,30 +423,24 @@ class RunResult:
     halt: HaltEvent | None
 
 
-def _block_formats(leads, n_rows: int, n_values: int) -> list[str]:
-    """One %-format per block of _BLOCK_ROWS CSV rows: each row is its lead
-    text, taken in turn from the iterable ``leads``, followed by n_values
-    FLOAT_FORMAT slots."""
-    tail = ",".join([FLOAT_FORMAT] * n_values) + "\n"
-    leads = iter(leads)
-    return ["".join([lead + tail for lead in itertools.islice(leads, _BLOCK_ROWS)])
-            for _ in range(0, n_rows, _BLOCK_ROWS)]
-
-
-def _write_blocks(stream, formats, columns):
-    """Write the rows of equal-length columns through ``_block_formats``,
-    one %-operation per block, so a large table never sits in memory as
-    one string."""
+def _write_blocks(write, axes, columns):
+    """Write the CSV rows of equal-length columns through ``write``, in
+    blocks of _BLOCK_ROWS rows, so a large table never sits in memory as
+    one string.  Each row leads with its node coordinates, in meshgrid
+    ("ij") order, from the ``lead_text`` matrices ``axes`` (none for no
+    lead)."""
     table = np.column_stack(columns)
-    for start, fmt in zip(range(0, len(table), _BLOCK_ROWS), formats):
-        stream.write(fmt % tuple(table[start : start + _BLOCK_ROWS].ravel().tolist()))
+    shape = tuple(len(axis) for axis in axes)
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        nodes = np.unravel_index(np.arange(start, start + len(block)), shape) if axes else ()
+        write(csv_rows(block, [axis[i] for axis, i in zip(axes, nodes)]))
 
 
 def write_rows(stream, columns):
-    """Write equal-length columns as CSV rows of FLOAT_FORMAT fields."""
-    n = len(columns[0])
-    formats = _block_formats(itertools.repeat("", n), n, len(columns))
-    _write_blocks(stream, formats, columns)
+    """Write equal-length columns to a text stream as CSV rows of
+    FLOAT_FORMAT fields."""
+    _write_blocks(lambda data: stream.write(data.decode("ascii")), (), columns)
 
 
 def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
@@ -455,21 +449,19 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     The node coordinates lead every row, in meshgrid ("ij") order; each axis
     is formatted once per run.  With w writers, writer r writes files
     r, r + w, ...: writers 1..w-1 are forked children that share ``snaps``
-    and the row formats copy-on-write, and this process writes share 0.
+    and the coordinate text copy-on-write, and this process writes share 0.
     """
-    axes = [[FLOAT_FORMAT % x for x in grid.axis_coordinates(a).tolist()] for a in range(grid.dim)]
-    leads = (",".join(node) + "," for node in itertools.product(*axes))
-    formats = _block_formats(leads, math.prod(grid.shape), len(names))
-    header = ",".join(["x_m", "y_m"][: grid.dim] + names) + "\n"
+    axes = [lead_text(grid.axis_coordinates(a)) for a in range(grid.dim)]
+    header = (",".join(["x_m", "y_m"][: grid.dim] + names) + "\n").encode("ascii")
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
     workers = worker_count(len(paths))
 
     def write_share(r):
         for path, columns in zip(paths[r::workers], snaps[r::workers]):
             try:
-                with open(path, "w", newline="\n") as fh:
+                with open(path, "wb") as fh:
                     fh.write(header)
-                    _write_blocks(fh, formats, [columns[n].ravel() for n in names])
+                    _write_blocks(fh.write, axes, [columns[n].ravel() for n in names])
             except Exception as err:
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err

@@ -1,0 +1,70 @@
+"""The CSV float formatter against Python's per-value ``b"%.17g" % v``."""
+
+import math
+
+import numpy as np
+import pytest
+
+from wavemodels import _format
+
+POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+EDGES = np.array([
+    0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, math.inf, math.nan,
+    # the E = -5/-4 and 16/17 boundaries of fixed notation
+    9.9999999999999995e-05, 1e-4, 9.9999999999999991e15, 1e16, 1e17, 99999999999999984.0,
+    # a test of N < 10^16 in place of V < 10^16 printed 1e-304 for the second
+    1e-304, 9.9999999999999997e-305,
+    1.0, 0.5, 100.0, 1234.5, 12345678901234567.0, 1.0 / 3.0,
+])
+# m/8 with 18 significant digits: exact decimal ties at the 17th digit,
+# which % rounds half to even (down after an even digit, up after an odd one)
+TIES = np.array([123456789012345.625, 123456789012345.875, 987654321098765.125,
+                 100000000000000.375])
+
+
+def per_value(x) -> bytes:
+    return b"".join(b"%.17g\n" % v for v in np.asarray(x, dtype=float).tolist())
+
+
+def kernel(x) -> bytes:
+    return _format.csv_rows(np.asarray(x, dtype=float).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("values", [
+    EDGES, POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, math.inf), TIES,
+], ids=["edges", "powers_of_ten", "below_powers_of_ten", "above_powers_of_ten", "ties"])
+def test_matches_per_value_format(values):
+    values = np.concatenate([values, -values])
+    assert kernel(values) == per_value(values)
+
+
+def test_ties_take_the_fallback():
+    _, _, fallback = _format._decimal(TIES)
+    assert fallback.tolist() == list(range(TIES.size))
+
+
+def test_exponent_corrections_leave_few_values_to_the_fallback():
+    # below a power of ten log10 often rounds up to it; the correction
+    # settles all of them but 999999999999999.875, a tie at the 17th digit
+    below = np.nextafter(POWERS, 0.0)
+    _, _, fallback = _format._decimal(below)
+    assert below[fallback].tolist() == [999999999999999.875]
+
+
+def test_random_bit_patterns():
+    # a sample of all doubles: every exponent, subnormals, inf and nan
+    values = np.random.default_rng(16).integers(0, 2**64, 150_000,
+                                                dtype=np.uint64).view(np.float64)
+    assert kernel(values) == per_value(values)
+
+
+def test_rows_with_leads_and_columns():
+    rng = np.random.default_rng(3)
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.array([0.0, 2.5e-7, 3e20])
+    block = rng.standard_normal((xs.size * ys.size, 3)) * 10.0 ** rng.integers(-8, 8, (15, 3))
+    i, j = np.unravel_index(np.arange(len(block)), (xs.size, ys.size))
+    out = _format.csv_rows(block, [_format.lead_text(xs)[i], _format.lead_text(ys)[j]])
+    want = b"".join(b"%.17g,%.17g," % (xs[a], ys[b]) + b",".join(b"%.17g" % v for v in row)
+                    + b"\n" for a, b, row in zip(i, j, block.tolist()))
+    assert out == want

@@ -16,7 +16,6 @@ from wavemodels import (
     SpectralField,
     SVState,
     breaking_time,
-    characteristic_fan,
     from_riemann,
     hopf_characteristic_solve,
     simple_wave_elevation,
@@ -99,9 +98,9 @@ class TestBreakingTime:
         assert breaking_time(u0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_nondecreasing_ramp_never_breaks(self):
-        # arctan ramp on the line: u0' = 1/(1+x^2) >= 0 everywhere
+        # a constant profile: u0' = 0 everywhere, so no characteristics cross
         g = Grid(80.0, 512)
-        assert breaking_time(np.arctan, grid=g, u0_prime=lambda x: 1.0 / (1.0 + x**2)) == math.inf
+        assert breaking_time(SpectralField(g, np.full(g.shape, 0.25))) == math.inf
 
     def test_gaussian_bump(self):
         # independent oracle: inf d/dx [0.1 exp(-x^2)] = -0.1 sqrt(2) e^(-1/2)
@@ -192,34 +191,22 @@ class TestHopfCharacteristics:
             hopf_characteristic_solve(u0, P, 0.7, np.array([0.0]))
 
     def test_callable_profile(self):
+        # u0 = 0.1 never breaks, and every characteristic carries 0.1
         g = Grid(2 * np.pi, 256)
-        out = hopf_characteristic_solve(
-            lambda x: np.full_like(x, 0.1), P, 1.0, np.array([0.5]), grid=g
-        )
+        u0 = SpectralField(g, np.full(g.shape, 0.1))
+        assert breaking_time(u0) == math.inf
+        out = hopf_characteristic_solve(u0, P, 1.0, np.array([0.5]))
         assert out[0] == pytest.approx(0.1, abs=1e-10)
 
-    @pytest.mark.parametrize("u0_prime", [None, lambda x: -0.5 * np.cos(x)])
-    def test_callable_profile_matches_spectral_field(self, u0_prime):
+    def test_queries_beyond_one_period(self):
+        # queries over three periods move into the sampled one by whole periods
         g = Grid(2 * np.pi, 256)
         u0 = SpectralField.from_function(g, lambda x: -0.5 * np.sin(x))
         t = 0.5 * breaking_time(u0)
         q = np.linspace(-10.0, 10.0, 301)
-        ref = hopf_characteristic_solve(u0, P, t, q)
-        out = hopf_characteristic_solve(lambda x: -0.5 * np.sin(x), P, t, q,
-                                        grid=g, u0_prime=u0_prime)
-        assert np.max(np.abs(out - ref)) < 1e-12
-
-
-class TestCharacteristicFan:
-    def test_speeds_and_breaking_time(self):
-        g = Grid(2 * np.pi, 256)
-        u0 = SpectralField.from_function(g, lambda x: -0.2 * np.sin(x))
-        feet = np.linspace(-2.0, 2.0, 9)
-        fan = characteristic_fan(u0, P, feet)
-        exact_speeds = P.c0 + 1.5 * (-0.2 * np.sin(feet))
-        assert np.max(np.abs(fan.speeds - exact_speeds)) < 1e-10
-        assert fan.breaking_time == pytest.approx(2.0 / (3.0 * 0.2), rel=1e-10)
-        assert np.allclose(fan.foot_points + fan.speeds, feet + fan.speeds, atol=1e-14)
+        u = hopf_characteristic_solve(u0, P, t, q)
+        residual = u + 0.5 * np.sin(q - (P.c0 + 1.5 * u) * t)
+        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestSVEvolve:

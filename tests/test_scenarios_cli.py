@@ -24,8 +24,10 @@ from wavemodels import (
     WavemodelsError,
     boussinesq_solitary_solve,
     breaking_time,
+    group_velocity,
     kdv_soliton,
     petviashvili_solve,
+    phase_velocity,
     simple_wave_elevation,
     simple_wave_velocity,
 )
@@ -702,6 +704,31 @@ def test_write_rows_matches_per_value_format():
     stream = io.StringIO()
     scenarios.write_rows(stream, [a, b])
     assert stream.getvalue() == "".join("{:.17g},{:.17g}\n".format(x, y) for x, y in zip(a, b))
+
+
+def test_dispersion_table_is_the_per_value_format():
+    # 5000 rows: more than one block; xi from 0 through fixed notation at
+    # every E in [0, 3], cp and cg from c0 down to ~0.1
+    r = cli("dispersion", "--ximax", "1e3", "--samples", "5000")
+    xi = np.linspace(0.0, 1e3, 5000)
+    rows = zip(xi.tolist(), phase_velocity(xi, P).tolist(), group_velocity(xi, P).tolist())
+    assert r.returncode == 0
+    assert r.stdout == "xi_per_m,cp_m_per_s,cg_m_per_s\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row for row in rows)
+
+
+@pytest.mark.parametrize("args", [["--speed", "3.3", "--nodes", "256"],
+                                  ["--speeds", "3.2,3.25,3.3", "--nodes", "256"]],
+                         ids=["profile", "sweep"])
+def test_solitary_table_is_the_per_value_format(args):
+    # the text of each value is what % prints for the value it reads back as
+    r = cli("solitary", "--model", "kdv", *args)
+    assert r.returncode == 0
+    lines = r.stdout.splitlines(keepends=True)
+    assert len(lines) > 1
+    for line in lines[1:]:
+        values = tuple(float(v) for v in line.split(","))
+        assert line == ",".join(["%.17g"] * len(values)) % values + "\n"
 
 
 @pytest.mark.parametrize(
