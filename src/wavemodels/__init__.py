@@ -23,7 +23,6 @@ from .errors import (
     GridMismatchError,
     IllPosedError,
     ResonanceError,
-    RiemannOrderingError,
     SingularSymbolError,
     StepSizeUnderflowError,
     WavemodelsError,
@@ -32,11 +31,9 @@ from .hyperbolic import (
     RiemannPair,
     SVState,
     breaking_time,
-    from_riemann,
     hopf_characteristic_solve,
     simple_wave_elevation,
     simple_wave_velocity,
-    sv_eigenvalues,
     sv_evolve,
     to_riemann,
 )

@@ -6,7 +6,8 @@ started in forked children, which share this process's memory
 copy-on-write and send their result back pickled through a pipe; the item
 itself is then read from its child or, if no child has it, computed in this
 process.  The snapshot writer and the scalar step refinement both run
-through it, with ``worker_count`` deciding how many processes to use.
+through it, with ``worker_count`` deciding how many processes to use: one
+below a work gate that each caller derives from the measured fork cost.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from .errors import WavemodelsError
 MAX_WORKERS = 4  # processes that one call keeps busy
 
 
-def worker_count(tasks: int) -> int:
-    """Processes for ``tasks`` independent tasks: one per core, up to
+def worker_count(tasks: int, work: float, gate: float) -> int:
+    """Processes for ``tasks`` independent tasks that together cost ``work``:
+    one below ``gate``, where forking would cost more than it saves (each
+    caller derives its gate at the constant), otherwise one per core, up to
     MAX_WORKERS and the task count.  Forking is safe only without other
     Python threads (numpy's native BLAS threads are never called by a task)
     and only where fork and sched_getaffinity exist (Linux); otherwise the
     tasks run inline, in one process."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    if (work < gate or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), tasks, MAX_WORKERS))

@@ -404,9 +404,7 @@ def scalar_evolve(
     dts = [PAIR_STEP_MULTIPLE * dt0]
     while 0.5 * dts[-1] >= dt0 * 2.0**-14:
         dts.append(0.5 * dts[-1])
-    workers = 1
-    if math.ceil(t_end / dts[0]) * grid.nodes[0] >= _FORK_NODE_STEPS:
-        workers = worker_count(len(dts))
+    workers = worker_count(len(dts), math.ceil(t_end / dts[0]) * grid.nodes[0], _FORK_NODE_STEPS)
     runs = in_order(lambda dt: _scalar_run(state, p, t_end, dt, n_out), dts, workers,
                     lambda dt: f"the refinement run at dt = {dt}")
     levels = []

@@ -30,10 +30,6 @@ class BreakingError(WavemodelsError, RuntimeError):
     """A wavebreaking time was reached (characteristics cross)."""
 
 
-class RiemannOrderingError(WavemodelsError, ValueError):
-    """r_plus <= r_minus at some node: no water state corresponds."""
-
-
 class SingularSymbolError(WavemodelsError, ValueError):
     """A dispersion-relation denominator vanishes at a real wavenumber."""
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BreakingError, CavitationError, ConvergenceError, RiemannOrderingError
+from .errors import BreakingError, CavitationError, ConvergenceError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative
 from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
@@ -24,9 +24,7 @@ from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
 __all__ = [
     "SVState",
     "RiemannPair",
-    "sv_eigenvalues",
     "to_riemann",
-    "from_riemann",
     "simple_wave_velocity",
     "simple_wave_elevation",
     "breaking_time",
@@ -63,29 +61,6 @@ class RiemannPair:
     r_minus: SpectralField
 
 
-def sv_eigenvalues(zeta, u, p: PhysicalParams, direction=None) -> np.ndarray:
-    """Characteristic speeds {u.d, u.d +- sqrt(g h)} at one node.
-
-    ``u`` is a scalar in 1D or a 2-vector in 2D; ``direction`` (2D only)
-    is normalized internally.  Raises CavitationError when h = H + zeta
-    is not positive.
-    """
-    h = p.H + float(zeta)
-    if h <= 0.0:
-        raise CavitationError(f"hyperbolicity lost: depth H + zeta = {h} <= 0")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if direction is None:
-        if u.size != 1:
-            raise ValueError("direction is required for a 2D velocity")
-        u_n = float(u[0])
-    else:
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        u_n = float(np.dot(u, d))
-    s = math.sqrt(p.g * h)
-    return np.array([u_n - s, u_n, u_n + s])
-
-
 def to_riemann(state: SVState, p: PhysicalParams) -> RiemannPair:
     """r_pm = u +- 2 sqrt(g h); requires a non-cavitating state."""
     h = state.depth(p)
@@ -97,22 +72,6 @@ def to_riemann(state: SVState, p: PhysicalParams) -> RiemannPair:
     return RiemannPair(
         r_plus=SpectralField(grid, state.u.values + s),
         r_minus=SpectralField(grid, state.u.values - s),
-    )
-
-
-def from_riemann(r: RiemannPair, p: PhysicalParams, time: float = 0.0) -> SVState:
-    """Invert the Riemann map: u = (r+ + r-)/2, h = (r+ - r-)^2 / (16 g)."""
-    gap = r.r_plus.values - r.r_minus.values
-    bad = gap <= 0.0
-    if np.any(bad):
-        raise RiemannOrderingError(
-            f"r_plus <= r_minus at {int(np.sum(bad))} node(s); no water state exists"
-        )
-    u = 0.5 * (r.r_plus.values + r.r_minus.values)
-    h = gap**2 / (16.0 * p.g)
-    grid = r.r_plus.grid
-    return SVState(
-        zeta=SpectralField(grid, h - p.H), u=SpectralField(grid, u), time=time
     )
 
 

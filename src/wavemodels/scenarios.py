@@ -77,6 +77,17 @@ OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
 FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
+# Field values in the snapshots of a run (files x nodes x columns) from which
+# _write_snapshots forks writers.  Measured on a 2-core Linux machine, median
+# of 9-11 alternating passes: forked writers cost 6-9 ms more than writing
+# inline on runs of 5,120-10,240 values (fork, copy-on-write faults, join),
+# and writing inline costs 0.35-0.55 us per value above ~5e4 values.  Two
+# writers save at most half of that, so forking pays from ~2 x 9 ms / 0.35 us
+# = 5e4 values when the second core is free; with it shared, forking lost
+# 7-13 ms at 9e4 and 1.8e5 values in some rounds and won 8 ms in others.
+# 2^17 = 1.3e5 sits above that: the 1-D benchmark runs (<= 4.5e4 values)
+# write inline, and the 256^2 2-D runs (7.2e5 and 1.4e6) fork, saving 7-40%.
+_FORK_WRITE_VALUES = 2**17
 
 
 class ScenarioError(WavemodelsError, ValueError):
@@ -447,14 +458,18 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     """Write one CSV per snapshot; return (paths, number of writer processes).
 
     The node coordinates lead every row, in meshgrid ("ij") order; each axis
-    is formatted once per run.  With w writers, writer r writes files
-    r, r + w, ...: writers 1..w-1 are forked children that share ``snaps``
-    and the coordinate text copy-on-write, and this process writes share 0.
+    is formatted once per run.  Below _FORK_WRITE_VALUES field values this
+    process writes every file.  From there on there are w = min(cores,
+    files, 4) writers, and writer r writes files r, r + w, ...: writers
+    1..w-1 are forked children that share ``snaps`` and the coordinate text
+    copy-on-write, and this process writes share 0.  The bytes are the same
+    either way.
     """
     axes = [lead_text(grid.axis_coordinates(a)) for a in range(grid.dim)]
     header = (",".join(["x_m", "y_m"][: grid.dim] + names) + "\n").encode("ascii")
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
-    workers = worker_count(len(paths))
+    values = sum(columns[n].size for columns in snaps for n in names)
+    workers = worker_count(len(paths), values, _FORK_WRITE_VALUES)
 
     def write_share(r):
         for path, columns in zip(paths[r::workers], snaps[r::workers]):

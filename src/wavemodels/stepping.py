@@ -207,7 +207,7 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     """
     grid = state.grid
     if grid.dim != 1:
-        raise ValueError("time stepping is 1D only; 2D exposes eigenvalues only")
+        raise ValueError("time stepping is 1D only")
     if float(np.min(depth + state.zeta.values)) <= 0.0:
         raise CavitationError("initial data violates non-cavitation")
     n = grid.nodes[0]
@@ -222,19 +222,30 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     xs = grid.axis_coordinates(0)
 
     last = [None, None]  # the latest (w, fields(w)); w arrays are never modified in place
+    modes = np.empty((3, n // 2 + 1), complex)  # zeta-hat, u-hat, ik u-hat: irfft input
+    products = np.empty((2, n))  # zeta u, u u_x: rfft input
 
     def fields(w):
         """zeta, u and u_x at the nodes."""
         if w is not last[0]:
-            u_hat = (w[0] - w[1]) * half_over_s
-            last[:] = [w, irfft(np.stack([0.5 * (w[0] + w[1]), u_hat, ik * u_hat]), n)]
+            z_hat, u_hat, ux_hat = modes
+            np.multiply(np.subtract(w[0], w[1], out=u_hat), half_over_s, out=u_hat)
+            np.multiply(0.5, np.add(w[0], w[1], out=z_hat), out=z_hat)
+            np.multiply(ik, u_hat, out=ux_hat)
+            last[:] = [w, irfft(modes, n)]
         return last[1]
 
     def rhs(w):
         z, u, ux = fields(w)
-        prod = rfft(np.stack([z * u, u * ux]))
-        nz, nsu = to_zeta * prod[0], to_su * prod[1]
-        return np.stack([nz + nsu, nz - nsu])
+        np.multiply(z, u, out=products[0])
+        np.multiply(u, ux, out=products[1])
+        prod = rfft(products)
+        nz = np.multiply(to_zeta, prod[0], out=prod[0])
+        nsu = np.multiply(to_su, prod[1], out=prod[1])
+        out = np.empty_like(prod)
+        np.add(nz, nsu, out=out[0])
+        np.subtract(nz, nsu, out=out[1])
+        return out
 
     def step(w):
         dt_cfl = ctrl.cfl * dx / max_speed(*fields(w)[:2])

@@ -177,13 +177,13 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
-def _half_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b> over the full spectrum of two real fields of even N, from
-    their N/2 + 1 real-FFT modes (last axis): the interior modes count
-    twice, for their conjugates, and modes 0 and N/2 once."""
-    weights = np.full(a.shape[-1], 2.0)
+def _half_weights(modes: int) -> np.ndarray:
+    """Weights that make Re <a * weights, b> over N/2 + 1 real-FFT modes the
+    full-spectrum inner product of two real fields of even N: the interior
+    modes count twice, for their conjugates, and modes 0 and N/2 once."""
+    weights = np.full(modes, 2.0)
     weights[[0, -1]] = 1.0
-    return float(np.vdot(a * weights, b).real)
+    return weights
 
 
 def _symmetrize_centered(v_hat: np.ndarray, n: int):
@@ -201,7 +201,7 @@ def _symmetrize_centered(v_hat: np.ndarray, n: int):
         v = np.roll(v, shift, axis=-1)
         v_hat = v_hat * np.exp(-2j * np.pi * shift / n * np.arange(v_hat.shape[-1]))
     v[:, 1:] = 0.5 * (v[:, 1:] + v[:, :0:-1])
-    return v, v_hat.real
+    return v, np.ascontiguousarray(v_hat.real)
 
 
 def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter: int):
@@ -212,13 +212,16 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
     quadratic term N(v), shape (m, N/2 + 1).  Iterates
     v <- M^2 L^{-1} N(v) with the stabilizing factor
     M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>; the exponent 2 is the
-    standard optimal choice for a quadratic term.  The inner products are
-    ``_half_dot``, equal to the full-spectrum ones, and L^{-1} = adj L / det L
-    is formed once, mode by mode.
+    standard optimal choice for a quadratic term.  The inner products weight
+    the half spectrum with ``_half_weights``, which makes them equal to the
+    full-spectrum ones.  The weights and L^{-1} = adj L / det L are formed
+    once per solve, mode by mode; a scalar symbol (m = 1) is applied as a
+    plain product, a 2x2 one through einsum.
 
-    A sweep carries the modes v_hat of the iterate with its node values and
-    makes two half-size transforms: the rfft of N(v) and the irfft of the
-    new modes.  The first sweep takes the rfft of the guess.  Every new
+    A sweep carries the contiguous modes v_hat of the iterate with its node
+    values, weights v_hat once for both inner products, and makes two
+    half-size transforms: the rfft of N(v) and the irfft of the new modes.
+    The first sweep takes the rfft of the guess.  Every new
     iterate is centered on the maximum of its first component and averaged
     with its even reflection (``_symmetrize_centered``), which pins the
     translation mode.  Stops when the sup-norm update at the nodes falls
@@ -228,31 +231,35 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
     """
     if v.shape[0] == 1:
         det, adj = lin[0, 0], np.ones((1, 1, 1))
+        apply = lambda symbol, x: symbol[0] * x
     else:
         det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
         adj = np.array([[lin[1, 1], -lin[0, 1]], [-lin[1, 0], lin[0, 0]]])
+        apply = lambda symbol, x: np.einsum("ijk,jk->ik", symbol, x)
     if np.any(det == 0.0):
         raise ResonanceError("steady linear symbol is singular at a grid wavenumber")
     inverse = adj / det
 
     n = v.shape[-1]
+    weights = _half_weights(n // 2 + 1)
     v_hat = np.fft.rfft(v)
     m_history = []
     for it in range(1, max_iter + 1):
         n_hat = term_hat(v)
-        denom = _half_dot(v_hat, n_hat)
-        numer = _half_dot(v_hat, np.einsum("ijk,jk->ik", lin, v_hat))
+        weighted = v_hat * weights
+        denom = float(np.vdot(weighted, n_hat).real)
+        numer = float(np.vdot(weighted, apply(lin, v_hat)).real)
         if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(numer):
             raise ConvergenceError(
                 f"normalization factor broke down at iteration {it}", m_history
             )
         m_factor = numer / denom
         m_history.append(m_factor)
-        v_new, v_hat = _symmetrize_centered(
-            np.einsum("ijk,jk->ik", inverse, m_factor**2 * n_hat), n)
-        delta = float(np.max(np.abs(v_new - v)))
+        v_new, v_hat = _symmetrize_centered(apply(inverse, m_factor**2 * n_hat), n)
+        update = v_new - v
+        delta = float(np.abs(update, out=update).max())
         v = v_new
-        if not np.isfinite(delta) or float(np.max(np.abs(v))) > 1e6:
+        if not np.isfinite(delta) or float(np.abs(v).max()) > 1e6:
             raise ConvergenceError(f"iteration diverged at step {it}", m_history)
         if delta < tol:
             return v, it, float(np.max(np.abs(_residual(lin, term_hat, v)))), m_history

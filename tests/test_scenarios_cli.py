@@ -184,7 +184,10 @@ class TestRun:
         assert sum(phases.values()) <= manifest["timing_seconds"]
         workers = manifest["diagnostics"]["write_workers"]
         assert type(workers) is int
-        assert workers == min(len(os.sched_getaffinity(0)), len(manifest["snapshot_files"]), 4)
+        files = len(manifest["snapshot_files"])
+        values = files * 256 * len(scenarios._MODELS[model].writes)
+        forked = min(len(os.sched_getaffinity(0)), files, 4)
+        assert workers == (1 if values < scenarios._FORK_WRITE_VALUES else forked)
 
     @pytest.mark.parametrize("model", ["kdv", "whitham", "boussinesq"])
     def test_manifest_records_traveling_wave_solver(self, tmp_path, model):
@@ -443,10 +446,17 @@ class TestRun:
 
 # five snapshot files of 32 x 32 rows
 AIRY_2D = Scenario(model="airy", dim=2, grid=Grid(50.0, 32, dim=2), t_end=2.0, output_stride=4)
+WRITE_GATE = scenarios._FORK_WRITE_VALUES
 
 
 class TestParallelWrite:
-    """Snapshot files are split over min(cores, files, 4) writer processes."""
+    """Snapshot files are split over min(cores, files, 4) writer processes
+    from _FORK_WRITE_VALUES field values on; the gate is lowered to 0 here so
+    that the small AIRY_2D run forks too."""
+
+    @pytest.fixture(autouse=True)
+    def open_gate(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_FORK_WRITE_VALUES", 0)
 
     @staticmethod
     def cores(monkeypatch, n):
@@ -466,6 +476,16 @@ class TestParallelWrite:
         assert (inline_workers, forked_workers) == (1, 4)
         assert len(inline) == 5
         assert forked == inline
+
+    def test_a_run_below_the_gate_writes_inline(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 2)
+        forked_workers, forked = self.written(run(AIRY_2D, output_dir=tmp_path / "forked"))
+        monkeypatch.setattr(scenarios, "_FORK_WRITE_VALUES", WRITE_GATE)
+        assert 5 * 32**2 < WRITE_GATE  # AIRY_2D: 5 files of 32^2 zeta values
+        inline_workers, inline = self.written(run(AIRY_2D, output_dir=tmp_path / "inline"))
+        assert (forked_workers, inline_workers) == (2, 1)
+        assert len(inline) == 5
+        assert inline == forked
 
     def test_a_second_python_thread_writes_inline(self, tmp_path, monkeypatch):
         import threading
