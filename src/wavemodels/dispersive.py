@@ -61,6 +61,9 @@ SCALAR_MODELS = ("kdv", "whitham", "whitham2")
 
 _CONSTRAINT_TOL = 1e-12
 
+# classify_abcd scans _SCAN_SAMPLES geometric steps of mu = H k over _SCAN_MU.
+_SCAN_MU, _SCAN_SAMPLES = (1e-3, 1e3), 4001
+
 # Max-norm agreement of two successive step halvings at which scalar_evolve stops.
 REFINE_TOL = 1e-8
 
@@ -171,22 +174,14 @@ def _asymptotic_sign(params: AbcdParams) -> float:
     return math.copysign(1.0, num_lead)
 
 
-def classify_abcd(
-    params: AbcdParams,
-    p: PhysicalParams,
-    k_min: float | None = None,
-    k_max: float | None = None,
-    samples: int = 4001,
-) -> WellPosednessVerdict:
+def classify_abcd(params: AbcdParams, p: PhysicalParams) -> WellPosednessVerdict:
     """Screen the parameters with a dense logarithmic modal scan.
 
     Ill-posed verdicts carry the smallest scanned wavenumber with
     omega^2 < 0 as witness (so the witness sits just past the sign
     change), or None when the symbol is singular but nowhere negative.
     """
-    k_lo = (1e-3 / p.H) if k_min is None else k_min
-    k_hi = (1e3 / p.H) if k_max is None else k_max
-    ks = np.geomspace(k_lo, k_hi, samples)
+    ks = np.geomspace(_SCAN_MU[0] / p.H, _SCAN_MU[1] / p.H, _SCAN_SAMPLES)
     w2 = _abcd_omega_squared(ks, params, p)
     finite = np.isfinite(w2)
     w2_min = float(np.min(w2[finite])) if np.any(finite) else math.inf
@@ -273,8 +268,7 @@ def abcd_evolve(
     times the advective CFL step cfl dx / (c0 + 1.5 max|u|).
     """
     _require_evolvable(params, p)
-    k = state.grid.wavenumbers(0)[: state.grid.nodes[0] // 2 + 1]
-    _, beta, s, inv_b, inv_d = _abcd_symbols(k, params, p)
+    _, beta, s, inv_b, inv_d = _abcd_symbols(state.grid.wavenumbers(0), params, p)
     return integrate_pair(state, p.H, t_end, n_out, dt_control or DtControl(),
                           lambda z, u: p.c0 + 1.5 * float(np.max(np.abs(u))),
                           s * beta, s, inv_b, inv_d)
@@ -321,18 +315,17 @@ def scalar_phase_speed(model: str, k, p: PhysicalParams):
 def _scalar_run(state, p, t_end, dt, n_out):
     """One integrating-factor RK4 run of a scalar model at the step dt.
 
-    The state is zeta-hat on the real-FFT half spectrum (N/2 + 1 modes), so
+    The state is zeta-hat on the real-FFT modes of ``SpectralField.hat``, so
     the integrating factor exp(hL) acts on those modes only; whitham2 gets
     zeta and zeta_x from one batched inverse transform.
     """
     grid = state.grid
     n = grid.nodes[0]
-    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
-    ik = grid.ik[0][half]
-    mask = grid.dealias_mask()[half]
+    ik = grid.ik[0]
+    mask = grid.dealias_mask()
     rfft, irfft = np.fft.rfft, np.fft.irfft
     model = state.model
-    lin = -ik * scalar_phase_speed(model, grid.wavenumbers(0)[half], p)
+    lin = -ik * scalar_phase_speed(model, grid.wavenumbers(0), p)
     g, H = p.g, p.H
     sqrt_gH = math.sqrt(g * H)
     quadratic = -(3.0 * p.c0 / (4.0 * H)) * ik * mask  # (zeta^2)^ into the kdv/whitham tendency
@@ -352,7 +345,7 @@ def _scalar_run(state, p, t_end, dt, n_out):
     def snapshot(zhat, t):
         return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
 
-    return integrate(rfft(state.zeta.values), state.time, snapshot_times(t_end, n_out),
+    return integrate(state.zeta.hat, state.time, snapshot_times(t_end, n_out),
                      lambda zhat: dt, nonlinear_hat, snapshot, factor=lin)
 
 

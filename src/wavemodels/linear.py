@@ -162,18 +162,14 @@ def acoustic_evolve(
     return SpectralField.from_hat(zeta0.grid, cos_wt * zeta0.hat + sin_over_w * zeta_t0.hat)
 
 
-def _propagator_entries(xi_mag: np.ndarray, p: PhysicalParams, t: float, long_wave: bool):
-    """Entries (m11, m12, m21) of exp(L(xi) t); m22 = m11.
-
-    ``long_wave`` replaces tanh(H|xi|) by H|xi| in the dispersion relation,
-    which reproduces the non-dispersive propagator mode-wise.
-    """
-    w = p.c0 * xi_mag if long_wave else omega(xi_mag, p)
+def _propagator_entries(xi_mag: np.ndarray, p: PhysicalParams, t: float):
+    """Entries (m11, m12, m21) of exp(L(xi) t); m22 = m11."""
+    w = omega(xi_mag, p)
     cos_wt, sin_over_w = mode_propagator(w, t)
     return cos_wt, (w * w / p.g) * sin_over_w, -p.g * sin_over_w
 
 
-def airy_propagator(xi_mag: float, p: PhysicalParams, t: float, long_wave: bool = False) -> np.ndarray:
+def airy_propagator(xi_mag: float, p: PhysicalParams, t: float) -> np.ndarray:
     """The 2x2 mode propagator exp(L(xi) t) acting on (zhat, phat).
 
     [[ cos(wt),        (w/g) sin(wt) ],
@@ -181,16 +177,16 @@ def airy_propagator(xi_mag: float, p: PhysicalParams, t: float, long_wave: bool 
     at xi = 0 the limit [[1, 0], [-g t, 1]].
     """
     arr = np.atleast_1d(np.asarray(xi_mag, dtype=float))
-    m11, m12, m21 = _propagator_entries(arr, p, t, long_wave)
+    m11, m12, m21 = _propagator_entries(arr, p, t)
     return np.array([[m11[0], m12[0]], [m21[0], m11[0]]])
 
 
-def airy_evolve(s: AiryState, p: PhysicalParams, t: float, long_wave: bool = False) -> AiryState:
+def airy_evolve(s: AiryState, p: PhysicalParams, t: float) -> AiryState:
     """Advance an AiryState by t with the exact mode-wise propagator."""
     if t == 0.0:
         return AiryState(s.zeta.copy(), s.psi.copy(), s.time)
     xi = s.grid.wavenumber_magnitude()
-    m11, m12, m21 = _propagator_entries(xi, p, t, long_wave)
+    m11, m12, m21 = _propagator_entries(xi, p, t)
     zhat, phat = s.zeta.hat, s.psi.hat
     new_z = m11 * zhat + m12 * phat
     new_p = m21 * zhat + m11 * phat
@@ -204,15 +200,16 @@ def airy_evolve(s: AiryState, p: PhysicalParams, t: float, long_wave: bool = Fal
 def airy_quadratic_energy(s: AiryState, p: PhysicalParams) -> float:
     """Conserved quadratic form (1/2) sum_k g|zhat|^2 + (omega^2/g)|phat|^2.
 
+    The sum runs over every mode of the full spectrum: over the real-FFT
+    modes of ``SpectralField.hat`` with the grid's ``parseval_weights``.
     Coefficients are weighted by cell_volume/prod(N) so the zeta part matches
     the physical integral g/2 * int zeta^2 dx.
     """
-    w2 = omega(s.grid.wavenumber_magnitude(), p) ** 2
-    n_total = float(np.prod(s.grid.nodes))
-    weight = s.grid.cell_volume / n_total
-    return 0.5 * weight * float(
-        np.sum(p.g * np.abs(s.zeta.hat) ** 2 + (w2 / p.g) * np.abs(s.psi.hat) ** 2)
-    )
+    grid = s.grid
+    w2 = omega(grid.wavenumber_magnitude(), p) ** 2
+    density = p.g * np.abs(s.zeta.hat) ** 2 + (w2 / p.g) * np.abs(s.psi.hat) ** 2
+    weight = grid.cell_volume / float(np.prod(grid.nodes))
+    return 0.5 * weight * float(np.sum(grid.parseval_weights * density))
 
 
 @dataclass(frozen=True)

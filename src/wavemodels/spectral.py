@@ -1,11 +1,13 @@
 """Periodic grids, Fourier transforms, grid symbols, and spectral derivatives.
 
 Everything downstream (propagators, time steppers, traveling-wave solvers)
-is built on the symbols a ``Grid`` caches: signed wavenumbers, i*k with the
-Nyquist mode zeroed, |xi|^2, |xi|, and the 2/3-rule dealiasing mask.  Grids
-are uniform and periodic, with nodes x_j = -L/2 + j*dx so that x = 0 is the
-grid point N/2 and the wavenumbers form the standard symmetric set
-{2*pi*k/L : k = -N/2 .. N/2-1}.
+is built on the symbols a ``Grid`` caches: wavenumbers, i*k with the Nyquist
+mode zeroed, |xi|^2, |xi|, the 2/3-rule dealiasing mask and the Parseval
+weights.  Grids are uniform and periodic, with nodes x_j = -L/2 + j*dx so
+that x = 0 is the grid point N/2.  Fields are real, so every spectrum and
+symbol has the real-FFT (``rfftn``) layout, which only this module knows:
+wavenumbers 2*pi*k/L with k = 0 .. N/2 on the last axis and
+k = 0 .. N/2-1, -N/2 .. -1 on the others.
 """
 
 from __future__ import annotations
@@ -98,24 +100,30 @@ class Grid:
     # Spectral symbols, built once per grid and shared read-only by every
     # operator on it.
 
+    def _frequencies(self, axis: int, d: float) -> np.ndarray:
+        """rfftfreq on the last axis and fftfreq on the others, sample spacing d."""
+        freq = np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+        return freq(self.nodes[axis], d=d)
+
     @cached_property
     def _axis_wavenumbers(self) -> tuple[np.ndarray, ...]:
         return tuple(
-            _read_only(2.0 * np.pi * np.fft.fftfreq(n, d=L / n))
-            for L, n in zip(self.length, self.nodes)
+            _read_only(2.0 * np.pi * self._frequencies(a, L / n))
+            for a, (L, n) in enumerate(zip(self.length, self.nodes))
         )
 
     def wavenumbers(self, axis: int = 0) -> np.ndarray:
-        """Signed wavenumbers 2*pi*k/L along one axis, FFT ordering."""
+        """Wavenumbers 2*pi*k/L along one axis on the rfftn layout:
+        k = 0 .. N/2 on the last axis, k = 0 .. N/2-1, -N/2 .. -1 on the others."""
         return self._axis_wavenumbers[axis]
 
     def wavenumber_mesh(self) -> tuple[np.ndarray, ...]:
-        """Per-axis wavenumber arrays broadcast to the grid shape."""
+        """Per-axis wavenumber arrays broadcast to the shape of a spectrum."""
         return tuple(np.meshgrid(*self._axis_wavenumbers, indexing="ij"))
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """Symbols i*xi_a of d/dx_a, stacked over axes: shape (dim, *shape).
+        """Symbols i*xi_a of d/dx_a, stacked over axes: shape (dim, *spectrum shape).
 
         The Nyquist mode of each axis is zeroed (real-output convention for
         odd derivatives).
@@ -140,18 +148,22 @@ class Grid:
 
     @cached_property
     def _dealias_mask(self) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        for a, n in enumerate(self.nodes):
-            modes = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-            keep = np.abs(modes) <= n // 3
-            shape = [1] * self.dim
-            shape[a] = n
-            mask &= keep.reshape(shape)
-        return _read_only(mask)
+        keep = [np.abs(self._frequencies(a, 1.0 / n)) <= n // 3  # integer mode numbers
+                for a, n in enumerate(self.nodes)]
+        return _read_only(np.logical_and.reduce(np.meshgrid(*keep, indexing="ij")))
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep integer modes |k| <= floor(N/3) per axis."""
         return self._dealias_mask
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Weights along the last axis that make sum(weights * conj(a_hat) * b_hat).real
+        the full-spectrum inner product of two real fields: the interior columns
+        count twice, for their conjugates, and columns 0 and N/2 once."""
+        weights = np.full(self.nodes[-1] // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        return _read_only(weights)
 
     @property
     def cell_volume(self) -> float:
@@ -164,8 +176,9 @@ class Grid:
 class SpectralField:
     """Real field sampled on a periodic grid, with a Fourier-coefficient view.
 
-    ``values`` is the physical-space array; ``hat`` returns the (cached)
-    full complex DFT.  Every operation returns a new field; nothing mutates.
+    ``values`` is the physical-space array; ``hat`` returns its (cached)
+    ``rfftn`` on the layout of the grid symbols, and ``from_hat`` inverts
+    it.  Every operation returns a new field; nothing mutates.
     """
 
     __slots__ = ("grid", "values", "_hat", "_modes")
@@ -187,7 +200,7 @@ class SpectralField:
 
     @classmethod
     def from_hat(cls, grid: Grid, hat: np.ndarray) -> "SpectralField":
-        return cls(grid, np.fft.ifftn(hat).real)
+        return cls(grid, np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.dim))))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
@@ -196,7 +209,7 @@ class SpectralField:
     @property
     def hat(self) -> np.ndarray:
         if self._hat is None:
-            self._hat = np.fft.fftn(self.values)
+            self._hat = _read_only(np.fft.rfftn(self.values))
         return self._hat
 
     def evaluate(self, points) -> np.ndarray:
@@ -219,9 +232,7 @@ class SpectralField:
         points = np.atleast_1d(np.asarray(points, dtype=float))
         L = self.grid.length[0]
         if self._modes is None:
-            n = self.grid.nodes[0]
-            coef = np.fft.rfft(self.values) / n
-            coef[1 : n // 2] *= 2.0
+            coef = self.hat * self.grid.parseval_weights / self.grid.nodes[0]
             width = math.isqrt(coef.size - 1) + 1  # ceil(sqrt(K))
             padded = np.pad(coef, (0, -coef.size % width))
             self._modes = padded.reshape(-1, width).T  # [k0, k1] = c_{k1 B + k0}
@@ -250,7 +261,7 @@ class SpectralField:
         if nodes < n:
             raise ValueError(f"cannot upsample {n} nodes to {nodes}")
         padded = np.zeros(nodes // 2 + 1, dtype=complex)
-        padded[: n // 2 + 1] = np.fft.rfft(self.values)
+        padded[: n // 2 + 1] = self.hat
         if nodes > n:
             padded[n // 2] *= 0.5
         fine = np.fft.irfft(padded, nodes) * (nodes / n)
@@ -277,7 +288,5 @@ def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField
     if order % 2 == 1:
         factor = grid.ik[axis] ** order
     else:
-        shape = [1] * grid.dim
-        shape[axis] = grid.nodes[axis]
-        factor = (-grid.wavenumbers(axis) ** 2).reshape(shape) ** (order // 2)
+        factor = (-grid.wavenumber_mesh()[axis] ** 2) ** (order // 2)
     return SpectralField.from_hat(grid, factor * f.hat)

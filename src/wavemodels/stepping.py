@@ -4,8 +4,9 @@
 Kassam & Trefethen (2005, SIAM J. Sci. Comput. 26) for a diagonal linear
 symbol L; with L = 0 the scheme is classical RK4.  Models supply only the
 stage right-hand side N, a step bound and a halt test.  Every 1-D model
-keeps its spectra on the real-FFT half spectrum (N/2 + 1 modes), so
-exp(hL) is applied to N/2 + 1 entries.  The scalar models step zeta-hat.
+keeps its spectra on the layout of ``SpectralField.hat`` and the grid
+symbols, the N/2 + 1 real-FFT modes, so exp(hL) is applied to N/2 + 1
+entries.  The scalar models step zeta-hat.
 Saint-Venant and abcd step the characteristic pair w+- = zeta-hat +- s
 u-hat through ``integrate_pair``, in which their linear waves are
 diagonal and propagate exactly.  Every model starts from one step policy,
@@ -211,9 +212,8 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     if float(np.min(depth + state.zeta.values)) <= 0.0:
         raise CavitationError("initial data violates non-cavitation")
     n = grid.nodes[0]
-    half = slice(0, n // 2 + 1)  # the symbols are even in k or zero at Nyquist
-    ik = grid.ik[0][half]
-    mask = grid.dealias_mask()[half]
+    ik = grid.ik[0]
+    mask = grid.dealias_mask()
     rfft, irfft = np.fft.rfft, np.fft.irfft
     half_over_s = 0.5 / scale
     to_zeta = -ik * inv_b * mask  # (zeta u)^ into the zeta-hat tendency
@@ -222,7 +222,7 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     xs = grid.axis_coordinates(0)
 
     last = [None, None]  # the latest (w, fields(w)); w arrays are never modified in place
-    modes = np.empty((3, n // 2 + 1), complex)  # zeta-hat, u-hat, ik u-hat: irfft input
+    modes = np.empty((3, ik.size), complex)  # zeta-hat, u-hat, ik u-hat: irfft input
     products = np.empty((2, n))  # zeta u, u u_x: rfft input
 
     def fields(w):
@@ -273,7 +273,7 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
         z, u, _ = fields(w)
         return type(state)(SpectralField(grid, z), SpectralField(grid, u), t)
 
-    z_hat, u_hat = rfft(np.stack([state.zeta.values, state.u.values]))
+    z_hat, u_hat = state.zeta.hat, state.u.hat
     lin = ik * phase_speed
     return integrate(np.stack([z_hat + scale * u_hat, z_hat - scale * u_hat]), state.time,
                      snapshot_times(t_end, n_out), step, rhs, snapshot,

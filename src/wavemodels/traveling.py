@@ -6,11 +6,11 @@ systems (zeta, u).
 All profiles live on a periodic grid large enough that the wrap-around
 interaction of the exponential tails sits below the solver tolerance, are
 centered with their maximum at x = 0, and are symmetrized every iteration
-to pin the translation mode.  Every steady symbol is even in k and every
-grid has an even node count, so the operators and the iteration work on
-the N/2 + 1 real-FFT modes: a sweep makes one rfft and one irfft, and the
-inner products of the normalization factor weight the interior modes
-twice and modes 0 and N/2 once.
+to pin the translation mode.  The operators read the grid's symbols, so
+they and the iteration work on the N/2 + 1 real-FFT modes of
+``SpectralField.hat``: a sweep makes one rfft and one irfft, and the
+inner products of the normalization factor take the grid's Parseval
+weights (the interior modes twice, modes 0 and N/2 once).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class TravelingWaveSolution:
         A resolution check: near round-off for a profile the grid resolves,
         order one for one it cannot carry.  0 for the zero profile.
         """
-        coef = np.abs(np.fft.rfft(self.profile_zeta.values))
+        coef = np.abs(self.profile_zeta.hat)
         peak = float(np.max(coef))
         if peak == 0.0:
             return 0.0
@@ -143,7 +143,7 @@ def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalP
 
 def _scalar_operator(model: str, speed: float, p: PhysicalParams, grid: Grid):
     """(L, N) of the once-integrated steady scalar equation L zeta = (3 c0/(4 H)) zeta^2."""
-    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0)[: grid.nodes[0] // 2 + 1], p)
+    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
     nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
     return lin[None, None], lambda v: nl_coeff * np.fft.rfft(v * v)
 
@@ -156,7 +156,7 @@ def _boussinesq_operator(params: AbcdParams, speed: float, p: PhysicalParams, gr
     with mu = H k, and the quadratic term is N = -(zeta u, u^2 / 2), zero
     integration constants (decay gauge).
     """
-    fa, fb, fc, fd = _abcd_factors(grid.wavenumbers(0)[: grid.nodes[0] // 2 + 1], params, p)
+    fa, fb, fc, fd = _abcd_factors(grid.wavenumbers(0), params, p)
     lin = np.array([[-speed * fb, p.H * fa], [p.g * fc, -speed * fd]])
     return lin, lambda v: -np.fft.rfft(np.stack((v[0] * v[1], 0.5 * v[1] ** 2)))
 
@@ -177,15 +177,6 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
-def _half_weights(modes: int) -> np.ndarray:
-    """Weights that make Re <a * weights, b> over N/2 + 1 real-FFT modes the
-    full-spectrum inner product of two real fields of even N: the interior
-    modes count twice, for their conjugates, and modes 0 and N/2 once."""
-    weights = np.full(modes, 2.0)
-    weights[[0, -1]] = 1.0
-    return weights
-
-
 def _symmetrize_centered(v_hat: np.ndarray, n: int):
     """The iterate with real-FFT modes v_hat, every component rolled so the
     maximum of the first sits at node N/2 (x = 0), then averaged with its
@@ -204,7 +195,8 @@ def _symmetrize_centered(v_hat: np.ndarray, n: int):
     return v, np.ascontiguousarray(v_hat.real)
 
 
-def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter: int):
+def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray, tol: float,
+                  max_iter: int):
     """Petviashvili iteration for L v = N(v) on a stacked state v of shape (m, N).
 
     ``lin`` is the linear symbol on the N/2 + 1 real-FFT modes, shape
@@ -213,8 +205,8 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
     v <- M^2 L^{-1} N(v) with the stabilizing factor
     M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>; the exponent 2 is the
     standard optimal choice for a quadratic term.  The inner products weight
-    the half spectrum with ``_half_weights``, which makes them equal to the
-    full-spectrum ones.  The weights and L^{-1} = adj L / det L are formed
+    the modes with ``weights``, the grid's ``parseval_weights``, which makes
+    them equal to the full-spectrum ones.  L^{-1} = adj L / det L is formed
     once per solve, mode by mode; a scalar symbol (m = 1) is applied as a
     plain product, a 2x2 one through einsum.
 
@@ -241,7 +233,6 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, tol: float, max_iter
     inverse = adj / det
 
     n = v.shape[-1]
-    weights = _half_weights(n // 2 + 1)
     v_hat = np.fft.rfft(v)
     m_history = []
     for it in range(1, max_iter + 1):
@@ -300,7 +291,8 @@ def petviashvili_solve(
         z = kdv_soliton(speed, p, grid).profile_zeta.values
     else:
         z = initial_guess.values
-    v, it, res, history = _petviashvili(lin, term_hat, z[None], tol, max_iter)
+    v, it, res, history = _petviashvili(lin, term_hat, z[None], grid.parseval_weights, tol,
+                                        max_iter)
     return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it, history)
 
 
@@ -393,8 +385,8 @@ def boussinesq_solitary_solve(
     lin, term_hat = _boussinesq_operator(params, speed, p, grid)
     guess_z = kdv_soliton(speed, p, grid).profile_zeta.values
     guess_u = speed * guess_z / (p.H + guess_z)
-    v, it, res, history = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)), tol,
-                                        max_iter)
+    v, it, res, history = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)),
+                                        grid.parseval_weights, tol, max_iter)
     return TravelingWaveSolution(
         SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it, history
     )

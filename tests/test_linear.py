@@ -123,14 +123,20 @@ class TestAiryEvolve:
             drift = abs(airy_quadratic_energy(airy_evolve(s, P, t), P) - e0)
             assert drift < 1e-10 * e0
 
-    def test_long_wave_limit_equals_acoustic(self):
-        # replacing tanh(H|xi|) by H|xi| reproduces the non-dispersive flow
-        g = Grid(200.0, 512)
-        z0 = SpectralField.from_function(g, lambda x: 0.01 * np.exp(-(x**2)))
-        s = AiryState(z0, SpectralField.zeros(g))
-        shallow = airy_evolve(s, P, 7.0, long_wave=True)
-        acoustic = acoustic_evolve(z0, SpectralField.zeros(g), P, 7.0)
-        assert np.max(np.abs(shallow.zeta.values - acoustic.values)) < 1e-13
+    @pytest.mark.parametrize("grid", [Grid(200.0, 512), Grid((60.0, 40.0), (64, 32), dim=2)],
+                             ids=["1d", "2d"])
+    def test_quadratic_energy_is_parseval(self, grid):
+        # psi = 0: g/2 int zeta^2 dx; zeta = 0: (1/2g) int psi omega(|D|)^2 psi dx
+        zeta = SpectralField(grid, RNG.standard_normal(grid.shape))
+        psi = SpectralField(grid, RNG.standard_normal(grid.shape))
+        zeros = SpectralField.zeros(grid)
+        want = 0.5 * P.g * np.sum(zeta.values**2) * grid.cell_volume
+        got = airy_quadratic_energy(AiryState(zeta, zeros), P)
+        assert abs(got - want) <= 1e-12 * want
+        w2_psi = SpectralField.from_hat(grid, omega(grid.wavenumber_magnitude(), P) ** 2 * psi.hat)
+        want = 0.5 / P.g * np.sum(psi.values * w2_psi.values) * grid.cell_volume
+        got = airy_quadratic_energy(AiryState(zeros, psi), P)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_wide_gaussian_close_to_acoustic(self):
         g = Grid(200.0, 1024)

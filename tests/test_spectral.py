@@ -22,9 +22,11 @@ class TestGrid:
         assert g.spacing[0] == 200.0 / 1024
 
     def test_wavenumbers_form_symmetric_set(self):
-        g = Grid(2 * np.pi, 16)
-        k = np.sort(g.wavenumbers(0))
-        assert np.allclose(k, np.arange(-8, 8), atol=1e-14)
+        # rfftn layout: k = 0 .. N/2 on the last axis, the symmetric set on the others
+        assert np.allclose(Grid(2 * np.pi, 16).wavenumbers(0), np.arange(9), atol=1e-14)
+        g = Grid(2 * np.pi, (16, 8), dim=2)
+        assert np.allclose(np.sort(g.wavenumbers(0)), np.arange(-8, 8), atol=1e-14)
+        assert np.allclose(g.wavenumbers(1), np.arange(5), atol=1e-14)
 
     def test_coordinates_centered(self):
         g = Grid(10.0, 10)
@@ -44,7 +46,7 @@ class TestGrid:
     def test_2d_per_axis_values(self):
         g = Grid((100.0, 50.0), (64, 32), dim=2)
         assert g.spacing == (100.0 / 64, 50.0 / 32)
-        assert g.wavenumber_magnitude().shape == (64, 32)
+        assert g.wavenumber_magnitude().shape == (64, 17)
 
     @pytest.mark.parametrize("nodes", [16.7, float("nan"), float("inf"), "16", True])
     def test_rejects_non_integral_node_counts(self, nodes):
@@ -71,7 +73,7 @@ class TestGridSymbols:
         expect_x, expect_y = 1j * kx, 1j * ky
         expect_x[16, :] = 0.0
         expect_y[:, 8] = 0.0
-        assert g.ik.shape == (2, 32, 16)
+        assert g.ik.shape == (2, 32, 9)
         assert np.array_equal(g.ik[0], expect_x)
         assert np.array_equal(g.ik[1], expect_y)
 
@@ -84,6 +86,19 @@ class TestGridSymbols:
         kx, ky = g.wavenumber_mesh()
         assert np.array_equal(g.k2, kx**2 + ky**2)
         assert np.array_equal(g.wavenumber_magnitude(), np.sqrt(kx**2 + ky**2))
+
+    def test_2d_symbols_mask_and_spectra_share_the_rfftn_shape(self):
+        g = Grid((2 * np.pi, 4.0), (32, 16), dim=2)
+        f = random_field(g)
+        assert f.hat.shape == (32, 9)
+        for symbol in (g.k2, g.wavenumber_magnitude(), g.dealias_mask()):
+            assert symbol.shape == (32, 9)
+        assert g.parseval_weights.shape == (9,)
+        rows = np.abs(np.fft.fftfreq(32, d=1.0 / 32)) <= 10
+        cols = np.arange(9) <= 5
+        assert np.array_equal(g.dealias_mask(), rows[:, None] & cols[None, :])
+        full = np.fft.fft2(f.values)
+        assert np.max(np.abs(f.hat - full[:, :9])) <= 1e-13 * np.max(np.abs(full))
 
 
 class TestTransformContract:
@@ -98,25 +113,29 @@ class TestTransformContract:
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
     def test_real_field_has_hermitian_coefficients(self):
-        f = random_field(Grid(50.0, 128))
-        hat = f.hat
-        mirrored = np.conj(hat[(-np.arange(128)) % 128])
-        assert np.max(np.abs(hat - mirrored)) <= 1e-10 * np.max(np.abs(hat))
+        # columns 0 and N/2 of the last axis hold their own conjugates
+        f = random_field(Grid(50.0, (64, 128), dim=2))
+        edges = f.hat[:, [0, -1]]
+        mirrored = np.conj(edges[(-np.arange(64)) % 64])
+        assert np.max(np.abs(edges - mirrored)) <= 1e-10 * np.max(np.abs(edges))
 
     def test_parseval(self):
-        g = Grid(200.0, 512)
-        f = random_field(g)
-        physical = np.sum(f.values**2) * g.spacing[0]
-        coeff = np.sum(np.abs(f.hat) ** 2) * g.spacing[0] / g.nodes[0]
-        assert abs(physical - coeff) <= 1e-12 * physical
+        for g in (Grid(200.0, 512), Grid((200.0, 30.0), (64, 32), dim=2)):
+            f = random_field(g)
+            physical = np.sum(f.values**2) * g.cell_volume
+            modes = np.sum(g.parseval_weights * np.abs(f.hat) ** 2)
+            coeff = modes * g.cell_volume / np.prod(g.nodes)
+            assert abs(physical - coeff) <= 1e-12 * physical
 
     def test_coefficients_match_naive_dft(self):
-        # independent transform oracle: O(N^2) direct summation
+        # independent transform oracle: O(N^2) direct summation over k = 0 .. N/2
         g = Grid(7.0, 32)
         f = random_field(g)
         n = g.nodes[0]
         j = np.arange(n)
-        naive = np.array([np.sum(f.values * np.exp(-2j * np.pi * k * j / n)) for k in range(n)])
+        naive = np.array([np.sum(f.values * np.exp(-2j * np.pi * k * j / n))
+                          for k in range(n // 2 + 1)])
+        assert f.hat.shape == naive.shape
         assert np.max(np.abs(f.hat - naive)) < 1e-11 * np.max(np.abs(naive))
 
     def test_evaluate_matches_nodes_and_off_grid(self):
@@ -222,8 +241,7 @@ class TestDealias:
 
     def test_cutoff_boundary(self):
         g = Grid(2 * np.pi, 64)
-        modes = np.fft.fftfreq(64, d=1.0 / 64)
-        assert np.array_equal(g.dealias_mask(), np.abs(modes) <= 21)
+        assert np.array_equal(g.dealias_mask(), np.arange(33) <= 21)
         keep = SpectralField.from_function(g, lambda x: np.cos(21 * x))
         drop = SpectralField.from_function(g, lambda x: np.cos(22 * x))
         assert np.max(np.abs(dealias(keep).values - keep.values)) < 1e-13

@@ -30,7 +30,6 @@ from wavemodels.dispersive import _abcd_factors
 from wavemodels.stepping import DtControl
 from wavemodels.traveling import (
     _boussinesq_operator,
-    _half_weights,
     _petviashvili,
     _steady_linear_symbol,
     _symmetrize_centered,
@@ -78,9 +77,14 @@ def random_even_field(grid, rng, modes=12):
     return SpectralField(grid, sum(a * np.cos(2.0 * np.pi * j * x / L) for j, a in enumerate(amps)))
 
 
+def full_wavenumbers(grid):
+    """2 pi k / L for k = 0 .. N/2-1, -N/2 .. -1: the full complex spectrum."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.nodes[0], d=grid.spacing[0])
+
+
 def translate_spectrally(field, shift):
-    phase = np.exp(-1j * field.grid.wavenumbers(0) * shift)
-    return np.fft.ifft(phase * field.hat).real
+    phase = np.exp(-1j * full_wavenumbers(field.grid) * shift)
+    return np.fft.ifft(phase * np.fft.fft(field.values)).real
 
 
 class TestClosedFormSoliton:
@@ -129,7 +133,7 @@ class TestPetviashvili:
         sol = petviashvili_solve("whitham", 1.05 * P.c0, P, grid, tol=tol)
         z = sol.profile_zeta.values
         zhat = np.fft.fft(z)
-        lin = _steady_linear_symbol("whitham", 1.05 * P.c0, grid.wavenumbers(0), P)
+        lin = _steady_linear_symbol("whitham", 1.05 * P.c0, full_wavenumbers(grid), P)
         n_hat = (3.0 * P.c0 / (4.0 * P.H)) * np.fft.fft(z * z)
         m_factor = np.real(np.vdot(zhat, lin * zhat)) / np.real(np.vdot(zhat, n_hat))
         assert abs(m_factor - 1.0) < 10 * tol
@@ -398,7 +402,7 @@ def full_fft_petviashvili(lin, term_hat, v, tol=1e-12, max_iter=500):
 
 def reference_operator(model, speed, grid):
     """(L, N) on the full spectrum, for ``full_fft_petviashvili``."""
-    k = grid.wavenumbers(0)
+    k = full_wavenumbers(grid)
     if model == "whitham":
         nl = 3.0 * P.c0 / (4.0 * P.H)
         lin = _steady_linear_symbol("whitham", speed, k, P)[None, None]
@@ -435,9 +439,10 @@ class TestHalfSpectrumSweep:
     def test_half_dot_equals_full_vdot(self, nodes):
         rng = np.random.default_rng(nodes)
         a, b = rng.standard_normal((2, 2, nodes))
+        weights = Grid(1.0, nodes).parseval_weights
         for x, y in ((a, b), (a, a), (b[:1], a[:1])):
             full = np.real(np.vdot(np.fft.fft(x), np.fft.fft(y)))
-            half = np.vdot(np.fft.rfft(x) * _half_weights(nodes // 2 + 1), np.fft.rfft(y)).real
+            half = np.vdot(np.fft.rfft(x) * weights, np.fft.rfft(y)).real
             assert abs(half - full) <= 1e-13 * abs(full)
 
     def test_boussinesq_off_centre_iterate_is_centred(self):
@@ -449,7 +454,7 @@ class TestHalfSpectrumSweep:
         state = np.stack((sol.profile_zeta.values, sol.profile_u.values))
         lin, term_hat = _boussinesq_operator(GOOD, 3.3, P, grid)
         v, sweeps, residual, history = _petviashvili(
-            lin, term_hat, np.roll(state, -37, axis=-1), 1e-12, 500)
+            lin, term_hat, np.roll(state, -37, axis=-1), grid.parseval_weights, 1e-12, 500)
         assert int(np.argmax(v[0])) == grid.nodes[0] // 2
         assert np.max(np.abs(v - state)) < 1e-10
         assert residual < 1e-10 and sweeps > 1
