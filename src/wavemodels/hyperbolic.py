@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import BreakingError, CavitationError, ConvergenceError
 from .physics import PhysicalParams
-from .spectral import Grid, SpectralField, derivative
+from .spectral import Grid, SpectralField, derivative, evaluate_fields
 from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
 
 __all__ = [
@@ -111,14 +110,6 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _profile_derivative(u0: SpectralField):
-    """Return (derivative callable, scan points, derivative at those points):
-    the spectral derivative, its node values directly and trigonometric
-    interpolation between nodes."""
-    du = derivative(u0, axis=0, order=1)
-    return du.evaluate, u0.grid.axis_coordinates(0), du.values
-
-
 def breaking_time(u0: SpectralField) -> float:
     """First crossing time of the characteristics seeded by u0.
 
@@ -126,21 +117,24 @@ def breaking_time(u0: SpectralField) -> float:
     is located by a grid scan refined with golden-section minimization;
     ties go to the smallest x.
     """
-    return _crossing_time(*_profile_derivative(u0))
+    return _crossing_time(derivative(u0, axis=0, order=1))
 
 
-def _crossing_time(dfn, xs, dvals) -> float:
+def _crossing_time(du: SpectralField) -> float:
+    """The crossing time from u0' = ``du``: its node values give the scan,
+    and trigonometric interpolation between nodes the refinement."""
+    xs, dvals = du.grid.axis_coordinates(0), du.values
     i = int(np.argmin(dvals))  # first occurrence wins ties
     dx = xs[1] - xs[0]
     xa, xb = xs[i] - dx, xs[i] + dx
-    _, m = _golden_minimize(lambda x: float(dfn(np.array([x]))[0]), xa, xb, 1e-12 * dx)
+    _, m = _golden_minimize(lambda x: float(du.evaluate(x)[0]), xa, xb, 1e-12 * dx)
     m = min(m, float(dvals[i]))
     if m >= 0.0:
         return math.inf
     return -2.0 / (3.0 * m)
 
 
-def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
+def _foot_points(target, xs, phi, u0, du, c0: float, t: float, tol: float):
     """u0(x0) at the feet x0 with x0 + (c0 + 1.5 u0(x0)) t = target.
 
     ``phi`` is the foot-point map sampled at the increasing nodes ``xs``
@@ -150,7 +144,9 @@ def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
     ``rtsafe`` (Numerical Recipes, section 9.4): a step that leaves the
     closed bracket, or fails to halve the previous step, becomes a
     bisection.  Only unconverged points are iterated; a point is done once
-    its step is at most ``tol``.
+    its step is at most ``tol``.  Each sweep evaluates the fields ``u0``
+    and ``du`` = u0' with one ``evaluate_fields`` call, which builds the
+    phase tables of the sweep's points once for both.
     """
     j = np.clip(np.searchsorted(phi, target, side="right") - 1, 0, xs.size - 2)
     lo, hi = xs[j], xs[j + 1]
@@ -160,7 +156,7 @@ def _foot_points(target, xs, phi, u_fn, du_fn, c0: float, t: float, tol: float):
     active = np.arange(x.size)
     for _ in range(100):
         xa = x[active]
-        ua, dua = u_fn(xa), du_fn(xa)
+        ua, dua = evaluate_fields(xa, u0, du)
         f = xa + (c0 + 1.5 * ua) * t - target[active]
         below = f < 0.0
         lo[active] = np.where(below, xa, lo[active])
@@ -202,14 +198,13 @@ def hopf_characteristic_solve(
 
 @dataclass(frozen=True)
 class _HopfProfile:
-    """What the Hopf solve needs of u0 at every time: u0 and its derivative
-    as callables, the derivative at the scan points, the crossing time T*,
-    the period L, and the samples of one closed period of the upsampled
-    interpolant."""
+    """What the Hopf solve needs of u0 at every time: the fields u0 and
+    du = u0' (whose node values are the breaking scan), the crossing time
+    T*, the period L, and the samples of one closed period of the
+    upsampled interpolant."""
 
-    u_fn: Callable
-    du_fn: Callable
-    du_scan: np.ndarray
+    u0: SpectralField
+    du: SpectralField
     t_star: float
     length_scale: float
     period: tuple
@@ -217,14 +212,13 @@ class _HopfProfile:
 
 def _hopf_profile(u0: SpectralField) -> _HopfProfile:
     """The per-profile work of ``hopf_characteristic_solve``, done once."""
-    du_fn, xs_scan, du_scan = _profile_derivative(u0)
-    t_star = _crossing_time(du_fn, xs_scan, du_scan)
+    du = derivative(u0, axis=0, order=1)
     length_scale = u0.grid.length[0]
     fine = u0.upsample(max(4096, u0.grid.nodes[0]))
     # close the period so the wrap-around pair is checked too
     period = (np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale),
               np.append(fine.values, fine.values[0]))
-    return _HopfProfile(u0.evaluate, du_fn, du_scan, t_star, length_scale, period)
+    return _HopfProfile(u0, du, _crossing_time(du), length_scale, period)
 
 
 def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
@@ -243,7 +237,7 @@ def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
     # period by whole periods; u at its foot is unchanged.
     length_scale = prof.length_scale
     shift = length_scale * np.floor((query - phi[0]) / length_scale)
-    out = _foot_points(query - shift, xs, phi, prof.u_fn, prof.du_fn, p.c0, t,
+    out = _foot_points(query - shift, xs, phi, prof.u0, prof.du, p.c0, t,
                        1e-10 * length_scale)
     return out if np.ndim(query_points) else float(out[0])
 

@@ -327,7 +327,7 @@ def _hopf_run(sc: Scenario, state0: SVState) -> Trajectory:
         try:
             u_t = _hopf_solve(prof, p, t, xs) if t > 0 else u0.values
         except BreakingError:  # at or past T*, or a non-monotone foot map
-            j = int(np.argmin(prof.du_scan))
+            j = int(np.argmin(prof.du.values))
             location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * prof.t_star)
             traj.halt = HaltEvent(reason="breaking", time=prof.t_star, location=location,
                                   max_gradient=math.inf, breaking_time_estimate=prof.t_star)

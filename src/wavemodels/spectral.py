@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "SpectralField", "derivative"]
+__all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields"]
 
 
 def _as_tuple(value, dim, cast):
@@ -213,40 +213,24 @@ class SpectralField:
         return self._hat
 
     def evaluate(self, points) -> np.ndarray:
-        """Band-limited evaluation at arbitrary 1D coordinates.
+        """Band-limited evaluation at arbitrary 1D coordinates: the one-field
+        case of ``evaluate_fields``, with the same values bit for bit."""
+        return evaluate_fields(points, self)[0]
 
-        Sums the trigonometric interpolant of the samples over the K = N/2 + 1
-        real-FFT modes: interior modes count twice (for their conjugates)
-        and the Nyquist mode once, as a pure cosine.  The mode numbers are
-        integers, so the sum factors exactly: with theta = 2 pi (x + L/2) / L,
-        B = ceil(sqrt(K)) and k = k1*B + k0, sum_k c_k e^{ik theta} equals
-        sum_k1 e^{i k1 B theta} sum_k0 c_{k1 B + k0} e^{i k0 theta}.
-        M points cost M*(B + ceil(K/B)) complex exponentials, one
-        (M x B)(B x ceil(K/B)) matrix product and a row-wise dot, where the
-        direct sum costs M*K exponentials.  The zero-padded B x ceil(K/B)
-        coefficient block is built on the first call and cached, as ``hat``
-        is: fields do not change.
-        """
-        if self.grid.dim != 1:
-            raise NotImplementedError("off-grid evaluation only supported in 1D")
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        L = self.grid.length[0]
+    def _mode_block(self) -> tuple:
+        """(coefficient block, fine rates, coarse rates) of the mode sum of
+        ``evaluate_fields``, built on the first call and cached, as ``hat``
+        is: fields do not change.  Interior modes count twice (for their
+        conjugates) and the Nyquist mode once, as a pure cosine."""
         if self._modes is None:
             coef = self.hat * self.grid.parseval_weights / self.grid.nodes[0]
             width = math.isqrt(coef.size - 1) + 1  # ceil(sqrt(K))
             padded = np.pad(coef, (0, -coef.size % width))
-            self._modes = padded.reshape(-1, width).T  # [k0, k1] = c_{k1 B + k0}
-        width, rows = self._modes.shape
-        dxi = 2.0 * np.pi / L
-        fine = dxi * np.arange(width)
-        coarse = dxi * (width * np.arange(rows))
-        out = np.empty(points.size)
-        for start in range(0, points.size, 1024):  # cap the phase-matrix sizes
-            shifted = points[start : start + 1024, None] + 0.5 * L
-            inner = np.exp(1j * (shifted * fine)) @ self._modes
-            outer = np.exp(1j * (shifted * coarse))
-            out[start : start + 1024] = np.einsum("mr,mr->m", outer, inner).real
-        return out
+            block = padded.reshape(-1, width).T  # [k0, k1] = c_{k1 B + k0}
+            dxi = 2.0 * np.pi / self.grid.length[0]
+            self._modes = (block, dxi * np.arange(width),
+                           dxi * (width * np.arange(block.shape[1])))
+        return self._modes
 
     def upsample(self, nodes: int) -> "SpectralField":
         """The trigonometric interpolant sampled on ``nodes`` points per period.
@@ -290,3 +274,37 @@ def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField
     else:
         factor = (-grid.wavenumber_mesh()[axis] ** 2) ** (order // 2)
     return SpectralField.from_hat(grid, factor * f.hat)
+
+
+def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
+    """Trigonometric interpolants of 1D fields on one grid, at arbitrary
+    coordinates: row i of the (len(fields), M) result holds field i.
+
+    Each sums over the K = N/2 + 1 real-FFT modes.  The mode numbers are
+    integers, so the sum factors exactly: with theta = 2 pi (x + L/2) / L,
+    B = ceil(sqrt(K)) and k = k1*B + k0, sum_k c_k e^{ik theta} equals
+    sum_k1 e^{i k1 B theta} sum_k0 c_{k1 B + k0} e^{i k0 theta}, over a
+    zero-padded B x ceil(K/B) coefficient block [k0, k1].  M points
+    cost M*(B + ceil(K/B)) complex exponentials, shared by every field,
+    and per field one (M x B)(B x ceil(K/B)) matrix product and a row-wise
+    dot, where the direct sum costs M*K exponentials per field.  Each
+    field's product has the shape it has alone, so its values do not depend
+    on the other fields.
+    """
+    grid = fields[0].grid
+    if grid.dim != 1:
+        raise NotImplementedError("off-grid evaluation only supported in 1D")
+    if not all(f.same_grid(fields[0]) for f in fields):
+        raise ValueError("fields evaluated together must share one grid")
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    blocks = [f._mode_block() for f in fields]
+    _, fine, coarse = blocks[0]
+    out = np.empty((len(fields), points.size))
+    for start in range(0, points.size, 1024):  # cap the phase-matrix sizes
+        shifted = points[start : start + 1024, None] + 0.5 * grid.length[0]
+        fine_phase = np.exp(1j * (shifted * fine))
+        coarse_phase = np.exp(1j * (shifted * coarse))
+        for row, (modes, _, _) in zip(out, blocks):
+            row[start : start + 1024] = np.einsum("mr,mr->m", coarse_phase,
+                                                  fine_phase @ modes).real
+    return out

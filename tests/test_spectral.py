@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wavemodels import Grid, SpectralField, derivative
+from wavemodels.spectral import evaluate_fields
 
 RNG = np.random.default_rng(20260808)
 
@@ -223,6 +224,31 @@ class TestEvaluateAgainstDirectSum:
         for child in (derivative(f), derivative(f, order=2), f.upsample(256)):
             ref, scale = direct_sum(child.values, 7.3, pts)
             assert np.max(np.abs(child.evaluate(pts) - ref)) <= 1e-13 * scale
+
+
+class TestEvaluateFields:
+    """Fields evaluated together share the phase tables and nothing else."""
+
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("nodes", [64, 1024, 2048])
+    @pytest.mark.parametrize("n_fields", [2, 3])
+    def test_each_row_is_the_fields_own_evaluation_bit_for_bit(self, n_fields, nodes, count):
+        # point counts straddle the 1024-point blocks, and the points run
+        # a period past each end of [-L/2, L/2)
+        rng = np.random.default_rng(nodes * 7 + count * 3 + n_fields)
+        g = Grid(7.3, nodes)
+        u = SpectralField(g, rng.standard_normal(nodes))
+        fields = [u, derivative(u), SpectralField(g, rng.standard_normal(nodes))][:n_fields]
+        pts = rng.uniform(-11.0, 11.0, count)
+        together = evaluate_fields(pts, *fields)
+        assert together.shape == (n_fields, count)
+        for row, f in zip(together, fields):
+            assert np.array_equal(row, SpectralField(g, f.values).evaluate(pts))
+        assert np.array_equal(evaluate_fields(pts, *fields[::-1]), together[::-1])
+
+    def test_fields_on_different_grids_are_refused(self):
+        with pytest.raises(ValueError, match="one grid"):
+            evaluate_fields([0.0], random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
 
 
 class TestDealias:
