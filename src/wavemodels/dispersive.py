@@ -40,6 +40,7 @@ from .stepping import (
     Trajectory,
     integrate,
     integrate_pair,
+    resolve_substeps,
     snapshot_times,
 )
 
@@ -67,16 +68,18 @@ _SCAN_MU, _SCAN_SAMPLES = (1e-3, 1e3), 4001
 # Max-norm agreement of two successive step halvings at which scalar_evolve stops.
 REFINE_TOL = 1e-8
 
-# Node-steps (steps x nodes) of its first run from which scalar_evolve runs
-# its refinement levels concurrently.  Measured on a 2-core Linux machine: a
+# Node-steps (steps x nodes) of its 4 dt0 run, whatever level its ladder
+# starts at, from which scalar_evolve runs its refinement levels
+# concurrently.  Measured on a 2-core Linux machine: a
 # level read from a child costs up to two forks (its own, and the one that
 # starts the next level while it is awaited), each 3-10 ms more than inline
 # (2-3 ms to fork and join, the rest copy-on-write faults and the pickled
-# result).  Overlapping saves at least the first run's time, at >= ~95 ns per
-# node-step (kdv at N = 2048, the cheapest model per node; whitham2 costs
-# ~250 ns).  Covering 2 x 10 ms takes 2.1e5 node-steps; 2^18 = 2.6e5 rounds
-# that up.  A 2048-node, 15 s evolve run (~6e5) forks; the 1024-node, 2 s
-# solitary-wave scenario runs (~2e4) and small test grids do not.
+# result).  A ladder that reaches 4 dt0 saves at least that run's time, at
+# >= ~95 ns per node-step (kdv at N = 2048, the cheapest model per node;
+# whitham2 costs ~250 ns).  Covering 2 x 10 ms takes 2.1e5 node-steps;
+# 2^18 = 2.6e5 rounds that up.  A 2048-node, 15 s evolve run (~6e5) forks;
+# the 1024-node, 2 s solitary-wave scenario runs (~2e4) and small test
+# grids do not.
 _FORK_NODE_STEPS = 2**18
 
 
@@ -362,16 +365,20 @@ def scalar_evolve(
     part advanced with four-stage Runge-Kutta on the filtered variable, so
     the step is accuracy-limited, not stiffness-limited.  A pinned ``dt``
     makes one run at that step, with no accuracy check.  Otherwise the
-    first run takes PAIR_STEP_MULTIPLE times the advective CFL step
-    dt0 = cfl dx / (c0 + 1.5 (c0/H) max|zeta|), as ``integrate_pair``
-    does, and the step is halved until two successive runs agree to
-    REFINE_TOL in the max norm at the final time; the finer run is
-    returned, with ``refinement`` recording the runs consumed and the
-    process count.  No run takes a step below dt0 2^-14: failing to agree
-    by then raises StepSizeUnderflowError.
+    step is halved until two successive runs agree to REFINE_TOL in the
+    max norm at the final time; the finer run is returned, with
+    ``refinement`` recording the runs consumed, the process count and the
+    error estimate diff / 15 (RK4's 2^4 - 1).
 
-    The runs, one per level dt = 4 dt0 2^-j, are consumed in that order.
-    When the first run has at least _FORK_NODE_STEPS node-steps
+    The runs, one per level dt = 4 dt0 2^j (dt0 = cfl dx / (c0 + 1.5 (c0/H)
+    max|zeta|), the CFL step of ``integrate_pair``), are consumed from the
+    coarsest one within the output interval I = t_end / n_out, so that no
+    two levels take the same steps, and within max(4 dt0, h_stab):
+    h_stab = 2.8 dx / (pi 1.5 (c0/H) max|zeta|) is RK4's stability step for
+    the nonlinear advection at the Nyquist wavenumber, the linear part being
+    exact.  No run takes a step below dt0 2^-14: failing to agree by then,
+    as with any I below dt0 2^-13, raises StepSizeUnderflowError.
+    When the 4 dt0 run has at least _FORK_NODE_STEPS node-steps
     (ceil(t_end / 4 dt0) x N; the derivation is at the constant), they are
     computed on min(cores, levels, 4) processes (``_fork.in_order``): this
     process computes the level it needs next, unless a child already has
@@ -393,11 +400,16 @@ def scalar_evolve(
         return _scalar_run(state, p, t_end, ctrl.dt, n_out)
 
     zmax = float(np.max(np.abs(state.zeta.values)))
-    dt0 = ctrl.cfl * grid.spacing[0] / (p.c0 + 1.5 * (p.c0 / p.H) * zmax)
-    dts = [PAIR_STEP_MULTIPLE * dt0]
+    dx = grid.spacing[0]
+    dt0 = ctrl.cfl * dx / (p.c0 + 1.5 * (p.c0 / p.H) * zmax)
+    dt4 = PAIR_STEP_MULTIPLE * dt0
+    # RK4's imaginary-axis limit 2.8 at the Nyquist k = pi/dx, for the advection 1.5 (c0/H) zeta
+    h_stab = 2.8 * dx / (math.pi * 1.5 * (p.c0 / p.H) * zmax) if zmax > 0.0 else math.inf
+    interval = snapshot_times(t_end, n_out)[1]  # validates t_end and n_out
+    dts = [dt4 * 2.0 ** math.floor(math.log2(min(interval, max(h_stab, dt4)) / dt4))]
     while 0.5 * dts[-1] >= dt0 * 2.0**-14:
         dts.append(0.5 * dts[-1])
-    workers = worker_count(len(dts), math.ceil(t_end / dts[0]) * grid.nodes[0], _FORK_NODE_STEPS)
+    workers = worker_count(len(dts), math.ceil(t_end / dt4) * grid.nodes[0], _FORK_NODE_STEPS)
     runs = in_order(lambda dt: _scalar_run(state, p, t_end, dt, n_out), dts, workers,
                     lambda dt: f"the refinement run at dt = {dt}")
     levels = []
@@ -409,10 +421,11 @@ def scalar_evolve(
                 diff = float(
                     np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
                 )
-            levels.append({"dt": dt, "diff": diff})
+            levels.append({"dt": dt, "substeps": resolve_substeps(interval, dt)[0], "diff": diff})
             traj = finer
             if diff is not None and diff < REFINE_TOL:
-                traj.refinement = {"workers": workers, "levels": levels}
+                traj.refinement = {"workers": workers, "levels": levels,
+                                   "error_estimate": diff / 15.0}  # RK4: 2^4 - 1
                 return traj
     raise StepSizeUnderflowError(
         f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dts[-1]})"

@@ -9,14 +9,15 @@ symbols, the N/2 + 1 real-FFT modes, so exp(hL) is applied to N/2 + 1
 entries.  The scalar models step zeta-hat.
 Saint-Venant and abcd step the characteristic pair w+- = zeta-hat +- s
 u-hat through ``integrate_pair``, in which their linear waves are
-diagonal and propagate exactly.  Every model starts from one step policy,
-PAIR_STEP_MULTIPLE times its advective CFL step: the pair systems keep
-that step, and ``dispersive.scalar_evolve``, unless ``DtControl.dt`` pins
-the step, halves it from there until two successive runs agree to
-``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.  Those
-runs depend only on the initial state, so a refinement whose first run
-has at least 2^18 node-steps computes them concurrently: this process
-computes the level it needs next while forked children compute up to
+diagonal and propagate exactly.  They step at PAIR_STEP_MULTIPLE times
+their advective CFL step dt0.  ``dispersive.scalar_evolve``, unless
+``DtControl.dt`` pins the step, halves its step from the coarsest 4 dt0 2^j
+within the output interval and max(4 dt0, RK4's stability step for the
+nonlinear term) until two successive runs agree to
+``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.  Those runs
+depend only on the initial state, so a refinement whose 4 dt0 run has at
+least 2^18 node-steps computes them concurrently: this process computes
+the level it needs next while forked children compute up to
 min(cores, levels, 4) - 1 later ones, which are killed once two levels
 agree.  Each run is the same computation wherever it runs, so the
 trajectories are bit for bit those of running the levels one after another.
@@ -36,10 +37,10 @@ from .spectral import SpectralField
 # Smallest step any run takes; a smaller one raises StepSizeUnderflowError.
 MIN_STEP = 1e-14
 
-# Step of ``integrate_pair``, and first step of the scalar refinement, in
-# units of the advective CFL step.  Stability does not bound it, accuracy
-# does: on the Saint-Venant breaking test the halt time stays within 0.3% of
-# T* up to 4x and misses it by ~40% at 8x.
+# Step of ``integrate_pair`` in units of the advective CFL step dt0.  Stability
+# does not bound it, accuracy does: on the Saint-Venant breaking test the
+# halt time stays within 0.3% of T* up to 4x and misses it by ~40% at 8x.
+# The scalar refinement's levels are 4 dt0 2^j; its fork gate counts the 4 dt0 run.
 PAIR_STEP_MULTIPLE = 4.0
 
 
@@ -77,9 +78,10 @@ class Trajectory:
     """Snapshots of an evolution, plus the halt record if the run stopped.
 
     ``refinement`` is set by a refined scalar run: {"workers": processes
-    used, "levels": [{"dt", "diff"}, ...]}, one entry per run consumed, with
-    diff the max-norm gap to the previous run at the final time (None for
-    the first run and wherever either run halted).
+    used, "levels": [{"dt", "substeps", "diff"}, ...], "error_estimate"},
+    one level per run consumed, with its steps per output interval and diff
+    the max-norm gap to the previous run at the final time (None for the
+    first run and wherever either run halted); error_estimate is diff / 15.
     """
 
     states: list = field(default_factory=list)

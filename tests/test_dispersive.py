@@ -255,9 +255,16 @@ class TestScalarEvolve:
         zmax = float(np.max(np.abs(z0.values)))
         return 0.4 * g.spacing[0] / (P.c0 + 1.5 * (P.c0 / P.H) * zmax)
 
-    def test_refinement_starts_at_four_cfl_steps_and_stops_at_its_floor(self, monkeypatch):
+    @pytest.mark.parametrize("amplitude, t_end, n_out, start", [
+        (0.1, 1.0, 10, 1.0),  # the interval 0.1 caps the start at dt0 = 0.087
+        (0.01, 15.0, 1, 128.0),  # h_stab = 14.8 caps it at 128 dt0 = 12.6
+        (2.0, 15.0, 1, 4.0),  # h_stab = 0.074 is below 4 dt0 = 0.10, so 4 dt0
+        (0.0, 15.0, 1, 128.0),  # no advection, no h_stab: the interval caps it
+    ])
+    def test_refinement_starts_at_its_capped_coarsest_step_and_stops_at_its_floor(
+            self, amplitude, t_end, n_out, start, monkeypatch):
         g = Grid(50.0, 64)
-        z0 = SpectralField.from_function(g, lambda x: 0.1 * np.exp(-(x**2)))
+        z0 = SpectralField.from_function(g, lambda x: amplitude * np.exp(-(x**2)))
         dt0 = self.cfl_step(g, z0)
         tried = []
 
@@ -269,10 +276,77 @@ class TestScalarEvolve:
 
         monkeypatch.setattr(dispersive, "_scalar_run", fake_run)
         with pytest.raises(StepSizeUnderflowError, match="did not reach tolerance 1e-08"):
-            scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, 1.0)
-        assert tried[0] == stepping.PAIR_STEP_MULTIPLE * dt0 == 4.0 * dt0
+            scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, t_end, n_out=n_out)
+        # the coarsest 4 dt0 2^j within the interval and max(h_stab, 4 dt0)
+        h_stab = 2.8 * g.spacing[0] / (math.pi * 1.5 * P.c0 * amplitude) if amplitude else math.inf
+        cap = min(t_end / n_out, max(h_stab, stepping.PAIR_STEP_MULTIPLE * dt0))
+        assert tried[0] == start * dt0 <= cap < 2.0 * tried[0]
         assert tried == [tried[0] * 0.5**j for j in range(len(tried))]
         assert tried[-1] == dt0 * 2.0**-14
+
+    @pytest.mark.parametrize("model", ["kdv", "whitham"])
+    @pytest.mark.parametrize("t_end, n_out", [(15.0, 87), (15.0, 90), (0.2, 10)])
+    def test_no_two_levels_take_the_same_steps(self, model, t_end, n_out, monkeypatch):
+        # an output interval at most 2 dt0 once made the 4 dt0 and 2 dt0 runs
+        # one step per interval each: identical, so accepted with a diff of 0
+        g = Grid(50.0, 64)
+        z0 = SpectralField.from_function(g, lambda x: 0.1 * np.exp(-(x**2)))
+        dt0 = self.cfl_step(g, z0)
+        run, resolve = dispersive._scalar_run, stepping.resolve_substeps
+        taken = {}  # dt of each run -> the substep count of each of its intervals
+
+        def recording_run(state, p, t_end, dt, n_out):
+            taken[dt] = []
+            return run(state, p, t_end, dt, n_out)
+
+        def recording_resolve(interval, dt_raw):
+            m, h = resolve(interval, dt_raw)
+            taken[dt_raw].append(m)
+            return m, h
+
+        monkeypatch.setattr(dispersive, "_scalar_run", recording_run)
+        monkeypatch.setattr(stepping, "resolve_substeps", recording_resolve)
+        state = ScalarWaveState(z0, 0.0, model)
+        refined = scalar_evolve(state, P, t_end, n_out=n_out)
+        levels = refined.refinement["levels"]
+        assert [level["dt"] for level in levels] == list(taken)
+        assert [[level["substeps"]] * n_out for level in levels] == list(taken.values())
+        assert len({level["substeps"] for level in levels}) == len(levels) >= 2
+        assert levels[0]["dt"] <= t_end / n_out
+        monkeypatch.undo()
+        reference = run(state, P, t_end, dt0 / 16.0, 1)
+        gap = np.max(np.abs(refined.final_state.zeta.values - reference.final_state.zeta.values))
+        assert gap < dispersive.REFINE_TOL
+
+    @pytest.mark.parametrize("t_end, n_out, message", [
+        (-1.0, 10, "t_end must be nonnegative"), (1.0, 0, "at least one output interval")])
+    def test_bad_horizons_raise_before_the_ladder(self, t_end, n_out, message):
+        z0 = SpectralField.from_function(Grid(50.0, 64), lambda x: 0.1 * np.exp(-(x**2)))
+        with pytest.raises(ValueError, match=message):
+            scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, t_end, n_out=n_out)
+
+    def test_an_interval_below_two_floor_steps_raises(self):
+        g = Grid(50.0, 64)
+        z0 = SpectralField.from_function(g, lambda x: 0.1 * np.exp(-(x**2)))
+        floor = self.cfl_step(g, z0) * 2.0**-14
+        with pytest.raises(StepSizeUnderflowError, match="did not reach tolerance"):
+            scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, 1.5 * floor, n_out=1)
+
+    @pytest.mark.parametrize("n_out", [1, 10])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_start_keeps_below_the_nonlinear_stability_step(self, sign, n_out):
+        # h_stab = 0.25 lies between 4 dt0 = 0.14 and 8 dt0, so the ladder
+        # starts at 4 dt0; a start capped by the interval alone (64 dt0 for
+        # n_out 1, 8 dt0 for n_out 10) cavitates at its first level
+        g = Grid(200.0, 512)
+        z0 = SpectralField.from_function(g, lambda x: sign * 0.3 * np.exp(-0.05 * x**2))
+        dt0 = self.cfl_step(g, z0)
+        traj = scalar_evolve(ScalarWaveState(z0, 0.0, "whitham2"), P, 15.0, n_out=n_out)
+        levels = traj.refinement["levels"]
+        assert traj.halt is None and traj.final_state.time == pytest.approx(15.0)
+        assert [level["dt"] for level in levels] == [
+            4.0 * dt0 * 0.5**j for j in range(7 if sign > 0 else 5)]
+        assert levels[-1]["diff"] < dispersive.REFINE_TOL
 
     @pytest.mark.parametrize("amplitude", [0.02, 0.2])
     @pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
@@ -387,7 +461,8 @@ class TestForkedRefinement:
             no_child_left()
             messages.append(str(info.value))
         assert sorted(consumed) == [1, 2, 4]
-        assert consumed[1] == [4.0 * dt0 * 0.5**j for j in range(17)]
+        # the output interval 0.1 is just above dt0 = 0.0998: the ladder starts there
+        assert consumed[1] == [dt0 * 0.5**j for j in range(15)]
         assert consumed[2] == consumed[4] == consumed[1]
         assert messages == [f"step refinement did not reach tolerance 1e-08 "
                             f"(last dt = {dt0 * 2.0**-14})"] * 3

@@ -564,23 +564,28 @@ class TestParallelWrite:
 class TestRefinementRun:
     """The manifest's diagnostics.refinement, and forked refinement levels through ``run``."""
 
-    @pytest.mark.parametrize("model, passes", [("kdv", 3), ("whitham", 2)])
+    @pytest.mark.parametrize("model, passes", [("kdv", 7), ("whitham", 3)])
     def test_manifest_records_the_refinement(self, tmp_path, model, passes):
         # the grid, horizon and Gaussian of the benchmark's evolve runs
         sc = Scenario(model=model, grid=Grid(200.0, 2048), initial=InitialData(amplitude=0.01),
                       t_end=15.0, output_stride=10)
         manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
         refinement = manifest["diagnostics"]["refinement"]
-        assert set(refinement) == {"workers", "levels"}
-        # its first run, ~300 steps of 2048 nodes, is above the fork gate
+        assert set(refinement) == {"workers", "levels", "error_estimate"}
+        # its 4 dt0 level, ~300 steps of 2048 nodes, is above the fork gate
         assert refinement["workers"] == min(len(os.sched_getaffinity(0)), 4)
         levels = refinement["levels"]
-        assert [set(level) for level in levels] == [{"dt", "diff"}] * passes
+        assert [set(level) for level in levels] == [{"dt", "substeps", "diff"}] * passes
         assert [level["dt"] for level in levels] == [
             levels[0]["dt"] * 0.5**j for j in range(passes)]
+        # the ladder starts at 64 dt0 = 0.79, the coarsest within the output interval 1.5
+        assert levels[0]["substeps"] == 2
+        assert [level["substeps"] for level in levels] == [
+            math.ceil(1.5 / level["dt"]) for level in levels]
         assert levels[0]["diff"] is None
         assert all(level["diff"] >= 1e-8 for level in levels[1:-1])
         assert levels[-1]["diff"] < 1e-8
+        assert refinement["error_estimate"] == levels[-1]["diff"] / 15.0
 
     @pytest.mark.parametrize("model", ["airy", "boussinesq"])
     def test_manifest_refinement_is_null_for_other_models(self, tmp_path, model):
