@@ -25,10 +25,12 @@ that fixed notation puts before E < 0, the digit d0, a point, d1..d16 as
 four "%04d" quads, the exponent text, and a separator.  Every byte the
 value does not print is NUL, and the NULs are deleted once per block by
 ``bytes.translate``.  The "0.000" and exponent words come from tables
-indexed by E, and each quad is masked to the digits left to print: 17
-less the trailing zeros, and at least the integer digits.  Fixed notation
-with E >= 0 moves the point behind d_E by one permutation of its row.
-The tables are built on first use.
+indexed by E, and each quad is masked to the digits left to print (17
+less the trailing zeros, and at least the integer digits) by a table of
+masks indexed by that count.  Fixed notation with E >= 1 moves the point
+behind d_E by one permutation of its row; at E = 0 the point is already
+there, as it is for zeros and non-finite values, which carry E = 0.  The
+tables are built on first use.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ WIDTH = 32  # bytes per value; the longest text is "-2.2250738585072014e-308"
 _D0, _POINT, _QUADS = 6, 7, 8  # columns of the row; the exponent word is 24..31
 _E_MIN, _E_MAX = -330, 330  # decimal exponents of the tables, with a margin
 _MARGIN = 1e-9
-# the first k bytes of a little-endian uint32, k = 0..4
-_FIRST = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32)
 
 
 def _split(a):
@@ -78,8 +78,9 @@ def _tables():
     row's bytes 0..7 and 24..31 as uint64 ("0.000" cut to fixed notation's
     E in [-4, -1]; "e+XX" or "e-XXX" outside [-4, 16]; the separator);
     ``quads[q]``, "%04d" % q as a little-endian uint32; the trailing zeros
-    of each quad; and ``moves[E]``, the permutation of a row that puts the
-    point behind d_E."""
+    of each quad; ``moves[E]``, the permutation of a row that puts the
+    point behind d_E; and ``masks[k, j]``, the bytes of quad j that k
+    printed digits keep (the first clip(k - 1 - 4j, 0, 4) bytes)."""
     head, tail = bytearray(), bytearray()
     for exp in range(_E_MIN, _E_MAX + 1):
         head += (b"\0" + b"0.000"[: 1 - exp]).ljust(8, b"\0") if -4 <= exp < 0 else bytes(8)
@@ -90,8 +91,10 @@ def _tables():
     moves = np.tile(np.arange(WIDTH), (17, 1))
     for exp in range(17):
         moves[exp, _POINT : _POINT + exp + 1] = [*range(_QUADS, _QUADS + exp), _POINT]
+    first = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32)
+    masks = first[np.clip(np.arange(18)[:, None] - 1 - 4 * np.arange(4), 0, 4)]
     tables = (_pow10(), np.frombuffer(head, dtype="<u8"), np.frombuffer(tail, dtype="<u8"),
-              digits.astype(np.uint8).view("<u4").ravel(), trailing, moves)
+              digits.astype(np.uint8).view("<u4").ravel(), trailing, moves, masks)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -144,7 +147,7 @@ def _decimal(x):
 def fields(x) -> np.ndarray:
     """(x.size, WIDTH) uint8: per value of x in C order, the bytes of
     ``b"%.17g" % v`` with NULs between them, and a ',' in the last column."""
-    _, head, tail, quads, trailing, moves = _tables()
+    _, head, tail, quads, trailing, moves, masks = _tables()
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     n, exp, fallback = _decimal(x)
     high = n // 10**8
@@ -163,13 +166,14 @@ def fields(x) -> np.ndarray:
     rows[:, 0] = head.take(exp - _E_MIN)
     rows[:, 3] = tail.take(exp - _E_MIN)
     words = rows.view("<u4")
+    mask = masks.take(keep, axis=0)
     for j, quad in enumerate(q):
-        words[:, 2 + j] = quads.take(quad) & _FIRST.take(np.clip(keep - 1 - 4 * j, 0, 4))
+        words[:, 2 + j] = quads.take(quad) & mask[:, j]
     text = rows.view(np.uint8)
     text[:, 0] = np.where(np.signbit(x), 45, 0)  # '-'
     text[:, _D0] = d0 + 48
     text[:, _POINT] = np.where((nd > point) & (point > 0), 46, 0)  # '.'
-    moved = np.flatnonzero(fixed & (exp >= 0))
+    moved = np.flatnonzero(fixed & (exp > 0))
     text[moved] = np.take_along_axis(text[moved], moves[exp[moved]], axis=1)
     text[x == 0.0, 1:] = np.frombuffer(b"0".ljust(WIDTH - 2, b"\0") + b",", dtype=np.uint8)
     for i, v in zip(fallback.tolist(), x[fallback].tolist()):

@@ -79,14 +79,15 @@ FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
 # Field values in the snapshots of a run (files x nodes x columns) from which
 # _write_snapshots forks writers.  Measured on a 2-core Linux machine, median
-# of 9-11 alternating passes: forked writers cost 6-9 ms more than writing
+# of 11-21 alternating passes: forked writers cost 6-9 ms more than writing
 # inline on runs of 5,120-10,240 values (fork, copy-on-write faults, join),
-# and writing inline costs 0.35-0.55 us per value above ~5e4 values.  Two
-# writers save at most half of that, so forking pays from ~2 x 9 ms / 0.35 us
-# = 5e4 values when the second core is free; with it shared, forking lost
-# 7-13 ms at 9e4 and 1.8e5 values in some rounds and won 8 ms in others.
-# 2^17 = 1.3e5 sits above that: the 1-D benchmark runs (<= 4.5e4 values)
-# write inline, and the 256^2 2-D runs (7.2e5 and 1.4e6) fork, saving 7-40%.
+# and writing inline costs 0.26-0.38 us per value above ~4.5e4 values.  Two
+# writers save at most half of that, so forking pays from 2 x 6-9 ms /
+# 0.26-0.38 us = 3e4-7e4 values when the second core is free; with it
+# shared, forking lost 5-10 ms at 1.8e5 values in some rounds and won 16-42
+# ms in others.  2^17 = 1.3e5 sits above that: the 1-D benchmark runs
+# (<= 4.5e4 values) write inline, and the 256^2 2-D runs (7.2e5 and 1.4e6)
+# fork, saving ~40% of the write when the second core is free.
 _FORK_WRITE_VALUES = 2**17
 
 
@@ -434,18 +435,14 @@ class RunResult:
     halt: HaltEvent | None
 
 
-def _write_blocks(write, axes, columns):
+def _write_blocks(write, leads, columns):
     """Write the CSV rows of equal-length columns through ``write``, in
     blocks of _BLOCK_ROWS rows, so a large table never sits in memory as
-    one string.  Each row leads with its node coordinates, in meshgrid
-    ("ij") order, from the ``lead_text`` matrices ``axes`` (none for no
-    lead)."""
+    one string.  Block j leads with the text matrix ``leads[j]``, built by
+    ``_write_snapshots`` once per run (``leads`` is empty for no lead)."""
     table = np.column_stack(columns)
-    shape = tuple(len(axis) for axis in axes)
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start : start + _BLOCK_ROWS]
-        nodes = np.unravel_index(np.arange(start, start + len(block)), shape) if axes else ()
-        write(csv_rows(block, [axis[i] for axis, i in zip(axes, nodes)]))
+    for j, start in enumerate(range(0, len(table), _BLOCK_ROWS)):
+        write(csv_rows(table[start : start + _BLOCK_ROWS], leads[j : j + 1]))
 
 
 def write_rows(stream, columns):
@@ -457,15 +454,18 @@ def write_rows(stream, columns):
 def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     """Write one CSV per snapshot; return (paths, number of writer processes).
 
-    The node coordinates lead every row, in meshgrid ("ij") order; each axis
-    is formatted once per run.  Below _FORK_WRITE_VALUES field values this
-    process writes every file.  From there on there are w = min(cores,
-    files, 4) writers, and writer r writes files r, r + w, ...: writers
-    1..w-1 are forked children that share ``snaps`` and the coordinate text
-    copy-on-write, and this process writes share 0.  The bytes are the same
-    either way.
+    The node coordinates lead every row, in meshgrid ("ij") order; each
+    block's coordinate text is built once per run.  Below
+    _FORK_WRITE_VALUES field values this process writes every file.  From
+    there on there are w = min(cores, files, 4) writers, and writer r
+    writes files r, r + w, ...: writers 1..w-1 are forked children that
+    share ``snaps`` and the block leads copy-on-write, and this process
+    writes share 0.  The bytes are the same either way.
     """
     axes = [lead_text(grid.axis_coordinates(a)) for a in range(grid.dim)]
+    nodes = np.unravel_index(np.arange(math.prod(grid.shape)), grid.shape)
+    lead = np.concatenate([axis[i] for axis, i in zip(axes, nodes)], axis=1)
+    leads = [lead[start : start + _BLOCK_ROWS] for start in range(0, len(lead), _BLOCK_ROWS)]
     header = (",".join(["x_m", "y_m"][: grid.dim] + names) + "\n").encode("ascii")
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
     values = sum(columns[n].size for columns in snaps for n in names)
@@ -476,7 +476,7 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
             try:
                 with open(path, "wb") as fh:
                     fh.write(header)
-                    _write_blocks(fh.write, axes, [columns[n].ravel() for n in names])
+                    _write_blocks(fh.write, leads, [columns[n].ravel() for n in names])
             except Exception as err:
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err

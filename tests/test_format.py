@@ -68,3 +68,35 @@ def test_rows_with_leads_and_columns():
     want = b"".join(b"%.17g,%.17g," % (xs[a], ys[b]) + b",".join(b"%.17g" % v for v in row)
                     + b"\n" for a, b, row in zip(i, j, block.tolist()))
     assert out == want
+
+
+def fixed_notation_values(seed):
+    """Per decimal exponent E in [-4, 16] (fixed notation) and per count k
+    of significant digits in 1..17, a value of k random digits at E; a
+    first digit below 9 keeps 17 digits from rounding up to E + 1."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for exp in range(-4, 17):
+        for k in range(1, 18):
+            digits = rng.integers(0, 10, k)
+            digits[-1], digits[0] = rng.integers(1, 10), rng.integers(1, 9)
+            values.append(float(f"{''.join(map(str, digits))}e{exp - k + 1}"))
+    return np.array(values)
+
+
+def test_the_point_moves_behind_the_integer_digits():
+    # E = 0 keeps the point where it is, E >= 1 moves it; zeros and the
+    # non-finite values carry the placeholder E = 0, so the boundary sits
+    # among them in one column
+    values = np.concatenate([
+        [0.0, -0.0, math.nan, math.inf, -math.inf],
+        [1.0, 1.5, 2.0, 3.25, 9.5, 9.999999999999998, math.pi, math.e],
+        fixed_notation_values(22), -fixed_notation_values(23),
+    ])
+    assert kernel(values) == per_value(values)
+
+
+def test_a_block_of_zeros():
+    zeros = np.zeros(8192)
+    zeros[1::3] = -0.0
+    assert kernel(zeros) == per_value(zeros)

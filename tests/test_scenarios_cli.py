@@ -783,6 +783,36 @@ def test_snapshot_rows_match_per_value_format(tmp_path, scenario, code):
             assert np.array_equal(column, x)
 
 
+@pytest.mark.parametrize("grid", [
+    # node counts are even: one block less two rows, one block, and two more
+    Grid(600.0, 4094), Grid(600.0, 4096), Grid(600.0, 4098),
+    Grid((50.0, 30.0), (24, 40), dim=2),  # less than one block
+    Grid((50.0, 30.0), (96, 90), dim=2),  # 8640 = 2 x 4096 + 448 rows
+], ids=["4094", "4096", "4098", "24x40", "96x90"])
+def test_block_leads_at_block_boundaries(tmp_path, monkeypatch, grid):
+    # the coordinate text of each block is built once per run and shared by
+    # every file, and by the forked writers
+    rng = np.random.default_rng(grid.nodes[0])
+    names = ["zeta_m", "u_m_per_s"]
+    snaps = [{n: rng.standard_normal(grid.shape) * rng.integers(0, 2, grid.shape)
+              * 10.0 ** rng.integers(-6, 6, grid.shape) for n in names} for _ in range(3)]
+    coords = [x.ravel() for x in grid.meshgrid()]
+    monkeypatch.setattr(scenarios, "_FORK_WRITE_VALUES", 0)
+    written = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        (tmp_path / str(cores)).mkdir()
+        paths, workers = scenarios._write_snapshots(tmp_path / str(cores), grid, names, snaps)
+        assert workers == cores
+        written[cores] = [p.read_bytes() for p in paths]
+    assert written[2] == written[1]
+    header = ",".join(["x_m", "y_m"][: grid.dim] + names) + "\n"
+    for text, columns in zip(written[1], snaps):
+        rows = zip(*coords, *(columns[n].ravel() for n in names))
+        assert text.decode() == header + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                                 for row in rows)
+
+
 class TestCompare:
     def test_same_scenario_twice_gives_zero(self):
         sc = Scenario(model="airy", grid=Grid(200.0, 256), t_end=5.0, output_stride=3)
