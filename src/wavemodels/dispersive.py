@@ -8,9 +8,10 @@ linear dispersion relation
     omega(k)^2 = g H k^2 (1 - a(Hk)^2)(1 - c(Hk)^2)
                  / ((1 + b(Hk)^2)(1 + d(Hk)^2))
 
-turns negative at large wavenumbers for ill-chosen parameters, which makes
-the initial-value problem strongly ill-posed; ``classify_abcd`` screens for
-this before any time stepping.  Every model here is advanced with an
+turns negative on a band of wavenumbers for ill-chosen parameters, which
+makes the initial-value problem strongly ill-posed (Bona, Chen & Saut 2002).
+The band need not reach large wavenumbers, and may be narrow;
+``classify_abcd`` screens for it before any time stepping.  Every model here is advanced with an
 integrating-factor scheme: the linear part is exponentiated exactly
 mode-wise (for the system, in its characteristic variables), so only the
 nonlinear term constrains the step.
@@ -163,65 +164,36 @@ def abcd_symbol(k: float, params: AbcdParams, p: PhysicalParams) -> float:
     return float(_abcd_omega_squared(k, params, p))
 
 
-def _asymptotic_sign(params: AbcdParams) -> float:
-    """Sign of omega^2 as k -> infinity, by leading-order bookkeeping."""
-    if params.a != 0.0 and params.c != 0.0:
-        num_lead = params.a * params.c
-    elif params.a != 0.0:
-        num_lead = -params.a
-    elif params.c != 0.0:
-        num_lead = -params.c
-    else:
-        num_lead = 1.0
-    # denominator leading coefficient is positive whenever b, d >= 0
-    return math.copysign(1.0, num_lead)
-
-
 def classify_abcd(params: AbcdParams, p: PhysicalParams) -> WellPosednessVerdict:
-    """Screen the parameters with a dense logarithmic modal scan.
+    """Screen the parameters for a wavenumber band where omega^2 < 0.
 
-    Ill-posed verdicts carry the smallest scanned wavenumber with
-    omega^2 < 0 as witness (so the witness sits just past the sign
-    change), or None when the symbol is singular but nowhere negative.
+    A dense logarithmic scan of mu = H k over _SCAN_MU gives
+    ``omega_squared_min`` and, when it finds omega^2 < 0, the smallest such
+    scanned wavenumber as witness (None when b or d < 0 makes the symbol
+    singular but nowhere negative on the scan).  For b, d >= 0 the band has
+    a closed form (Bona, Chen & Saut 2002, J. Nonlinear Sci. 12): omega^2 < 0
+    exactly on 1/max(a,c) < mu^2 < 1/max(min(a,c), 0), which is not empty
+    iff max(a,c) > 0 and a != c.  It need not lie at large wavenumbers, and
+    may be narrower than a scan step; a band the scan misses gets a witness
+    5e-10 relative past its start, or its geometric middle when it is
+    narrower than that, and omega^2 there enters ``omega_squared_min``.
     """
     ks = np.geomspace(_SCAN_MU[0] / p.H, _SCAN_MU[1] / p.H, _SCAN_SAMPLES)
     w2 = _abcd_omega_squared(ks, params, p)
     finite = np.isfinite(w2)
     w2_min = float(np.min(w2[finite])) if np.any(finite) else math.inf
-
-    def first_negative():
-        neg = finite & (w2 < 0.0)
-        if np.any(neg):
-            return float(ks[int(np.argmax(neg))])
-        return None
-
-    if params.b < 0.0 or params.d < 0.0:
-        return WellPosednessVerdict("ill_posed", first_negative(), w2_min)
-
-    witness = first_negative()
-    if witness is not None:
+    neg = finite & (w2 < 0.0)
+    witness = float(ks[int(np.argmax(neg))]) if np.any(neg) else None
+    if witness is not None or params.b < 0.0 or params.d < 0.0:
         return WellPosednessVerdict("ill_posed", witness, w2_min)
 
-    if _asymptotic_sign(params) < 0.0:
-        # Sign change beyond the scan range: extend geometrically.
-        k_prev, k_cur = ks[-1], 2.0 * ks[-1]
-        for _ in range(120):
-            val = float(_abcd_omega_squared(k_cur, params, p))
-            if np.isfinite(val) and val < 0.0:
-                break
-            k_prev, k_cur = k_cur, 2.0 * k_cur
-        # Bisect down to just past the crossing.
-        for _ in range(80):
-            mid = math.sqrt(k_prev * k_cur)
-            if float(_abcd_omega_squared(mid, params, p)) < 0.0:
-                k_cur = mid
-            else:
-                k_prev = mid
-            if k_cur / k_prev < 1.0 + 1e-9:
-                break
-        val = float(_abcd_omega_squared(k_cur, params, p))
-        return WellPosednessVerdict("ill_posed", float(k_cur), min(w2_min, val))
-
+    high, low = max(params.a, params.c), min(params.a, params.c)
+    if high > 0.0 and high != low:
+        # the band's geometric middle in k is (high / low)^(1/4) times its start
+        middle = (high / low) ** 0.25 if low > 0.0 else math.inf
+        k = min(1.0 + 5e-10, middle) / (p.H * math.sqrt(high))
+        w2_min = min(w2_min, float(_abcd_omega_squared(k, params, p)))
+        return WellPosednessVerdict("ill_posed", k, w2_min)
     return WellPosednessVerdict("well_posed", None, w2_min)
 
 

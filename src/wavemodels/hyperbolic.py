@@ -89,49 +89,75 @@ def simple_wave_elevation(u, p: PhysicalParams):
     return (p.c0 * u + 0.25 * u**2) / p.g
 
 
-def _golden_minimize(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):  # interval shrinks by 0.618 per step
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def breaking_time(u0: SpectralField) -> float:
     """First crossing time of the characteristics seeded by u0.
 
-    Returns -2 / (3 m) with m = inf u0', or +inf when m >= 0.  The infimum
-    is located by a grid scan refined with golden-section minimization;
-    ties go to the smallest x.
+    Returns T* = -2 / (3 m) with m = inf u0', or +inf when m >= 0.  The
+    infimum is a root of u0'': the node scan finds the smallest value of
+    u0', and ``_crossing_time`` refines it.  Ties go to the smallest x.
     """
     return _crossing_time(derivative(u0, axis=0, order=1))
 
 
 def _crossing_time(du: SpectralField) -> float:
-    """The crossing time from u0' = ``du``: its node values give the scan,
-    and trigonometric interpolation between nodes the refinement."""
-    xs, dvals = du.grid.axis_coordinates(0), du.values
+    """The crossing time from u0' = ``du``.
+
+    The node x_i holding the smallest value of u0' starts the search.  When
+    u0'' goes from negative to positive over [x_i - dx, x_i + dx], read at
+    the nodes, ``_newton`` finds its root there with slope u0''' and returns
+    u0' at it.  Otherwise, as for a flat or unresolved u0', the node value
+    is kept.
+    """
+    dvals = du.values
     i = int(np.argmin(dvals))  # first occurrence wins ties
-    dx = xs[1] - xs[0]
-    xa, xb = xs[i] - dx, xs[i] + dx
-    _, m = _golden_minimize(lambda x: float(du.evaluate(x)[0]), xa, xb, 1e-12 * dx)
-    m = min(m, float(dvals[i]))
-    if m >= 0.0:
-        return math.inf
-    return -2.0 / (3.0 * m)
+    m = float(dvals[i])
+    d2u = derivative(du, axis=0, order=1)
+    if d2u.values[i - 1] < 0.0 < d2u.values[(i + 1) % dvals.size]:
+        dx = du.grid.spacing[0]
+        x = du.grid.axis_coordinates(0)[i : i + 1]
+        fields = (du, d2u, derivative(du, axis=0, order=2))
+        m = min(m, float(_newton(fields, lambda xa, values, active: values[1:],
+                                 x, x - dx, x + dx, 1e-12 * dx)[0]))
+    return math.inf if m >= 0.0 else -2.0 / (3.0 * m)  # NaN stays NaN
+
+
+def _newton(fields, residual, x, lo, hi, tol: float):
+    """Roots of ``residual``, one in each bracket, from the first guesses ``x``.
+
+    ``residual(points, values, active)`` returns f and f' at a sweep's
+    points from the rows of one ``evaluate_fields(points, *fields)`` call;
+    ``active`` indexes the points in ``x``.  f < 0 at ``lo`` and f > 0 at
+    ``hi``.  Newton steps are safeguarded as in ``rtsafe`` (Numerical
+    Recipes, section 9.4): a step that leaves the closed bracket, or fails
+    to halve the previous step, becomes a bisection.  Only unconverged
+    points are iterated; a point is done once its step is at most ``tol``.
+    Returns fields[0] at the roots, carried from the last evaluated point
+    by the slope fields[1].
+    """
+    out = np.empty_like(x)
+    last = hi - lo
+    active = np.arange(x.size)
+    for _ in range(100):
+        xa = x[active]
+        values = evaluate_fields(xa, *fields)
+        f, df = residual(xa, values, active)
+        below = f < 0.0
+        lo[active] = np.where(below, xa, lo[active])
+        hi[active] = np.where(below, hi[active], xa)
+        la, ha = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - f / df
+        # closed test: landing on a bracket end is a root, not a failure
+        newton = (xn >= la) & (xn <= ha) & (np.abs(xn - xa) <= 0.5 * last[active])
+        xn = np.where(newton, xn, 0.5 * (la + ha))
+        step = np.abs(xn - xa)
+        x[active] = xn
+        out[active] = values[0] + values[1] * (xn - xa)  # error O(step^2); the last step is <= tol
+        last[active] = step
+        active = active[step > tol]
+        if active.size == 0:
+            return out
+    raise ConvergenceError(f"Newton iteration unconverged at {active.size} point(s)")
 
 
 def _foot_points(target, xs, phi, u0, du, c0: float, t: float, tol: float):
@@ -140,41 +166,16 @@ def _foot_points(target, xs, phi, u0, du, c0: float, t: float, tol: float):
     ``phi`` is the foot-point map sampled at the increasing nodes ``xs``
     and must be increasing too.  The cell of (xs, phi) holding each target
     brackets its foot, and linear interpolation in that cell is the first
-    guess.  Newton steps on phi' = 1 + 1.5 t u0' are safeguarded as in
-    ``rtsafe`` (Numerical Recipes, section 9.4): a step that leaves the
-    closed bracket, or fails to halve the previous step, becomes a
-    bisection.  Only unconverged points are iterated; a point is done once
-    its step is at most ``tol``.  Each sweep evaluates the fields ``u0``
-    and ``du`` = u0' with one ``evaluate_fields`` call, which builds the
-    phase tables of the sweep's points once for both.
+    guess.  ``_newton`` steps on phi' = 1 + 1.5 t u0', evaluating u0 and
+    ``du`` = u0' together.
     """
     j = np.clip(np.searchsorted(phi, target, side="right") - 1, 0, xs.size - 2)
-    lo, hi = xs[j], xs[j + 1]
-    x = np.interp(target, phi, xs)
-    u = np.empty_like(x)
-    last = hi - lo
-    active = np.arange(x.size)
-    for _ in range(100):
-        xa = x[active]
-        ua, dua = evaluate_fields(xa, u0, du)
-        f = xa + (c0 + 1.5 * ua) * t - target[active]
-        below = f < 0.0
-        lo[active] = np.where(below, xa, lo[active])
-        hi[active] = np.where(below, hi[active], xa)
-        la, ha = lo[active], hi[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xa - f / (1.0 + 1.5 * t * dua)
-        # closed test: landing on a bracket end is a root, not a failure
-        newton = (xn >= la) & (xn <= ha) & (np.abs(xn - xa) <= 0.5 * last[active])
-        xn = np.where(newton, xn, 0.5 * (la + ha))
-        step = np.abs(xn - xa)
-        x[active] = xn
-        u[active] = ua + dua * (xn - xa)  # error O(step^2); the last step is <= tol
-        last[active] = step
-        active = active[step > tol]
-        if active.size == 0:
-            return u
-    raise ConvergenceError(f"foot points unconverged at {active.size} query point(s)")
+
+    def residual(xa, values, active):
+        ua, dua = values
+        return xa + (c0 + 1.5 * ua) * t - target[active], 1.0 + 1.5 * t * dua
+
+    return _newton((u0, du), residual, np.interp(target, phi, xs), xs[j], xs[j + 1], tol)
 
 
 def hopf_characteristic_solve(

@@ -100,6 +100,16 @@ def _require_finite(value, where: str):
         raise ScenarioError(f"{where} must be a finite number, got {value!r}")
 
 
+def _require_integer(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+
+
+def _require_string(value, where: str):
+    if value is not None and not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string, got {value!r}")
+
+
 def _reject_unknown(section: dict, allowed: set, where: str):
     if not isinstance(section, dict):
         raise ScenarioError(f"{where} must be a JSON object, got {type(section).__name__}")
@@ -133,6 +143,7 @@ class InitialData:
             _require_finite(self.speed, "initial.speed")
         if self.width_parameter <= 0.0:
             raise ScenarioError("initial.width_parameter must be positive")
+        _require_string(self.path, "initial.path")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InitialData":
@@ -158,6 +169,7 @@ class Scenario:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
+        _require_integer(self.dim, "dim")
         if self.dim == 2 and not _MODELS[self.model].two_d:
             raise ScenarioError(f"dim = 2 is only supported for {_model_names(lambda m: m.two_d)}")
         if self.dim == 2 and self.initial.kind == "file":
@@ -175,12 +187,10 @@ class Scenario:
         _require_finite(self.t_end, "t_end")
         if self.t_end < 0.0:
             raise ScenarioError("t_end must be nonnegative")
-        if isinstance(self.output_stride, bool) or not isinstance(
-            self.output_stride, numbers.Integral
-        ):
-            raise ScenarioError(f"output.stride must be an integer, got {self.output_stride!r}")
+        _require_integer(self.output_stride, "output.stride")
         if self.output_stride < 1:
             raise ScenarioError("output.stride must be at least 1")
+        _require_string(self.output_directory, "output.directory")
         if self.grid is None:
             default = Grid(200.0, 1024) if self.dim == 1 else Grid(100.0, 256, dim=2)
             object.__setattr__(self, "grid", default)
@@ -210,9 +220,12 @@ class Scenario:
         if raw.get("abcd") is not None:
             abcd_raw = raw["abcd"]
             _reject_unknown(abcd_raw, {"a", "b", "c", "d"}, "abcd")
+            for name in ("a", "b", "c", "d"):
+                _require_finite(abcd_raw.get(name), f"abcd.{name}")
             abcd = AbcdParams(**abcd_raw)
 
         dim = raw.get("dim", 1)
+        _require_integer(dim, "dim")  # before the grid is built with it
         grid = None
         if raw.get("grid") is not None:
             grid_raw = raw["grid"]

@@ -179,14 +179,11 @@ def whitham_steady_residual(zeta: SpectralField, speed: float, p: PhysicalParams
     return _residual(*_scalar_operator("whitham", speed, p, zeta.grid), zeta.values[None])[0]
 
 
-class _Centred(tuple):
-    """(nodes, modes) from ``_symmetrize_centered``; ``rolled``: the centring moved it."""
-
-
 def _symmetrize_centered(v_hat: np.ndarray, n: int):
     """The iterate with real-FFT modes v_hat, every component rolled so the
     maximum of the first sits at node N/2 (x = 0), then averaged with its
-    even reflection; returns (nodes, modes) as a ``_Centred`` pair.
+    even reflection; returns (nodes, modes, rolled), ``rolled`` telling
+    whether the centring moved the iterate.
 
     A roll by s nodes multiplies mode k by e^{-2 pi i k s / N}; the even
     reflection j -> -j is the slice v[:, :0:-1] at the nodes and the
@@ -198,9 +195,7 @@ def _symmetrize_centered(v_hat: np.ndarray, n: int):
         v = np.roll(v, shift, axis=-1)
         v_hat = v_hat * np.exp(-2j * np.pi * shift / n * np.arange(v_hat.shape[-1]))
     v[:, 1:] = 0.5 * (v[:, 1:] + v[:, :0:-1])
-    centred = _Centred((v, np.ascontiguousarray(v_hat.real)))
-    centred.rolled = shift != 0
-    return centred
+    return v, np.ascontiguousarray(v_hat.real), shift != 0
 
 
 def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray, tol: float,
@@ -262,7 +257,7 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray,
             )
         m_factor = numer / denom
         m_history.append(m_factor)
-        g, g_hat = centred = _symmetrize_centered(apply(inverse, m_factor**2 * n_hat), n)
+        g, g_hat, rolled = _symmetrize_centered(apply(inverse, m_factor**2 * n_hat), n)
         f = g - v
         delta = float(np.abs(f).max())
         if not np.isfinite(delta) or float(np.abs(g).max()) > 1e6:
@@ -270,14 +265,14 @@ def _petviashvili(lin: np.ndarray, term_hat, v: np.ndarray, weights: np.ndarray,
         if delta < tol:
             return g, it, float(np.max(np.abs(_residual(lin, term_hat, g)))), m_history
         v, v_hat = g, g_hat
-        if last is not None and not centred.rolled and delta < last[3]:
+        if last is not None and not rolled and delta < last[3]:
             df = f - last[2]
             df_df = float(np.vdot(df, df))
             if df_df > 0.0:
                 gamma = float(np.vdot(df, f)) / df_df
                 v = g - gamma * (g - last[0])
                 v_hat = g_hat - gamma * (g_hat - last[1])
-        last = None if centred.rolled else (g, g_hat, f, delta)
+        last = None if rolled else (g, g_hat, f, delta)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (last update {delta})", m_history
     )

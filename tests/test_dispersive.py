@@ -94,6 +94,29 @@ class TestClassify:
         assert verdict.witness_wavenumber > 1e3
         assert abcd_symbol(verdict.witness_wavenumber, params, P) < 0.0
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # the band starts at mu = 1e50, far past the scan
+            AbcdParams(1e-100, 0.3333333333333333, 0.0, 0.0),
+            # the band mu in (3.1607, 3.1623) is narrower than a scan step
+            AbcdParams(0.1, 0.06661666666666667, 0.1001, 0.06661666666666667),
+        ],
+        ids=["far_band", "narrow_band"],
+    )
+    def test_band_missed_by_scan_ill_posed(self, params):
+        verdict = classify_abcd(params, P)
+        assert verdict.verdict == "ill_posed"
+        assert abcd_symbol(verdict.witness_wavenumber, params, P) < 0.0
+        assert verdict.omega_squared_min < 0.0
+
+    def test_equal_a_and_c_well_posed(self):
+        # (1 - a mu^2)^2 >= 0: omega^2 never turns negative
+        params = AbcdParams(1.0 / 8.0, 1.0 / 24.0, 1.0 / 8.0, 1.0 / 24.0)
+        verdict = classify_abcd(params, P)
+        assert verdict.verdict == "well_posed"
+        assert verdict.witness_wavenumber is None
+
 
 class TestAbcdEvolve:
     def test_rest_state_is_equilibrium(self):

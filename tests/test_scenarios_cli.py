@@ -1027,12 +1027,19 @@ class TestCli:
             {"initial": {"kind": "gaussian", "amplitude": 0.01, "width_parameter": math.nan}},
             {"t_end": math.inf},
             {"grid": {"length": 200.0, "nodes": 16.7}},
+            {"dim": 1.0},
+            {"model": "boussinesq", "abcd": {"a": "x", "b": 1.0 / 3.0, "c": 0.0, "d": 0.0}},
+            {"model": "boussinesq", "abcd": {"a": None, "b": 1.0 / 3.0, "c": 0.0, "d": 0.0}},
+            {"initial": {"kind": "file", "path": 5}},
+            {"output": {"stride": 2, "directory": 5}},
         ],
-        ids=["nan_width", "infinite_t_end", "fractional_nodes"],
+        ids=["nan_width", "infinite_t_end", "fractional_nodes", "float_dim", "string_abcd",
+             "null_abcd", "number_path", "number_directory"],
     )
     def test_non_finite_or_fractional_input_exit_code(self, tmp_path, overrides):
         cfg = tmp_path / "bad.json"
-        write_config(cfg, output={"stride": 2, "directory": str(tmp_path / "out")}, **overrides)
+        write_config(cfg, **{"output": {"stride": 2, "directory": str(tmp_path / "out")},
+                             **overrides})
         r = cli("run", "--config", str(cfg))
         assert r.returncode == 1
         assert r.stderr.startswith("error:")

@@ -513,7 +513,8 @@ class TestHalfSpectrumSweep:
         x = grid.axis_coordinates(0)
         bump = np.exp(-((x - 0.1 * shift) ** 2)) + 0.1 * np.exp(-((x - 0.1 * shift - 3.0) ** 2))
         modes = np.fft.rfft(np.stack((bump, 0.5 * bump**2)))
-        v, v_hat = _symmetrize_centered(modes, grid.nodes[0])
+        v, v_hat, rolled = _symmetrize_centered(modes, grid.nodes[0])
+        assert rolled == (shift != 0)
         assert int(np.argmax(v[0])) == grid.nodes[0] // 2
         assert np.array_equal(v[:, 1:], v[:, :0:-1])  # even about x = 0
         assert np.max(np.abs(np.fft.rfft(v) - v_hat)) < 1e-13 * np.max(np.abs(v_hat))
