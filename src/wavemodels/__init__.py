@@ -32,6 +32,7 @@ from .hyperbolic import (
     SVState,
     breaking_time,
     hopf_characteristic_solve,
+    hopf_evolve,
     simple_wave_elevation,
     simple_wave_velocity,
     sv_evolve,

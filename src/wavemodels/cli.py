@@ -29,7 +29,7 @@ from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
 from .scenarios import (FLOAT_FORMAT, SOLITARY_MODELS, InitialData, compare, load_scenario,
-                        run, write_rows)
+                        read_csv_column, run, write_rows)
 from .spectral import Grid, SpectralField
 from .traveling import solitary_wave, suggested_domain_length
 
@@ -191,16 +191,12 @@ def _cmd_shocktime(args) -> int:
                 grid, lambda x: args.amplitude * np.exp(-((args.width * x) ** 2))
             )
     else:
-        data = np.atleast_1d(np.genfromtxt(args.profile, delimiter=",", names=True))
-        xs = np.asarray(data["x_m"], dtype=float)
+        xs, u = read_csv_column(args.profile, "u_m_per_s")
         if xs.size < 4:
             raise ValueError(f"--profile needs at least 4 rows, got {xs.size}")
         dx = (xs[-1] - xs[0]) / (xs.size - 1)
         if not np.max(np.abs(xs - xs[0] - dx * np.arange(xs.size))) <= 1e-8 * dx:
             raise ValueError("--profile x_m column must be uniformly spaced and increasing")
-        u = np.asarray(data["u_m_per_s"], dtype=float)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("--profile u_m_per_s column holds a non-finite value")
         length = float(xs[-1] - xs[0] + (xs[1] - xs[0]))
         u0 = SpectralField(Grid(length, xs.size), u)
     t_break = breaking_time(u0)  # inf: the profile never breaks
@@ -288,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every failure is one ``error:`` line on stderr.
+    """Run one subcommand; every failure is one ``error:`` line on stderr,
+    its message's line breaks and runs of spaces each made one space.
 
     Floating-point warnings are off: a non-finite result is reported by the
     check that rejects it, not by numpy.
@@ -298,7 +295,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             return args.func(args)
     except (WavemodelsError, ValueError, OSError, MemoryError) as err:
-        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+        print(f"error: {' '.join((str(err) or type(err).__name__).split())}", file=sys.stderr)
         return 1
 
 

@@ -32,6 +32,7 @@ from .errors import (
     SingularSymbolError,
     StepSizeUnderflowError,
 )
+from .hyperbolic import SVState
 from .linear import mode_propagator, phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
@@ -101,19 +102,8 @@ class AbcdParams:
             )
 
 
-@dataclass
-class BoussinesqState:
-    zeta: SpectralField
-    u: SpectralField
-    time: float = 0.0
-
-    def __post_init__(self):
-        if not self.zeta.same_grid(self.u):
-            raise ValueError("zeta and u must live on the same grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.zeta.grid
+# The four-parameter systems carry the Saint-Venant unknowns (zeta, u).
+BoussinesqState = SVState
 
 
 @dataclass

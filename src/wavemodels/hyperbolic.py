@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BreakingError, CavitationError, ConvergenceError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative, evaluate_fields
-from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair
+from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair, snapshot_times
 
 __all__ = [
     "SVState",
@@ -28,6 +28,7 @@ __all__ = [
     "simple_wave_elevation",
     "breaking_time",
     "hopf_characteristic_solve",
+    "hopf_evolve",
     "sv_evolve",
 ]
 
@@ -241,6 +242,27 @@ def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
     out = _foot_points(query - shift, xs, phi, prof.u0, prof.du, p.c0, t,
                        1e-10 * length_scale)
     return out if np.ndim(query_points) else float(out[0])
+
+
+def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10) -> Trajectory:
+    """The simple wave of ``state.u`` along the characteristics, zeta its elevation, at
+    snapshot_times(t_end, n_out); halts at breaking, with no state at or past it."""
+    u0 = state.u
+    prof = _hopf_profile(u0)  # derivative, T* and upsampled period, once per run
+    xs = state.grid.axis_coordinates(0)
+    traj = Trajectory()
+    for t in snapshot_times(t_end, n_out):
+        try:
+            u_t = _hopf_solve(prof, p, t, xs) if t > 0 else u0.values
+        except BreakingError:  # at or past T*, or a non-monotone foot map
+            j = int(np.argmin(prof.du.values))
+            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * prof.t_star)
+            traj.halt = HaltEvent(reason="breaking", time=prof.t_star, location=location,
+                                  max_gradient=math.inf, breaking_time_estimate=prof.t_star)
+            break
+        u = SpectralField(state.grid, u_t)
+        traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
+    return traj
 
 
 def sv_evolve(

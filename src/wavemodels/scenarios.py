@@ -11,9 +11,10 @@ the surface deformation over time.
 
 Every model is one row of the ``_MODELS`` table: its state type, the name
 of its second field, the fields it writes, and its run function.  Building
-the initial state, evolving it, writing its columns, the ``MODELS`` names
-and the CLI's solitary-wave models all read that row, so adding a model is
-adding one row.
+the initial state, evolving it, writing its columns and the ``MODELS``
+names all read that row, so adding a model is adding one row.  The models
+with solitary waves, and how each is solved, come from
+``traveling.SOLITARY_METHODS``.
 """
 
 from __future__ import annotations
@@ -32,28 +33,14 @@ import numpy as np
 from . import __version__ as _package_version
 from ._fork import in_order, worker_count
 from ._format import csv_rows, lead_text
-from .dispersive import (
-    AbcdParams,
-    BoussinesqState,
-    ScalarWaveState,
-    abcd_evolve,
-    classify_abcd,
-    scalar_evolve,
-)
-from .errors import BreakingError, CavitationError, WavemodelsError
-from .hyperbolic import (
-    SVState,
-    _hopf_profile,
-    _hopf_solve,
-    simple_wave_elevation,
-    simple_wave_velocity,
-    sv_evolve,
-)
+from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, classify_abcd, scalar_evolve
+from .errors import CavitationError, WavemodelsError
+from .hyperbolic import SVState, hopf_evolve, simple_wave_velocity, sv_evolve
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
 from .stepping import DtControl, HaltEvent, Trajectory, snapshot_times
-from .traveling import solitary_wave
+from .traveling import SOLITARY_METHODS, solitary_wave
 
 __all__ = [
     "MODELS",
@@ -64,6 +51,7 @@ __all__ = [
     "RunResult",
     "ScenarioError",
     "load_scenario",
+    "read_csv_column",
     "run",
     "compare",
     "write_rows",
@@ -171,7 +159,8 @@ class Scenario:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
         _require_integer(self.dim, "dim")
         if self.dim == 2 and not _MODELS[self.model].two_d:
-            raise ScenarioError(f"dim = 2 is only supported for {_model_names(lambda m: m.two_d)}")
+            names = " and ".join(name for name, m in _MODELS.items() if m.two_d)
+            raise ScenarioError(f"dim = 2 is only supported for {names}")
         if self.dim == 2 and self.initial.kind == "file":
             # traveling_wave and simple_wave data need a model that is 1-D only
             raise ScenarioError("file initial data is 1-D (one x_m column); "
@@ -283,24 +272,36 @@ def _gaussian_field(grid: Grid, amplitude: float, width: float, center: float) -
     return SpectralField(grid, amplitude * np.exp(-(width**2) * r2))
 
 
+def read_csv_column(path, name: str):
+    """(x, values): the x_m column and the ``name`` column of a CSV file
+    whose header line names its columns, x_m first.  Every row must have one
+    cell per name, and every value of ``name`` must be finite."""
+    with open(path) as fh:
+        if not fh.readline().strip():  # genfromtxt would warn, then fail
+            raise ScenarioError(f"{path} has no header line")
+    try:
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    except ValueError as err:  # a row of another length than the header
+        raise ScenarioError(f"cannot read {path}: {err}") from None
+    names = list(data.dtype.names)
+    if names[0] != "x_m" or name not in names[1:]:
+        raise ScenarioError(f"{path} needs a header naming x_m first and a {name} column, "
+                            f"found {names}")
+    values = np.asarray(data[name], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:  # genfromtxt reads a non-numeric cell as NaN
+        raise ScenarioError(f"column {name} holds a non-finite or non-numeric value "
+                            f"in data row {int(bad[0]) + 1} of {path}")
+    return np.asarray(data["x_m"], dtype=float), values
+
+
 def _file_column(path: str, grid: Grid, name: str) -> SpectralField:
     """One named column of a file of initial data, checked against the grid."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = list(data.dtype.names)
-    if names[0] != "x_m":
-        raise ScenarioError(f"file initial data must start with an x_m column, got {names}")
-    if name not in names[1:]:
-        raise ScenarioError(f"file initial data needs a {name} column, found {names}")
-    x = np.asarray(data["x_m"], dtype=float)
+    x, values = read_csv_column(path, name)
     xs = grid.axis_coordinates(0)
     # written so that a NaN in x fails it
     if x.shape != xs.shape or not np.max(np.abs(x - xs)) <= 1e-8 * grid.spacing[0]:
         raise ScenarioError("file x column does not match the scenario grid")
-    values = np.asarray(data[name], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:  # genfromtxt reads a non-numeric cell as NaN
-        raise ScenarioError(f"file initial data column {name} holds a non-finite or "
-                            f"non-numeric value in data row {int(bad[0]) + 1}")
     return SpectralField(grid, values)
 
 
@@ -324,31 +325,10 @@ class _Model:
     writes: tuple
     run: Callable
     two_d: bool = False
-    solitary: str | None = None  # how traveling_wave initial data is solved for, if taken
 
 
 # state field -> column name, in file initial data and in the snapshot CSVs
 _COLUMNS = {"zeta": "zeta_m", "psi": "psi_m2_per_s", "u": "u_m_per_s", "zeta_t": "zeta_t_m_per_s"}
-
-
-def _hopf_run(sc: Scenario, state0: SVState) -> Trajectory:
-    """Simple waves along characteristics; halts at breaking, with no state past it."""
-    p, u0 = sc.physical, state0.u
-    prof = _hopf_profile(u0)  # derivative, T* and upsampled period, once per run
-    xs = sc.grid.axis_coordinates(0)
-    traj = Trajectory()
-    for t in snapshot_times(sc.t_end, sc.output_stride):
-        try:
-            u_t = _hopf_solve(prof, p, t, xs) if t > 0 else u0.values
-        except BreakingError:  # at or past T*, or a non-monotone foot map
-            j = int(np.argmin(prof.du.values))
-            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * prof.t_star)
-            traj.halt = HaltEvent(reason="breaking", time=prof.t_star, location=location,
-                                  max_gradient=math.inf, breaking_time_estimate=prof.t_star)
-            break
-        u = SpectralField(sc.grid, u_t)
-        traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
-    return traj
 
 
 def _scalar_run(sc: Scenario, state0: ScalarWaveState) -> Trajectory:
@@ -364,20 +344,16 @@ _MODELS = {
         two_d=True),
     "saint_venant": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: sv_evolve(
         s, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
-    "hopf": _Model(SVState, "u", ("zeta", "u"), _hopf_run),
-    "boussinesq": _Model(BoussinesqState, "u", ("zeta", "u"), lambda sc, s: abcd_evolve(
-        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride),
-        solitary="petviashvili"),
-    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary="closed_form"),
-    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, solitary="petviashvili"),
+    "hopf": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: hopf_evolve(
+        s, sc.physical, sc.t_end, n_out=sc.output_stride)),
+    "boussinesq": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: abcd_evolve(
+        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
+    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
+    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
     "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
 }
 MODELS = tuple(_MODELS)
-SOLITARY_MODELS = tuple(name for name, m in _MODELS.items() if m.solitary)
-
-
-def _model_names(test) -> str:
-    return " and ".join(name for name, m in _MODELS.items() if test(m))
+SOLITARY_MODELS = tuple(SOLITARY_METHODS)
 
 
 def _build_initial(sc: Scenario):
@@ -390,11 +366,11 @@ def _build_initial(sc: Scenario):
     if ini.kind == "traveling_wave":
         if ini.speed is None:
             raise ScenarioError("traveling_wave initial data requires a speed")
-        if not model.solitary:
+        if sc.model not in SOLITARY_METHODS:
             raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
         sol = solitary_wave(sc.model, ini.speed, p, grid, sc.abcd)
         zeta, second = sol.profile_zeta, sol.profile_u
-        solver = {"method": model.solitary, "iterations": sol.iterations,
+        solver = {"method": SOLITARY_METHODS[sc.model], "iterations": sol.iterations,
                   "residual": sol.residual, "normalization_history": sol.normalization_history}
     else:
         if ini.kind == "file":
@@ -405,15 +381,18 @@ def _build_initial(sc: Scenario):
             zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
 
         # the simple-wave relation pairs zeta with the shallow-water velocity u
-        if ini.kind == "simple_wave" or ini.companion == "from_simple_wave_relation":
-            if model.state is not SVState:
-                names = _model_names(lambda m: m.state is SVState)
-                raise ScenarioError(f"the simple-wave velocity relation applies to {names} only")
+        relation = ini.kind == "simple_wave" or ini.companion == "from_simple_wave_relation"
+        if model.second is None:
+            second = None  # a scalar model takes zeta alone and ignores the companion
+        elif relation:
+            if model.second != "u":
+                raise ScenarioError("the simple-wave velocity relation needs a model with a "
+                                    f"velocity u or a scalar model, not {sc.model!r}")
             second = simple_wave_velocity(zeta, p)
-        elif ini.companion == "explicit" and ini.kind == "file" and model.second is not None:
+        elif ini.companion == "explicit" and ini.kind == "file":
             second = _file_column(ini.path, grid, _COLUMNS[model.second])
         else:
-            second = SpectralField.zeros(grid)  # unused by a scalar model
+            second = SpectralField.zeros(grid)
 
     if model.second is None:
         return model.state(zeta, 0.0, sc.model), solver

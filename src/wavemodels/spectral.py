@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields"]
+__all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields", "spectral_tail"]
 
 
 def _as_tuple(value, dim, cast):
@@ -274,6 +274,17 @@ def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField
     else:
         factor = (-grid.wavenumber_mesh()[axis] ** 2) ** (order // 2)
     return SpectralField.from_hat(grid, factor * f.hat)
+
+
+def spectral_tail(f: SpectralField) -> float:
+    """max |f-hat| over the top third of a 1D field's real-FFT modes, over max |f-hat|.
+
+    A resolution check: near round-off for a field the grid resolves,
+    order one for one it cannot carry.  0 for the zero field.
+    """
+    coef = np.abs(f.hat)
+    peak = float(np.max(coef))
+    return float(np.max(coef[coef.size - coef.size // 3 :])) / peak if peak != 0.0 else 0.0
 
 
 def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:

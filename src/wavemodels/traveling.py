@@ -26,9 +26,10 @@ import numpy as np
 from .dispersive import AbcdParams, _abcd_factors, classify_abcd, scalar_phase_speed
 from .errors import ConvergenceError, IllPosedError, ResonanceError
 from .physics import PhysicalParams
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, spectral_tail
 
 __all__ = [
+    "SOLITARY_METHODS",
     "TravelingWaveSolution",
     "ContinuationResult",
     "kdv_soliton",
@@ -48,6 +49,9 @@ __all__ = [
 # nodes or more, and 0.03 to 1 on 64 nodes or fewer.
 MAX_SPECTRAL_TAIL = 1e-2
 
+# The models ``solitary_wave`` solves for, and how: the manifest's solver method.
+SOLITARY_METHODS = {"boussinesq": "petviashvili", "kdv": "closed_form", "whitham": "petviashvili"}
+
 
 @dataclass
 class TravelingWaveSolution:
@@ -66,16 +70,8 @@ class TravelingWaveSolution:
 
     @property
     def spectral_tail(self) -> float:
-        """max |zeta-hat| over the top third of the rfft modes over max |zeta-hat|.
-
-        A resolution check: near round-off for a profile the grid resolves,
-        order one for one it cannot carry.  0 for the zero profile.
-        """
-        coef = np.abs(self.profile_zeta.hat)
-        peak = float(np.max(coef))
-        if peak == 0.0:
-            return 0.0
-        return float(np.max(coef[coef.size - coef.size // 3 :])) / peak
+        """``spectral.spectral_tail`` of the zeta profile."""
+        return spectral_tail(self.profile_zeta)
 
     def require_resolved(self) -> TravelingWaveSolution:
         """Return self, or raise ValueError unless spectral_tail <= MAX_SPECTRAL_TAIL.
@@ -414,13 +410,11 @@ def boussinesq_solitary_solve(
 def solitary_wave(
     model: str, speed: float, p: PhysicalParams, grid: Grid, abcd: AbcdParams | None = None
 ) -> TravelingWaveSolution:
-    """The kdv, whitham or boussinesq (``abcd``) solitary wave; ValueError if unresolved."""
-    if model == "kdv":
-        sol = kdv_soliton(speed, p, grid)
-    elif model == "whitham":
-        sol = petviashvili_solve("whitham", speed, p, grid)
-    elif model == "boussinesq":
-        sol = boussinesq_solitary_solve(abcd, speed, p, grid)
-    else:
+    """The solitary wave of a model in SOLITARY_METHODS, boussinesq with
+    ``abcd``; ValueError if unresolved."""
+    if model not in SOLITARY_METHODS:
         raise ValueError(f"no solitary-wave solver for model {model!r}")
-    return sol.require_resolved()
+    solve = {"boussinesq": lambda: boussinesq_solitary_solve(abcd, speed, p, grid),
+             "kdv": lambda: kdv_soliton(speed, p, grid),
+             "whitham": lambda: petviashvili_solve("whitham", speed, p, grid)}[model]
+    return solve().require_resolved()

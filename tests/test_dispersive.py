@@ -21,6 +21,7 @@ from wavemodels import (
     SingularSymbolError,
     SpectralField,
     StepSizeUnderflowError,
+    SVState,
     Trajectory,
     abcd_evolve,
     abcd_linear_evolve,
@@ -35,6 +36,10 @@ P = PhysicalParams(9.81, 1.0)
 GOOD = AbcdParams(-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
 BAD = AbcdParams(1.0 / 3.0, 0.0, 0.0, 0.0)
 ALT = AbcdParams(0.0, 1.0 / 6.0, 0.0, 1.0 / 6.0)
+
+
+def test_boussinesq_state_is_the_saint_venant_state():
+    assert BoussinesqState is SVState
 
 
 class TestAbcdParams:

@@ -21,20 +21,23 @@ from wavemodels import (
     Grid,
     PhysicalParams,
     SpectralField,
+    SVState,
     WavemodelsError,
     boussinesq_solitary_solve,
     breaking_time,
     group_velocity,
+    hopf_evolve,
     kdv_soliton,
     petviashvili_solve,
     phase_velocity,
     simple_wave_elevation,
     simple_wave_velocity,
 )
-from wavemodels import dispersive, scenarios
+from wavemodels import dispersive, hyperbolic, scenarios
 from wavemodels.cli import main
 from wavemodels.traveling import solitary_wave
 from wavemodels.scenarios import (
+    SOLITARY_MODELS,
     ComparisonReport,
     InitialData,
     Scenario,
@@ -275,6 +278,38 @@ class TestRun:
         assert manifest["halt"]["reason"] == "breaking"
         assert manifest["exit_code"] == 2
 
+    def test_hopf_evolve_is_the_hopf_run(self, tmp_path):
+        grid = Grid(200.0, 256)
+        sc = Scenario(model="hopf", grid=grid,
+                      initial=InitialData(kind="simple_wave", amplitude=0.5, width_parameter=0.1),
+                      t_end=50.0, output_stride=10)
+        result = run(sc, output_dir=tmp_path)
+        zeta = SpectralField(grid, 0.5 * np.exp(-(0.1**2) * grid.axis_coordinates(0) ** 2))
+        traj = hopf_evolve(SVState(zeta, simple_wave_velocity(zeta, P)), P, 50.0, n_out=10)
+        assert traj.halt == result.halt and result.halt.reason == "breaking"
+        assert len(traj.states) == len(result.snapshot_paths) >= 2
+        for state, path in zip(traj.states, result.snapshot_paths):
+            data = np.genfromtxt(path, delimiter=",", names=True)  # %.17g reads back exactly
+            assert np.array_equal(data["zeta_m"], state.zeta.values)
+            assert np.array_equal(data["u_m_per_s"], state.u.values)
+
+    def test_boussinesq_takes_simple_wave_data(self, tmp_path):
+        grid = Grid(100.0, 256)
+        sc = Scenario(model="boussinesq", abcd=AbcdParams(**GOOD_ABCD), grid=grid,
+                      initial=InitialData(kind="simple_wave", amplitude=0.05, width_parameter=0.3),
+                      t_end=2.0, output_stride=2)
+        result = run(sc, output_dir=tmp_path)
+        assert result.exit_code == 0 and len(result.snapshot_paths) == 3
+        data = np.genfromtxt(result.snapshot_paths[0], delimiter=",", names=True)
+        zeta = 0.05 * np.exp(-(0.3**2) * grid.axis_coordinates(0) ** 2)
+        # the t = 0 state has been through the stepper's transforms once
+        np.testing.assert_allclose(data["zeta_m"], zeta, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(data["u_m_per_s"], simple_wave_velocity(zeta, P),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_solitary_models_are_the_traveling_table(self):
+        assert SOLITARY_MODELS == ("boussinesq", "kdv", "whitham")
+
     def test_breaking_manifest_is_strict_json(self, tmp_path):
         sc = Scenario(
             model="hopf",
@@ -309,7 +344,7 @@ class TestRun:
         def breaks(*args):
             raise BreakingError("foot-point map is not monotone: breaking detected")
 
-        monkeypatch.setattr(scenarios, "_hopf_solve", breaks)
+        monkeypatch.setattr(hyperbolic, "_hopf_solve", breaks)
         sc = Scenario(
             model="hopf",
             grid=Grid(200.0, 256),
@@ -651,8 +686,9 @@ def expected_matrix_columns(model, kind, file_columns):
     xs = MATRIX_GRID.axis_coordinates(0)
     zero = np.zeros_like(xs)
     if kind in ("simple_wave", "from_simple_wave_relation"):
-        if model not in ("saint_venant", "hopf"):
-            return "the simple-wave velocity relation applies to saint_venant and hopf only"
+        if model in ("acoustic", "airy"):  # scalar models take zeta and ignore the relation
+            return ("the simple-wave velocity relation needs a model with a velocity u or a "
+                    f"scalar model, not {model!r}")
         zeta = 0.05 * np.exp(-(0.3**2) * xs**2)
         columns = {"zeta_m": zeta, "u_m_per_s": simple_wave_velocity(zeta, P)}
     elif kind == "traveling_wave":
@@ -714,7 +750,7 @@ def test_model_initial_kind_matrix(tmp_path, model, kind):
         # the second field is read from its own column, which must be present
         partial = tmp_path / "partial.csv"
         write_initial_file(partial, {k: v for k, v in file_columns.items() if k != second})
-        with pytest.raises(ScenarioError, match=f"file initial data needs a {second} column"):
+        with pytest.raises(ScenarioError, match=f"x_m first and a {second} column"):
             run(scenario(partial), output_dir=tmp_path / "partial_out")
 
 
@@ -951,17 +987,21 @@ class TestCli:
             (["3,0", "2,-1", "1,0", "0,1"],
              "error: --profile x_m column must be uniformly spaced and increasing"),
             (["0,0", "1,nan", "2,0", "3,1"],
-             "error: --profile u_m_per_s column holds a non-finite value"),
+             "error: column u_m_per_s holds a non-finite or non-numeric value in data row 2"),
+            (None, "error: {path} has no header line"),
+            (["0,0", "1,-1", "2,0", "3,1,4"], "error: cannot read {path}: "
+             "Some errors were detected ! Line #5 (got 3 columns instead of 2)"),
         ],
-        ids=["header_only", "one_row", "non_uniform", "decreasing", "nan_velocity"],
+        ids=["header_only", "one_row", "non_uniform", "decreasing", "nan_velocity", "empty",
+             "ragged"],
     )
     def test_shocktime_profile_checks(self, tmp_path, capsys, rows, message):
         profile = tmp_path / "u.csv"
-        profile.write_text("\n".join(["x_m,u_m_per_s", *rows]) + "\n")
+        profile.write_text("" if rows is None else "\n".join(["x_m,u_m_per_s", *rows]) + "\n")
         assert main(["shocktime", "--profile", str(profile)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(message)
+        assert captured.err.startswith(message.format(path=profile))
         assert len(captured.err.splitlines()) == 1
 
     def test_shocktime_uniform_profile(self, tmp_path, capsys):
@@ -1165,8 +1205,12 @@ class TestCli:
             ("saint_venant", "u_m_per_s", "inf",
              "column u_m_per_s holds a non-finite or non-numeric value"),
             ("airy", "x_m", "nan", "file x column does not match the scenario grid"),
+            ("kdv", "zeta_m", None, "init.csv has no header line"),
+            ("saint_venant", "u_m_per_s", "0.0,1.0",
+             "init.csv: Some errors were detected ! Line #7 (got 4 columns instead of 3)"),
         ],
-        ids=["airy_nan", "kdv_nan", "airy_text", "kdv_text", "explicit_velocity_inf", "nan_x"],
+        ids=["airy_nan", "kdv_nan", "airy_text", "kdv_text", "explicit_velocity_inf", "nan_x",
+             "empty", "ragged"],
     )
     def test_non_finite_file_initial_data_exit_code(self, tmp_path, capsys, model, column,
                                                     cell, message):
@@ -1177,7 +1221,7 @@ class TestCli:
                  "u_m_per_s": ["0.0"] * 16}
         table[column][5] = cell
         src = tmp_path / "init.csv"
-        src.write_text("x_m,zeta_m,u_m_per_s\n"
+        src.write_text("" if cell is None else "x_m,zeta_m,u_m_per_s\n"
                        + "".join(",".join(row) + "\n" for row in zip(*table.values())))
         cfg, out = tmp_path / "run.json", tmp_path / "out"
         write_config(cfg, model=model, grid={"length": 40.0, "nodes": 16}, t_end=1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavemodels import Grid, SpectralField, derivative
-from wavemodels.spectral import evaluate_fields
+from wavemodels.spectral import evaluate_fields, spectral_tail
 
 RNG = np.random.default_rng(20260808)
 
@@ -332,3 +332,11 @@ class TestDerivative:
         dy = derivative(f, axis=1)
         assert np.max(np.abs(dx.values - 2 * np.cos(2 * x) * np.cos(3 * y))) < 1e-12
         assert np.max(np.abs(dy.values + 3 * np.sin(2 * x) * np.sin(3 * y))) < 1e-12
+
+
+def test_spectral_tail_of_resolved_and_unresolved_fields():
+    grid = Grid(40.0, 256)
+    assert spectral_tail(SpectralField.zeros(grid)) == 0.0
+    smooth = SpectralField.from_function(grid, lambda x: np.exp(-(x**2)))
+    assert spectral_tail(smooth) < 1e-14
+    assert spectral_tail(random_field(grid)) > 0.1  # noise the grid cannot resolve
