@@ -25,6 +25,7 @@ from .errors import (
     ResonanceError,
     SingularSymbolError,
     StepSizeUnderflowError,
+    UnresolvedWaveError,
     WavemodelsError,
 )
 from .hyperbolic import (

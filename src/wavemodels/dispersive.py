@@ -11,10 +11,11 @@ linear dispersion relation
 turns negative on a band of wavenumbers for ill-chosen parameters, which
 makes the initial-value problem strongly ill-posed (Bona, Chen & Saut 2002).
 The band need not reach large wavenumbers, and may be narrow;
-``classify_abcd`` screens for it before any time stepping.  Every model here is advanced with an
-integrating-factor scheme: the linear part is exponentiated exactly
-mode-wise (for the system, in its characteristic variables), so only the
-nonlinear term constrains the step.
+``classify_abcd`` screens for it, and ``require_well_posed`` refuses such
+parameters, with one message, before any scenario, run or solitary wave.
+Every model here is advanced with an integrating-factor scheme: the linear
+part is exponentiated exactly mode-wise (for the system, in its
+characteristic variables), so only the nonlinear term constrains the step.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "SCALAR_MODELS",
     "abcd_symbol",
     "classify_abcd",
+    "require_well_posed",
     "abcd_evolve",
     "abcd_linear_evolve",
     "scalar_evolve",
@@ -187,17 +189,20 @@ def classify_abcd(params: AbcdParams, p: PhysicalParams) -> WellPosednessVerdict
     return WellPosednessVerdict("well_posed", None, w2_min)
 
 
-def _require_evolvable(params: AbcdParams, p: PhysicalParams):
-    if params.b < 0.0 or params.d < 0.0:
-        raise IllPosedError(
-            f"b and d must be nonnegative for time stepping; got b={params.b}, d={params.d}"
-        )
+def require_well_posed(params: AbcdParams, p: PhysicalParams) -> None:
+    """Raise IllPosedError unless ``classify_abcd`` finds the system well-posed.
+
+    The message names the witness wavenumber where omega^2 < 0, or, when
+    there is none, the negative b or d whose factor makes the symbol singular.
+    """
     verdict = classify_abcd(params, p)
-    if verdict.verdict != "well_posed":
-        raise IllPosedError(
-            "parameters are linearly ill-posed "
-            f"(omega^2 = {verdict.omega_squared_min} at k = {verdict.witness_wavenumber})"
-        )
+    if verdict.verdict == "well_posed":
+        return
+    witness = verdict.witness_wavenumber
+    negative = " and ".join(f"{n} = {v}" for n, v in (("b", params.b), ("d", params.d)) if v < 0)
+    reason = (f"omega^2 < 0 at k = {witness}" if witness is not None
+              else f"{negative}: a negative b or d makes the symbol singular")
+    raise IllPosedError(f"abcd parameters are ill-posed: {reason}")
 
 
 def _abcd_symbols(k, params: AbcdParams, p: PhysicalParams):
@@ -232,7 +237,7 @@ def abcd_evolve(
     runs integrating-factor RK4 in those characteristic variables, at 4
     times the advective CFL step cfl dx / (c0 + 1.5 max|u|).
     """
-    _require_evolvable(params, p)
+    require_well_posed(params, p)
     _, beta, s, inv_b, inv_d = _abcd_symbols(state.grid.wavenumbers(0), params, p)
     return integrate_pair(state, p.H, t_end, n_out, dt_control or DtControl(),
                           lambda z, u: p.c0 + 1.5 * float(np.max(np.abs(u))),
@@ -242,24 +247,21 @@ def abcd_evolve(
 def abcd_linear_evolve(
     state: BoussinesqState, params: AbcdParams, p: PhysicalParams, t: float
 ) -> BoussinesqState:
-    """Exact mode-wise solution of the linearized four-parameter system.
+    """Exact mode-wise solution of the linearized four-parameter system,
+    ``mode_propagator`` with a = -ik alpha and b = -ik beta.
 
     Reference oracle for the small-amplitude consistency of abcd_evolve.
     """
-    _require_evolvable(params, p)
+    require_well_posed(params, p)
     grid = state.grid
     alpha, beta, _, _, _ = _abcd_symbols(grid.wavenumbers(0), params, p)
     ik = grid.ik[0]  # zero at Nyquist, so that mode stays put, as in abcd_evolve
     w = np.abs(ik) * np.sqrt(np.maximum(alpha * beta, 0.0))
-    cos_wt, sin_over_w = mode_propagator(w, t)
+    cos_wt, m12, m21 = mode_propagator(w, -ik * alpha, -ik * beta, t)
     zhat, uhat = state.zeta.hat, state.u.hat
-    new_z = cos_wt * zhat - ik * alpha * sin_over_w * uhat
-    new_u = cos_wt * uhat - ik * beta * sin_over_w * zhat
-    return BoussinesqState(
-        zeta=SpectralField.from_hat(grid, new_z),
-        u=SpectralField.from_hat(grid, new_u),
-        time=state.time + t,
-    )
+    return BoussinesqState(SpectralField.from_hat(grid, cos_wt * zhat + m12 * uhat),
+                           SpectralField.from_hat(grid, cos_wt * uhat + m21 * zhat),
+                           state.time + t)
 
 
 def scalar_phase_speed(model: str, k, p: PhysicalParams):
@@ -308,6 +310,8 @@ def _scalar_run(state, p, t_end, dt, n_out):
         return quadratic * rfft(z * z)
 
     def snapshot(zhat, t):
+        if zhat is state.zeta.hat:  # the initial state itself, not irfft(rfft(zeta))
+            return state
         return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
 
     return integrate(state.zeta.hat, state.time, snapshot_times(t_end, n_out),

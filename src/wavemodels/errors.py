@@ -42,6 +42,10 @@ class ResonanceError(WavemodelsError, RuntimeError):
     """The traveling-wave linear symbol is singular at a grid wavenumber."""
 
 
+class UnresolvedWaveError(WavemodelsError, ValueError):
+    """A traveling-wave profile's spectral tail shows the grid cannot carry it."""
+
+
 class ConvergenceError(WavemodelsError, RuntimeError):
     """An iterative solver failed to converge.
 

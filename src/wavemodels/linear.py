@@ -4,8 +4,12 @@ Covers the non-dispersive long-wave equation d_t^2 zeta = g H Lap(zeta),
 the linearized surface-wave system (zeta, psi) with dispersion relation
 omega^2 = g |xi| tanh(H |xi|), phase/group velocities, and the large-time
 ray classification with its stationary-phase decay laws.  All evolutions
-are mode-wise exact: there is no time-stepping error, which makes these
-operators the reference oracle for the nonlinear modules.
+are mode-wise exact: each mode obeys d/dt (x, y) = [[0, a], [b, 0]] (x, y)
+with omega^2 = -ab, and ``mode_propagator`` is its one exponential, also
+for the linearized abcd systems.  There is no time-stepping error, which
+makes these operators the reference oracle for the nonlinear modules.
+omega' and omega'' share one scaffold: a Taylor series in H|xi| below
+_SERIES_THRESHOLD, the closed form above it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "omega_double_prime",
     "phase_velocity",
     "group_velocity",
+    "mode_propagator",
     "acoustic_evolve",
     "airy_propagator",
     "airy_evolve",
@@ -72,54 +77,40 @@ def _times_sech2(a, s):
     return np.multiply(a, s, out=np.copysign(np.zeros_like(s), a), where=s != 0.0)
 
 
-def omega_prime(xi_mag, p: PhysicalParams):
-    """d omega / d|xi|, analytic and even in xi, with a series branch for H|xi| << 1."""
+def _series_or_closed_form(xi_mag, p: PhysicalParams, series, closed):
+    """A function of |xi|: series(mu) where mu = H|xi| < _SERIES_THRESHOLD,
+    closed(mu, tanh mu, sech^2 mu, omega) elsewhere; a float for a scalar."""
     xi = np.abs(np.atleast_1d(np.asarray(xi_mag, dtype=float)))
     mu = p.H * xi
     out = np.empty_like(xi)
-
     small = mu < _SERIES_THRESHOLD
-    mu_s = mu[small]
-    out[small] = p.c0 * (
-        1.0 - mu_s**2 / 2.0 + 19.0 * mu_s**4 / 72.0 - 55.0 * mu_s**6 / 432.0
-    )
-
+    out[small] = series(mu[small])
     big = ~small
     if np.any(big):
-        xi_b, mu_b = xi[big], mu[big]
+        mu_b = mu[big]
         T = np.tanh(mu_b)
-        S2 = 1.0 - T * T
-        w = omega(xi_b, p)
-        out[big] = p.g * (T + _times_sech2(mu_b, S2)) / (2.0 * w)
-
+        out[big] = closed(mu_b, T, 1.0 - T * T, omega(xi[big], p))
     return out if np.ndim(xi_mag) else float(out[0])
+
+
+def omega_prime(xi_mag, p: PhysicalParams):
+    """d omega / d|xi|, analytic and even in xi, with a series branch for H|xi| << 1."""
+    return _series_or_closed_form(
+        xi_mag, p,
+        lambda mu: p.c0 * (1.0 - mu**2 / 2.0 + 19.0 * mu**4 / 72.0 - 55.0 * mu**6 / 432.0),
+        lambda mu, T, S2, w: p.g * (T + _times_sech2(mu, S2)) / (2.0 * w))
 
 
 def omega_double_prime(xi_mag, p: PhysicalParams):
     """d^2 omega / d|xi|^2, analytic and even in xi, with a series branch for H|xi| << 1."""
-    xi = np.abs(np.atleast_1d(np.asarray(xi_mag, dtype=float)))
-    mu = p.H * xi
-    out = np.empty_like(xi)
+    def closed(mu, T, S2, w):
+        P = T + _times_sech2(mu, S2)
+        Q = _times_sech2(1.0 - mu * T, 2.0 * p.H * S2)
+        return p.g * Q / (2.0 * w) - p.g**2 * P**2 / (4.0 * w**3)
 
-    small = mu < _SERIES_THRESHOLD
-    mu_s = mu[small]
-    out[small] = (
-        p.c0
-        * p.H
-        * (-mu_s + 19.0 * mu_s**3 / 18.0 - 55.0 * mu_s**5 / 72.0)
-    )
-
-    big = ~small
-    if np.any(big):
-        xi_b, mu_b = xi[big], mu[big]
-        T = np.tanh(mu_b)
-        S2 = 1.0 - T * T
-        w = omega(xi_b, p)
-        P = T + _times_sech2(mu_b, S2)
-        Q = _times_sech2(1.0 - mu_b * T, 2.0 * p.H * S2)
-        out[big] = p.g * Q / (2.0 * w) - p.g**2 * P**2 / (4.0 * w**3)
-
-    return out if np.ndim(xi_mag) else float(out[0])
+    return _series_or_closed_form(
+        xi_mag, p, lambda mu: p.c0 * p.H * (-mu + 19.0 * mu**3 / 18.0 - 55.0 * mu**5 / 72.0),
+        closed)
 
 
 def phase_velocity(xi_mag, p: PhysicalParams):
@@ -137,13 +128,15 @@ def group_velocity(xi_mag, p: PhysicalParams):
     return omega_prime(xi_mag, p)
 
 
-def mode_propagator(w: np.ndarray, t: float):
-    """cos(w t) and sin(w t)/w, the entries of every exact 2x2 mode propagator.
+def mode_propagator(w: np.ndarray, a, b, t: float):
+    """Entries (cos wt, a sin(wt)/w, b sin(wt)/w) of exp(t [[0, a], [b, 0]]), w^2 = -ab.
 
-    sin(w t)/w is written t sinc(w t / pi), so its w = 0 limit t needs no branch.
+    Both diagonal entries are cos wt.  sin(wt)/w is written t sinc(wt/pi),
+    so its w = 0 limit t needs no branch.
     """
     theta = w * t
-    return np.cos(theta), t * np.sinc(theta / np.pi)
+    sin_over_w = t * np.sinc(theta / np.pi)
+    return np.cos(theta), a * sin_over_w, b * sin_over_w
 
 
 def acoustic_evolve(
@@ -151,33 +144,27 @@ def acoustic_evolve(
 ) -> SpectralField:
     """Exact solution of d_t^2 zeta = g H Lap(zeta) at time t.
 
-    Mode-wise: zhat(t) = cos(c0|xi|t) zhat0 + sin(c0|xi|t)/(c0|xi|) zthat0,
-    with the xi = 0 mode evolved linearly as zhat0 + t*zthat0.
+    Mode-wise: zhat(t) = cos(wt) zhat0 + sin(wt)/w zthat0, w = c0|xi| (a = 1,
+    b = -w^2), and the xi = 0 mode evolves linearly as zhat0 + t*zthat0.
     """
     if not zeta0.same_grid(zeta_t0):
         raise GridMismatchError("zeta0 and zeta_t0 must live on the same grid")
     if t == 0.0:
         return zeta0.copy()
-    cos_wt, sin_over_w = mode_propagator(p.c0 * zeta0.grid.wavenumber_magnitude(), t)
+    w = p.c0 * zeta0.grid.wavenumber_magnitude()
+    cos_wt, sin_over_w, _ = mode_propagator(w, 1.0, -w * w, t)
     return SpectralField.from_hat(zeta0.grid, cos_wt * zeta0.hat + sin_over_w * zeta_t0.hat)
-
-
-def _propagator_entries(xi_mag: np.ndarray, p: PhysicalParams, t: float):
-    """Entries (m11, m12, m21) of exp(L(xi) t); m22 = m11."""
-    w = omega(xi_mag, p)
-    cos_wt, sin_over_w = mode_propagator(w, t)
-    return cos_wt, (w * w / p.g) * sin_over_w, -p.g * sin_over_w
 
 
 def airy_propagator(xi_mag: float, p: PhysicalParams, t: float) -> np.ndarray:
     """The 2x2 mode propagator exp(L(xi) t) acting on (zhat, phat).
 
     [[ cos(wt),        (w/g) sin(wt) ],
-     [ -(g/w) sin(wt),  cos(wt)      ]]   with w = omega(xi);
+     [ -(g/w) sin(wt),  cos(wt)      ]]   with w = omega(xi) (a = w^2/g, b = -g);
     at xi = 0 the limit [[1, 0], [-g t, 1]].
     """
-    arr = np.atleast_1d(np.asarray(xi_mag, dtype=float))
-    m11, m12, m21 = _propagator_entries(arr, p, t)
+    w = omega(np.atleast_1d(np.asarray(xi_mag, dtype=float)), p)
+    m11, m12, m21 = mode_propagator(w, w * w / p.g, -p.g, t)
     return np.array([[m11[0], m12[0]], [m21[0], m11[0]]])
 
 
@@ -185,16 +172,11 @@ def airy_evolve(s: AiryState, p: PhysicalParams, t: float) -> AiryState:
     """Advance an AiryState by t with the exact mode-wise propagator."""
     if t == 0.0:
         return AiryState(s.zeta.copy(), s.psi.copy(), s.time)
-    xi = s.grid.wavenumber_magnitude()
-    m11, m12, m21 = _propagator_entries(xi, p, t)
+    w = omega(s.grid.wavenumber_magnitude(), p)
+    m11, m12, m21 = mode_propagator(w, w * w / p.g, -p.g, t)
     zhat, phat = s.zeta.hat, s.psi.hat
-    new_z = m11 * zhat + m12 * phat
-    new_p = m21 * zhat + m11 * phat
-    return AiryState(
-        zeta=SpectralField.from_hat(s.grid, new_z),
-        psi=SpectralField.from_hat(s.grid, new_p),
-        time=s.time + t,
-    )
+    return AiryState(SpectralField.from_hat(s.grid, m11 * zhat + m12 * phat),
+                     SpectralField.from_hat(s.grid, m21 * zhat + m11 * phat), s.time + t)
 
 
 def airy_quadratic_energy(s: AiryState, p: PhysicalParams) -> float:

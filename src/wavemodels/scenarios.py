@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__ as _package_version
 from ._fork import in_order, worker_count
 from ._format import csv_rows, lead_text
-from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, classify_abcd, scalar_evolve
-from .errors import CavitationError, WavemodelsError
+from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, require_well_posed, scalar_evolve
+from .errors import CavitationError, IllPosedError, WavemodelsError
 from .hyperbolic import SVState, hopf_evolve, simple_wave_velocity, sv_evolve
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
@@ -168,11 +168,10 @@ class Scenario:
         if self.model == "boussinesq":
             if self.abcd is None:
                 raise ScenarioError("model 'boussinesq' requires abcd parameters")
-            verdict = classify_abcd(self.abcd, self.physical)
-            if verdict.verdict != "well_posed":
-                raise ScenarioError(
-                    f"abcd parameters are ill-posed (witness k = {verdict.witness_wavenumber})"
-                )
+            try:
+                require_well_posed(self.abcd, self.physical)
+            except IllPosedError as err:
+                raise ScenarioError(str(err)) from err
         _require_finite(self.t_end, "t_end")
         if self.t_end < 0.0:
             raise ScenarioError("t_end must be nonnegative")

@@ -206,7 +206,7 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     step below MIN_STEP raises StepSizeUnderflowError.
     A depth ``depth`` + zeta <= 0 raises CavitationError at the start and
     is a cavitation halt after a step; otherwise ``check(u_x, t)`` runs.
-    Snapshots have the type of ``state``.
+    Snapshots have the type of ``state``; the first is ``state`` itself.
     """
     grid = state.grid
     if grid.dim != 1:
@@ -272,11 +272,13 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
         return None if check is None else check(ux, t)
 
     def snapshot(w, t):
+        if w is w0:  # the initial state itself, not its round trip through w+-
+            return state
         z, u, _ = fields(w)
         return type(state)(SpectralField(grid, z), SpectralField(grid, u), t)
 
     z_hat, u_hat = state.zeta.hat, state.u.hat
+    w0 = np.stack([z_hat + scale * u_hat, z_hat - scale * u_hat])
     lin = ik * phase_speed
-    return integrate(np.stack([z_hat + scale * u_hat, z_hat - scale * u_hat]), state.time,
-                     snapshot_times(t_end, n_out), step, rhs, snapshot,
+    return integrate(w0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
                      factor=np.stack([-lin, lin]), check=halt)

@@ -12,7 +12,8 @@ they and the iteration work on the N/2 + 1 real-FFT modes of
 inner products of the normalization factor take the grid's Parseval
 weights (the interior modes twice, modes 0 and N/2 once).  Each sweep's
 output is Anderson-mixed with the last one's, which cuts the sweeps by
-about 2.5 times, and a continuation stops at a stage the grid cannot resolve.
+about 2.5 times.  A profile the grid cannot resolve is refused with
+UnresolvedWaveError, and a continuation stops at that stage.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersive import AbcdParams, _abcd_factors, classify_abcd, scalar_phase_speed
-from .errors import ConvergenceError, IllPosedError, ResonanceError
+from .dispersive import AbcdParams, _abcd_factors, require_well_posed, scalar_phase_speed
+from .errors import ConvergenceError, ResonanceError, UnresolvedWaveError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, spectral_tail
 
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-# Largest spectral_tail ``require_resolved`` accepts.  At c = 3.3 on the
+# Largest spectral_tail a TravelingWaveSolution accepts.  At c = 3.3 on the
 # default domain, kdv, whitham and boussinesq give at most 2.8e-3 on 128
 # nodes or more, and 0.03 to 1 on 64 nodes or fewer.
 MAX_SPECTRAL_TAIL = 1e-2
@@ -55,7 +56,12 @@ SOLITARY_METHODS = {"boussinesq": "petviashvili", "kdv": "closed_form", "whitham
 
 @dataclass
 class TravelingWaveSolution:
-    """A steady profile, its speed, and solver diagnostics."""
+    """A steady profile, its speed, and solver diagnostics.
+
+    A profile the grid does not resolve, its ``spectral_tail`` above
+    MAX_SPECTRAL_TAIL or NaN, is refused with UnresolvedWaveError when the
+    solution is built, so no solver hands one back.
+    """
 
     profile_zeta: SpectralField
     profile_u: SpectralField | None
@@ -63,6 +69,14 @@ class TravelingWaveSolution:
     residual: float
     iterations: int
     normalization_history: list = field(default_factory=list)  # M per sweep
+
+    def __post_init__(self):
+        tail = self.spectral_tail
+        if not tail <= MAX_SPECTRAL_TAIL:  # a NaN tail, from a non-finite profile, fails too
+            raise UnresolvedWaveError(
+                f"grid does not resolve the wave at speed {self.speed}: spectral tail "
+                f"{tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes"
+            )
 
     @property
     def amplitude(self) -> float:
@@ -72,18 +86,6 @@ class TravelingWaveSolution:
     def spectral_tail(self) -> float:
         """``spectral.spectral_tail`` of the zeta profile."""
         return spectral_tail(self.profile_zeta)
-
-    def require_resolved(self) -> TravelingWaveSolution:
-        """Return self, or raise ValueError unless spectral_tail <= MAX_SPECTRAL_TAIL.
-
-        A NaN tail, from a non-finite profile, fails the test too.
-        """
-        if not self.spectral_tail <= MAX_SPECTRAL_TAIL:
-            raise ValueError(
-                f"grid does not resolve the wave at speed {self.speed}: spectral tail "
-                f"{self.spectral_tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes"
-            )
-        return self
 
 
 @dataclass
@@ -103,12 +105,12 @@ def _decay_rate(speed: float, p: PhysicalParams) -> float:
     return math.sqrt(1.5 * (speed / p.c0 - 1.0)) / p.H
 
 
-def suggested_domain_length(speed: float, p: PhysicalParams, factor: float = 40.0) -> float:
-    """Domain length so periodic tail interactions fall below tolerance (c > c0 only)."""
+def suggested_domain_length(speed: float, p: PhysicalParams) -> float:
+    """40 decay lengths 1/kappa: periodic tail interactions fall below tolerance (c > c0 only)."""
     if speed <= p.c0:
         raise ValueError(f"a solitary-wave domain length needs a speed above c0 = {p.c0}; "
                          f"got speed {speed}")
-    return factor / _decay_rate(speed, p)
+    return 40.0 / _decay_rate(speed, p)
 
 
 def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSolution:
@@ -122,15 +124,17 @@ def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSol
         raise ValueError(f"no solitary wave below c0 = {p.c0}; got speed {speed}")
     if grid.dim != 1:
         raise ValueError("traveling-wave profiles are 1D")
-    x = grid.axis_coordinates(0)
     if speed == p.c0:
-        zeta = SpectralField(grid, np.zeros_like(x))
-        return TravelingWaveSolution(zeta, None, speed, 0.0, 0)
-    amp = 2.0 * p.H * (speed / p.c0 - 1.0)
-    kappa = _decay_rate(speed, p)
-    zeta = SpectralField(grid, amp / np.cosh(kappa * x) ** 2)
+        return TravelingWaveSolution(SpectralField.zeros(grid), None, speed, 0.0, 0)
+    zeta = SpectralField(grid, _sech2_profile(speed, p, grid))
     res = float(np.max(np.abs(kdv_steady_residual(zeta, speed, p))))
     return TravelingWaveSolution(zeta, None, speed, res, 0)
+
+
+def _sech2_profile(speed: float, p: PhysicalParams, grid: Grid) -> np.ndarray:
+    """The nodes of ``kdv_soliton``'s profile for c > c0, also the solvers' first guess."""
+    amp = 2.0 * p.H * (speed / p.c0 - 1.0)
+    return amp / np.cosh(_decay_rate(speed, p) * grid.axis_coordinates(0)) ** 2
 
 
 def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalParams):
@@ -302,10 +306,7 @@ def petviashvili_solve(
     if speed <= p.c0:
         raise ValueError(f"supercritical speed required; got {speed} <= c0 = {p.c0}")
     lin, term_hat = _scalar_operator(model, speed, p, grid)
-    if initial_guess is None:
-        z = kdv_soliton(speed, p, grid).profile_zeta.values
-    else:
-        z = initial_guess.values
+    z = _sech2_profile(speed, p, grid) if initial_guess is None else initial_guess.values
     v, it, res, history = _petviashvili(lin, term_hat, z[None], grid.parseval_weights, tol,
                                         max_iter)
     return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it, history)
@@ -324,9 +325,10 @@ def petviashvili_continuation(
     """Ramp the speed geometrically toward a hard target.
 
     Each stage reuses the previous profile as the initial guess.  If a
-    stage diverges, or converges to a profile whose ``spectral_tail``
-    exceeds MAX_SPECTRAL_TAIL (the test of ``require_resolved``), the result
-    records that speed and returns the stages solved so far; it does not raise.
+    stage diverges (ConvergenceError), or converges to a profile the grid
+    does not resolve (UnresolvedWaveError), the result records that speed
+    and returns the stages solved so far; it does not raise.  Any other
+    error, such as a start speed at or below c0, is raised.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1; got {steps!r}")
@@ -342,9 +344,7 @@ def petviashvili_continuation(
             sol = petviashvili_solve(
                 model, s, p, grid, tol=tol, max_iter=max_iter, initial_guess=guess
             )
-        except ConvergenceError:
-            sol = None
-        if sol is None or not sol.spectral_tail <= MAX_SPECTRAL_TAIL:
+        except (ConvergenceError, UnresolvedWaveError):
             return ContinuationResult(speeds[: len(solutions)], solutions, diverged_at=s)
         solutions.append(sol)
     return ContinuationResult(speeds, solutions, diverged_at=None)
@@ -386,9 +386,7 @@ def boussinesq_solitary_solve(
     leading-order closure u = c zeta / (H + zeta).
     """
     _check_iteration(tol, max_iter)
-    verdict = classify_abcd(params, p)
-    if verdict.verdict != "well_posed":
-        raise IllPosedError("cannot continue solitary waves of an ill-posed system")
+    require_well_posed(params, p)
     if not 1.0 <= speed / p.c0 <= 1.3:
         raise ValueError(
             f"supported speeds have 0 <= c/c0 - 1 <= 0.3; got c/c0 - 1 = {speed / p.c0 - 1.0}"
@@ -398,7 +396,7 @@ def boussinesq_solitary_solve(
         return TravelingWaveSolution(zeros, SpectralField.zeros(grid), speed, 0.0, 0)
 
     lin, term_hat = _boussinesq_operator(params, speed, p, grid)
-    guess_z = kdv_soliton(speed, p, grid).profile_zeta.values
+    guess_z = _sech2_profile(speed, p, grid)
     guess_u = speed * guess_z / (p.H + guess_z)
     v, it, res, history = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)),
                                         grid.parseval_weights, tol, max_iter)
@@ -411,10 +409,9 @@ def solitary_wave(
     model: str, speed: float, p: PhysicalParams, grid: Grid, abcd: AbcdParams | None = None
 ) -> TravelingWaveSolution:
     """The solitary wave of a model in SOLITARY_METHODS, boussinesq with
-    ``abcd``; ValueError if unresolved."""
+    ``abcd``; UnresolvedWaveError if the grid does not resolve it."""
     if model not in SOLITARY_METHODS:
         raise ValueError(f"no solitary-wave solver for model {model!r}")
-    solve = {"boussinesq": lambda: boussinesq_solitary_solve(abcd, speed, p, grid),
-             "kdv": lambda: kdv_soliton(speed, p, grid),
-             "whitham": lambda: petviashvili_solve("whitham", speed, p, grid)}[model]
-    return solve().require_resolved()
+    return {"boussinesq": lambda: boussinesq_solitary_solve(abcd, speed, p, grid),
+            "kdv": lambda: kdv_soliton(speed, p, grid),
+            "whitham": lambda: petviashvili_solve("whitham", speed, p, grid)}[model]()

@@ -26,10 +26,13 @@ from wavemodels import (
     abcd_evolve,
     abcd_linear_evolve,
     abcd_symbol,
+    boussinesq_solitary_solve,
     classify_abcd,
     scalar_evolve,
 )
 from wavemodels import dispersive, stepping
+from wavemodels.dispersive import require_well_posed
+from wavemodels.scenarios import Scenario, ScenarioError
 
 P = PhysicalParams(9.81, 1.0)
 
@@ -156,6 +159,29 @@ class TestAbcdEvolve:
         state = BoussinesqState(SpectralField.zeros(g), SpectralField.zeros(g))
         with pytest.raises(IllPosedError):
             abcd_evolve(state, BAD, P, 1.0)
+
+    @pytest.mark.parametrize(
+        "params", [AbcdParams(0.1, -0.1, 0.0, 1.0 / 3.0), BAD], ids=["negative_b", "witness"]
+    )
+    def test_every_caller_raises_the_gate_message(self, params):
+        # (0.1, -0.1, 0, 1/3): 1 - a mu^2 cancels 1 + b mu^2, so omega^2 is nowhere
+        # negative and the message names b; BAD has a witness wavenumber
+        witness = classify_abcd(params, P).witness_wavenumber
+        reason = ("b = -0.1: a negative b or d makes the symbol singular" if witness is None
+                  else f"omega^2 < 0 at k = {witness}")
+        message = f"abcd parameters are ill-posed: {reason}"
+        g = Grid(50.0, 128)
+        state = BoussinesqState(SpectralField.zeros(g), SpectralField.zeros(g))
+        for call in (lambda: require_well_posed(params, P),
+                     lambda: abcd_evolve(state, params, P, 1.0),
+                     lambda: abcd_linear_evolve(state, params, P, 1.0),
+                     lambda: boussinesq_solitary_solve(params, 3.3, P, g)):
+            with pytest.raises(IllPosedError) as err:
+                call()
+            assert str(err.value) == message
+        with pytest.raises(ScenarioError) as err:
+            Scenario(model="boussinesq", abcd=params)
+        assert str(err.value) == message
 
     def test_cavitating_data_rejected(self):
         g = Grid(50.0, 128)

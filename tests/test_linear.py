@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavemodels import (
+    AbcdParams,
     AiryState,
     Grid,
     GridMismatchError,
@@ -23,6 +24,9 @@ from wavemodels import (
     ray_asymptotics,
     sample_ray_envelope,
 )
+
+from wavemodels.dispersive import _abcd_symbols
+from wavemodels.linear import _SERIES_THRESHOLD, mode_propagator
 
 P = PhysicalParams(9.81, 1.0)
 RNG = np.random.default_rng(7)
@@ -72,6 +76,31 @@ class TestAcoustic:
             acoustic_evolve(
                 SpectralField.zeros(Grid(10.0, 64)), SpectralField.zeros(Grid(10.0, 128)), P, 1.0
             )
+
+
+class TestModePropagator:
+    """mode_propagator(w, a, b, t) against scipy's expm of t [[0, a], [b, 0]]."""
+
+    @staticmethod
+    def generators(xi):
+        """(w, a, b) of the acoustic, Airy and linear abcd modes at |xi|."""
+        wa, wy = P.c0 * xi, omega(xi, P)
+        alpha, beta, _, _, _ = _abcd_symbols(xi, AbcdParams(-1 / 3, 1 / 3, 0.0, 1 / 3), P)
+        return [(wa, 1.0, -wa * wa), (wy, wy * wy / P.g, -P.g),
+                (xi * math.sqrt(alpha * beta), -1j * xi * alpha, -1j * xi * beta)]
+
+    @pytest.mark.parametrize("kind", ["acoustic", "airy", "abcd"])
+    def test_matches_matrix_exponential(self, kind):
+        from scipy.linalg import expm
+
+        index = ["acoustic", "airy", "abcd"].index(kind)
+        rng = np.random.default_rng(3)  # |xi| <= 3, t <= 5 keep expm's own error below ~7e-13
+        for xi, t in zip([0.0, *rng.uniform(0.0, 3.0, 40)], [2.0, *rng.uniform(0.0, 5.0, 40)]):
+            w, a, b = self.generators(xi)[index]
+            m11, m12, m21 = mode_propagator(np.array([w]), a, b, t)
+            got = np.array([[m11[0], m12[0]], [m21[0], m11[0]]])
+            want = expm(t * np.array([[0.0, a], [b, 0.0]]))
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestAiryPropagator:
@@ -220,6 +249,13 @@ class TestOmegaDerivatives:
             assert omega_double_prime(1e300, PhysicalParams(H=1e10)) == 0.0
             sweep = omega_double_prime(np.geomspace(1e-3, 1e308, 400), PhysicalParams(H=1e10))
         assert np.all(np.isfinite(sweep)) and np.all(sweep <= 0.0)
+
+    @pytest.mark.parametrize("derivative", [omega_prime, omega_double_prime])
+    def test_series_meets_closed_form_at_threshold(self, derivative):
+        # the last series point and the first closed-form point, mu = H|xi| either side
+        below, at = np.nextafter(_SERIES_THRESHOLD, 0.0) / P.H, _SERIES_THRESHOLD / P.H
+        series, closed = derivative(below, P), derivative(at, P)
+        assert abs(series - closed) <= 1e-10 * abs(closed)
 
     @pytest.mark.parametrize("derivative", [omega_prime, omega_double_prime])
     def test_even_in_xi(self, derivative):

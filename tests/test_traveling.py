@@ -14,6 +14,8 @@ from wavemodels import (
     PhysicalParams,
     ScalarWaveState,
     SpectralField,
+    TravelingWaveSolution,
+    UnresolvedWaveError,
     abcd_evolve,
     boussinesq_solitary_solve,
     boussinesq_steady_residual,
@@ -27,6 +29,7 @@ from wavemodels import (
     whitham_steady_residual,
 )
 from wavemodels.dispersive import _abcd_factors
+from wavemodels.spectral import spectral_tail
 from wavemodels.stepping import DtControl
 from wavemodels.traveling import (
     MAX_SPECTRAL_TAIL,
@@ -185,14 +188,21 @@ class TestAndersonStep:
         # nodes, seeded from the stage before it.  Without the restart on a
         # growing update the mix stalls there (its update is still ~1e-3
         # after 3000 sweeps); with it, it converges (the plain sweep takes 246).
+        # The peaked profile it converges to has a spectral tail of ~0.14, so
+        # petviashvili_solve refuses it as unresolved.
         grid, target = Grid(200.0, 2048), 1.2290408 * P.c0
         before = 1.05 * P.c0 * (target / (1.05 * P.c0)) ** (19 / 20)
         ramp = petviashvili_continuation("whitham", before, P, grid, steps=19, tol=1e-10,
                                          max_iter=3000)
         assert ramp.diverged_at is None
-        sol = petviashvili_solve("whitham", target, P, grid, tol=1e-10, max_iter=3000,
-                                 initial_guess=ramp.solutions[-1].profile_zeta)
-        assert sol.residual < 1e-9
+        guess = ramp.solutions[-1].profile_zeta
+        v, _, residual, _ = _petviashvili(*_scalar_operator("whitham", target, P, grid),
+                                          guess.values[None], grid.parseval_weights, 1e-10, 3000)
+        assert residual < 1e-9
+        assert spectral_tail(SpectralField(grid, v[0])) > MAX_SPECTRAL_TAIL
+        with pytest.raises(UnresolvedWaveError, match="grid does not resolve the wave at speed"):
+            petviashvili_solve("whitham", target, P, grid, tol=1e-10, max_iter=3000,
+                               initial_guess=guess)
 
 
 class TestContinuation:
@@ -213,6 +223,13 @@ class TestContinuation:
             "whitham", 3.0 * P.c0, P, grid, steps=5, tol=1e-12, max_iter=60
         )
         assert res.diverged_at is not None
+
+    @pytest.mark.parametrize("start", [P.c0, 0.9 * P.c0])
+    def test_start_speed_not_above_c0_raises(self, start):
+        # only divergence and an unresolved profile end a ramp quietly
+        with pytest.raises(ValueError, match="supercritical speed required"):
+            petviashvili_continuation("whitham", 1.12 * P.c0, P, Grid(200.0, 256),
+                                      start_speed=start, steps=2)
 
     def test_unresolved_stage_is_reported(self):
         # Every stage from 1.295 c0 on converges, but to a profile the grid
@@ -401,6 +418,14 @@ class TestSolitaryWaveDispatch:
             ref = boussinesq_solitary_solve(GOOD, 3.3, P, grid)
         assert np.array_equal(sol.profile_zeta.values, ref.profile_zeta.values)
         assert (sol.profile_u is None) == (model != "boussinesq")
+
+    def test_solution_refuses_unresolved_profile(self):
+        # kdv_soliton on 8 nodes has a spectral tail of 0.99; a NaN profile has a NaN tail
+        with pytest.raises(UnresolvedWaveError, match="does not resolve the wave at speed 3.3"):
+            kdv_soliton(3.3, P, Grid(100.0, 8))
+        grid = Grid(100.0, 64)
+        with pytest.raises(UnresolvedWaveError, match="spectral tail nan exceeds 0.01"):
+            TravelingWaveSolution(SpectralField(grid, np.full(64, np.nan)), None, 3.3, 0.0, 0)
 
     def test_rejects_unresolved_wave_and_unknown_model(self):
         with pytest.raises(ValueError, match="grid does not resolve the wave"):
