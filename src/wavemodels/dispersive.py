@@ -38,6 +38,7 @@ from .linear import mode_propagator, phase_velocity
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField
 from .stepping import (
+    MIN_STEP,
     PAIR_STEP_MULTIPLE,
     DtControl,
     Trajectory,
@@ -368,6 +369,8 @@ def scalar_evolve(
     zmax = float(np.max(np.abs(state.zeta.values)))
     dx = grid.spacing[0]
     dt0 = ctrl.cfl * dx / (p.c0 + 1.5 * (p.c0 / p.H) * zmax)
+    if not dt0 >= MIN_STEP:  # a zmax near the float limit makes the speed inf and dt0 0
+        raise StepSizeUnderflowError(f"time step underflow: dt = {dt0}")
     dt4 = PAIR_STEP_MULTIPLE * dt0
     # RK4's imaginary-axis limit 2.8 at the Nyquist k = pi/dx, for the advection 1.5 (c0/H) zeta
     h_stab = 2.8 * dx / (math.pi * 1.5 * (p.c0 / p.H) * zmax) if zmax > 0.0 else math.inf

@@ -1,19 +1,20 @@
 """Scenario configuration, experiment drivers, and data export.
 
-A scenario is a JSON document with a versioned schema (unknown keys are
-rejected) selecting a model, physical parameters, grid, initial data, and
-output policy.  ``run`` dispatches to the model's evolution operator and
-writes snapshot CSV files plus a JSON manifest capturing the fully
-resolved configuration; re-running from a manifest reproduces the
-snapshot files byte for byte.  ``compare`` runs two scenarios on a common
-grid with identical initial data and reports relative L2 differences of
-the surface deformation over time.
+A scenario is a JSON document with a versioned schema selecting a model,
+physical parameters, grid, initial data, and output policy.  ``run``
+dispatches to the model's evolution operator and writes snapshot CSV files
+plus a JSON manifest capturing the fully resolved configuration;
+re-running from a manifest reproduces the snapshot files byte for byte.
+``compare`` runs two scenarios on a common grid with identical initial
+data and reports the relative L2 differences of zeta over time.
 
-Every model is one row of the ``_MODELS`` table: its state type, the name
-of its second field, the fields it writes, and its run function.  Building
-the initial state, evolving it, writing its columns and the ``MODELS``
-names all read that row, so adding a model is adding one row.  The models
-with solitary waves, and how each is solved, come from
+Every key of the schema is one entry of the ``_SCHEMA`` table, with its
+JSON type; ``_read`` checks a JSON document and a directly built dataclass
+against it.  Every model is one row of the ``_MODELS`` table: its state
+type, the name of its second field, the fields it writes, and its run
+function.  Building the initial state, evolving it, writing its columns and
+the ``MODELS`` names all read that row, so adding a model is adding one
+row.  The models with solitary waves, and how each is solved, come from
 ``traveling.SOLITARY_METHODS``.
 """
 
@@ -23,8 +24,10 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -83,27 +86,48 @@ class ScenarioError(WavemodelsError, ValueError):
     """Configuration is structurally or physically invalid."""
 
 
-def _require_finite(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+# section -> key -> its JSON type, then "required" (must be given), "null" (may
+# be null) or "per-axis" (may be a list of one value per axis, as 2-D manifests
+# write the grid).  An absent key takes its dataclass default.
+_SCHEMA = {
+    "scenario": {"version": "integer", "model": "string required", "dim": "integer",
+                 "physical": "object", "abcd": "object null", "grid": "object null",
+                 "initial": "object", "t_end": "number", "output": "object"},
+    "physical": {"g": "number", "H": "number"},
+    "abcd": dict.fromkeys("abcd", "number required"),
+    "grid": {"length": "number required per-axis", "nodes": "integer required per-axis"},
+    "initial": {"kind": "string", "amplitude": "number", "width_parameter": "number",
+                "center": "number", "companion": "string", "speed": "number null",
+                "path": "string null"},
+    "output": {"stride": "integer", "directory": "string null"},
+}
+_JSON_TYPES = {  # JSON type -> (its class, its name in messages)
+    "number": (numbers.Real, "a finite number"), "integer": (numbers.Integral, "an integer"),
+    "string": (str, "a string"), "object": (dict, "a JSON object")}
 
 
-def _require_integer(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioError(f"{where} must be an integer, got {value!r}")
-
-
-def _require_string(value, where: str):
-    if value is not None and not isinstance(value, str):
-        raise ScenarioError(f"{where} must be a string, got {value!r}")
-
-
-def _reject_unknown(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {type(section).__name__}")
-    unknown = sorted(set(section) - allowed)
+def _read(section: str, raw) -> dict:
+    """``raw``, checked to be a JSON object that holds ``section``'s _SCHEMA."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{section} must be a JSON object, got {type(raw).__name__}")
+    keys = _SCHEMA[section]
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ScenarioError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+    missing = [key for key, spec in keys.items() if "required" in spec and key not in raw]
+    if missing:
+        raise ScenarioError(f"{section} is missing key(s): {', '.join(missing)}")
+    for key, value in raw.items():
+        json_type, *flags = keys[key].split()
+        cls, name = _JSON_TYPES[json_type]
+        items = value if "per-axis" in flags and isinstance(value, list) else [value]
+        # a bool is no number or integer; the bound fails NaN, +-inf, ints beyond floats
+        if not (value is None and "null" in flags or all(
+                isinstance(v, cls) and not isinstance(v, bool)
+                and (cls is not numbers.Real or abs(v) <= sys.float_info.max) for v in items)):
+            where = key if section == "scenario" else f"{section}.{key}"
+            raise ScenarioError(f"{where} must be {name}, got {value!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -119,24 +143,17 @@ class InitialData:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ScenarioError(f"initial.kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.companion not in _COMPANIONS:
-            raise ScenarioError(
-                f"initial.companion must be one of {_COMPANIONS}, got {self.companion!r}"
-            )
-        for name in ("amplitude", "width_parameter", "center"):
-            _require_finite(getattr(self, name), f"initial.{name}")
-        if self.speed is not None:
-            _require_finite(self.speed, "initial.speed")
+        _read("initial", self.to_dict())
+        for key, allowed in (("kind", _KINDS), ("companion", _COMPANIONS)):
+            if getattr(self, key) not in allowed:
+                raise ScenarioError(f"initial.{key} must be one of {allowed}, "
+                                    f"got {getattr(self, key)!r}")
         if self.width_parameter <= 0.0:
             raise ScenarioError("initial.width_parameter must be positive")
-        _require_string(self.path, "initial.path")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InitialData":
-        _reject_unknown(raw, {f.name for f in fields(cls)}, "initial")
-        return cls(**raw)
+        return cls(**_read("initial", raw))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -155,9 +172,12 @@ class Scenario:
     output_directory: str | None = None
 
     def __post_init__(self):
+        _read("scenario", {"model": self.model, "dim": self.dim, "t_end": self.t_end})
+        _read("output", {"stride": self.output_stride, "directory": self.output_directory})
         if self.model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
-        _require_integer(self.dim, "dim")
+        if self.dim not in (1, 2):
+            raise ScenarioError(f"dim must be 1 or 2, got {self.dim}")
         if self.dim == 2 and not _MODELS[self.model].two_d:
             names = " and ".join(name for name, m in _MODELS.items() if m.two_d)
             raise ScenarioError(f"dim = 2 is only supported for {names}")
@@ -172,13 +192,10 @@ class Scenario:
                 require_well_posed(self.abcd, self.physical)
             except IllPosedError as err:
                 raise ScenarioError(str(err)) from err
-        _require_finite(self.t_end, "t_end")
         if self.t_end < 0.0:
             raise ScenarioError("t_end must be nonnegative")
-        _require_integer(self.output_stride, "output.stride")
         if self.output_stride < 1:
             raise ScenarioError("output.stride must be at least 1")
-        _require_string(self.output_directory, "output.directory")
         if self.grid is None:
             default = Grid(200.0, 1024) if self.dim == 1 else Grid(100.0, 256, dim=2)
             object.__setattr__(self, "grid", default)
@@ -187,58 +204,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        _reject_unknown(
-            raw,
-            {"version", "model", "dim", "physical", "abcd", "grid", "initial", "t_end", "output"},
-            "scenario",
-        )
-        version = raw.get("version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ScenarioError(f"unsupported schema version {version!r}")
-        if "model" not in raw:
-            raise ScenarioError("scenario requires a 'model' key")
-
-        phys_raw = raw.get("physical", {})
-        _reject_unknown(phys_raw, {"g", "H"}, "physical")
-        for name, value in phys_raw.items():
-            _require_finite(value, f"physical.{name}")
-        physical = PhysicalParams(**phys_raw)
-
-        abcd = None
-        if raw.get("abcd") is not None:
-            abcd_raw = raw["abcd"]
-            _reject_unknown(abcd_raw, {"a", "b", "c", "d"}, "abcd")
-            for name in ("a", "b", "c", "d"):
-                _require_finite(abcd_raw.get(name), f"abcd.{name}")
-            abcd = AbcdParams(**abcd_raw)
-
-        dim = raw.get("dim", 1)
-        _require_integer(dim, "dim")  # before the grid is built with it
-        grid = None
-        if raw.get("grid") is not None:
-            grid_raw = raw["grid"]
-            _reject_unknown(grid_raw, {"length", "nodes"}, "grid")
-            missing = sorted({"length", "nodes"} - set(grid_raw))
-            if missing:
-                raise ScenarioError(f"grid is missing key(s): {', '.join(missing)}")
-            grid = Grid(grid_raw["length"], grid_raw["nodes"], dim=dim)
-
-        initial = InitialData.from_dict(raw.get("initial", {}))
-
-        out_raw = raw.get("output", {})
-        _reject_unknown(out_raw, {"stride", "directory"}, "output")
-
-        return cls(
-            model=raw["model"],
-            physical=physical,
-            dim=dim,
-            abcd=abcd,
-            grid=grid,
-            initial=initial,
-            t_end=raw.get("t_end", 10.0),
-            output_stride=out_raw.get("stride", 10),
-            output_directory=out_raw.get("directory"),
-        )
+        raw = _read("scenario", raw)
+        if raw.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ScenarioError(f"unsupported schema version {raw['version']!r}")
+        args = {key: raw[key] for key in ("model", "dim", "t_end") if key in raw}
+        args.update({f"output_{key}": value
+                     for key, value in _read("output", raw.get("output", {})).items()})
+        sections = {"physical": PhysicalParams, "abcd": AbcdParams, "initial": InitialData,
+                    "grid": partial(Grid, dim=args.get("dim", cls.dim))}
+        for section, make in sections.items():
+            if raw.get(section) is not None:
+                try:
+                    args[section] = make(**_read(section, raw[section]))
+                except ScenarioError:
+                    raise
+                except ValueError as err:  # a range error of PhysicalParams, AbcdParams or Grid
+                    raise ScenarioError(f"{section}: {err}") from err
+        return cls(**args)
 
     def to_dict(self) -> dict:
         return {
@@ -247,10 +229,8 @@ class Scenario:
             "dim": self.dim,
             "physical": asdict(self.physical),
             "abcd": None if self.abcd is None else asdict(self.abcd),
-            "grid": {
-                "length": list(self.grid.length) if self.dim > 1 else self.grid.length[0],
-                "nodes": list(self.grid.nodes) if self.dim > 1 else self.grid.nodes[0],
-            },
+            "grid": {key: list(v) if self.dim > 1 else v[0]
+                     for key, v in (("length", self.grid.length), ("nodes", self.grid.nodes))},
             "initial": self.initial.to_dict(),
             "t_end": self.t_end,
             "output": {"stride": self.output_stride, "directory": self.output_directory},

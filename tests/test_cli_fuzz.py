@@ -34,11 +34,20 @@ INVALID = [
     ("physical", "g", "x"), ("physical", "H", -1.0), ("t_end", None, -1.0),
     ("t_end", None, "soon"), ("output", "stride", 0), ("grid", "nodes", 7),
     ("grid", "length", 0.0), ("initial", "width_parameter", 0.0), ("initial", "kind", "sine"),
+    # a value of a wrong JSON type for every key of the schema
+    ("version", None, True), ("model", None, 5), ("dim", None, 1.0), ("physical", None, [9.81]),
+    ("abcd", None, "x"), ("grid", None, 200.0), ("initial", None, "gaussian"), ("output", None, 3),
+    ("physical", "H", True), ("abcd", "a", "x"), ("abcd", "b", True), ("abcd", "c", "0"),
+    ("abcd", "d", [0.0]), ("grid", "length", "100"), ("grid", "nodes", 16.0),
+    ("initial", "kind", 5), ("initial", "amplitude", "0.1"), ("initial", "width_parameter", True),
+    ("initial", "center", "0"), ("initial", "companion", 1), ("initial", "speed", "3"),
+    ("initial", "path", 5), ("output", "stride", 2.0), ("output", "directory", 5),
 ]
 
 
-def config(seed):
-    """A scenario dict and, for file initial data, the cell to spoil (or None).
+def config(seed, path):
+    """A scenario dict, whose file initial data is read from ``path``, and
+    for file initial data the cell to spoil (or None).
 
     Every choice comes from one seeded generator: hypothesis varies and
     shrinks the seed, and each seed gives an independent draw of the
@@ -57,6 +66,8 @@ def config(seed):
     }
     if kind == "traveling_wave":
         initial["speed"] = float(rng.uniform(2.5, 4.5))
+    if kind == "file":
+        initial["path"] = str(path)
     raw = {
         "model": str(rng.choice(MODELS)),
         "dim": dim,
@@ -67,13 +78,13 @@ def config(seed):
         "output": {"stride": int(rng.integers(1, 4))},
     }
     if raw["model"] == "boussinesq" or rng.random() < 0.5:
-        raw["abcd"] = ABCD[rng.integers(len(ABCD))]
+        raw["abcd"] = dict(ABCD[rng.integers(len(ABCD))])
     if rng.random() < 0.2:
         section, key, value = INVALID[rng.integers(len(INVALID))]
         if key is None:
             raw[section] = value
         else:
-            raw[section][key] = value
+            raw.setdefault(section, dict(ABCD[0]))[key] = value  # abcd may be absent
     spoil = None
     if kind == "file" and rng.random() < 0.75:
         column = str(rng.choice(FILE_COLUMNS + ("zeta_m", "zeta_m")))
@@ -85,7 +96,7 @@ def write_initial_file(path, raw, spoil):
     """A file on the config's grid (or a 16-node one if the grid is invalid)."""
     try:
         xs = Grid(raw["grid"]["length"], raw["grid"]["nodes"]).axis_coordinates(0)
-    except ValueError:
+    except (ValueError, TypeError):  # TypeError: the grid is not a JSON object
         xs = Grid(100.0, 16).axis_coordinates(0)
     zeta = 0.05 * np.exp(-0.1 * xs**2)
     table = [[repr(float(v)) for v in col] for col in (xs, zeta, 0.5 * zeta, 0.0 * xs, 0.0 * xs)]
@@ -99,12 +110,10 @@ def write_initial_file(path, raw, spoil):
 @hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1))
 def test_run_ends_in_a_documented_exit_code(seed):
-    raw, spoil = config(seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if raw["initial"]["kind"] == "file":
-            raw["initial"]["path"] = str(tmp / "init.csv")
-            write_initial_file(tmp / "init.csv", raw, spoil)
+        raw, spoil = config(seed, tmp / "init.csv")
+        write_initial_file(tmp / "init.csv", raw, spoil)  # read only by file initial data
         cfg, out = tmp / "run.json", tmp / "out"
         cfg.write_text(json.dumps(raw))
         err = io.StringIO()

@@ -67,6 +67,42 @@ def write_config(path, **overrides):
     return cfg
 
 
+# every key of the scenario schema with its JSON type; a valid entry of each section
+SCHEMA_FIELDS = {
+    "scenario": {"version": "integer", "model": "string", "dim": "integer", "t_end": "number",
+                 "physical": "object", "abcd": "object", "grid": "object",
+                 "initial": "object", "output": "object"},
+    "physical": {"g": "number", "H": "number"},
+    "abcd": dict.fromkeys("abcd", "number"),
+    "grid": {"length": "number", "nodes": "integer"},
+    "initial": {"kind": "string", "amplitude": "number", "width_parameter": "number",
+                "center": "number", "companion": "string", "speed": "number", "path": "string"},
+    "output": {"stride": "integer", "directory": "string"},
+}
+VALID_SECTIONS = {"physical": {"g": 9.81, "H": 1.0}, "abcd": GOOD_ABCD,
+                  "grid": {"length": 200.0, "nodes": 256}, "initial": {"kind": "gaussian"},
+                  "output": {"stride": 3}}
+# values of a wrong JSON type: a string or a bool for a number, a float or a
+# bool for an integer, a number for a string, and a non-object for a section
+WRONG_TYPES = {"number": ["9.81", True], "integer": [2.0, True], "string": [5],
+               "object": [[1.0], "x"]}
+TYPE_NAMES = {"number": "a finite number", "integer": "an integer", "string": "a string",
+              "object": "a JSON object"}
+
+
+def wrong_type_cases():
+    """(config overrides, message) for each schema key and each wrong JSON type."""
+    for section, keys in SCHEMA_FIELDS.items():
+        for key, json_type in keys.items():
+            where = key if section == "scenario" else f"{section}.{key}"
+            for value in WRONG_TYPES[json_type]:
+                spoiled = ({key: value} if section == "scenario"
+                           else {section: {**VALID_SECTIONS[section], key: value}})
+                yield pytest.param({"abcd": GOOD_ABCD, **spoiled},
+                                   f"error: {where} must be {TYPE_NAMES[json_type]}, got",
+                                   id=f"{where}={value!r}")
+
+
 def cli(*args):
     """Run ``main`` in-process and return what ``python -m wavemodels`` would.
 
@@ -1121,6 +1157,18 @@ class TestCli:
         assert r.stderr.startswith("error: time step underflow")
         assert len(r.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
+    def test_amplitude_at_the_float_limit_exit_code(self, tmp_path, capsys, model):
+        # 1.5 (c0/H) max|zeta| overflows to inf, so the CFL step dt0 is 0
+        cfg = tmp_path / "huge.json"
+        write_config(cfg, model=model, initial={"kind": "gaussian", "amplitude": 1e308},
+                     output={"stride": 2, "directory": str(tmp_path / "out")})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: time step underflow")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unresolved_traveling_wave_run_exit_code(self, tmp_path):
         # 8 nodes on L = 100 cannot carry the speed-3.3 wave: the solved
         # profile alternates sign from node to node
@@ -1148,15 +1196,38 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"physical": {"g": "x", "H": 1.0}}, "error: physical.g must be a finite number"),
-            ({"grid": {"length": 200.0}}, "error: grid is missing key(s): nodes"),
+            pytest.param({"physical": {"g": "x", "H": 1.0}},
+                         "error: physical.g must be a finite number", id="non_numeric_gravity"),
+            pytest.param({"grid": {"length": 200.0}}, "error: grid is missing key(s): nodes",
+                         id="grid_without_nodes"),
+            pytest.param({"grid": {"length": 200.0, "nodes": 1e300}},
+                         "error: grid.nodes must be an integer, got 1e+300", id="huge_nodes"),
+            pytest.param({"t_end": 10**400}, "error: t_end must be a finite number",
+                         id="t_end_beyond_float_range"),
+            pytest.param({"version": 1.0}, "error: version must be an integer, got 1.0",
+                         id="float_version"),
+            pytest.param({"dim": 0, "grid": None}, "error: dim must be 1 or 2, got 0",
+                         id="dim_0_without_grid"),
+            pytest.param({"dim": 3}, "error: grid: dim must be 1 or 2, got 3", id="dim_3"),
+            pytest.param({"dim": 2, "grid": {"length": [200.0], "nodes": [16, 16]}},
+                         "error: grid: expected 2 per-axis values, got 1", id="short_axis_list"),
+            pytest.param({"physical": {"g": -1.0}}, "error: physical: gravity must be positive",
+                         id="negative_gravity"),
+            pytest.param({"model": "boussinesq", "abcd": {"a": 0.1, "b": 0.1, "c": 0.1, "d": 0.1}},
+                         "error: abcd: a+b+c+d must equal 1/3", id="abcd_sum"),
+            pytest.param({"model": "boussinesq", "abcd": {"a": 1 / 3}},
+                         "error: abcd is missing key(s): b, c, d", id="abcd_without_bcd"),
+            *wrong_type_cases(),
         ],
-        ids=["non_numeric_gravity", "grid_without_nodes"],
     )
     def test_schema_error_exit_code(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "bad.json"
-        write_config(cfg, **overrides)
+        write_config(cfg, **{"output": {"stride": 3, "directory": str(tmp_path / "out")},
+                             **overrides})
+        with pytest.raises(ScenarioError):
+            load_scenario(cfg)
         assert main(["run", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
