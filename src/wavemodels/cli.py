@@ -28,8 +28,8 @@ from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import (FLOAT_FORMAT, SOLITARY_MODELS, InitialData, compare, load_scenario,
-                        read_csv_column, run, write_rows)
+from .scenarios import (FLOAT_FORMAT, SOLITARY_MODELS, InitialData, compare, json_record,
+                        load_scenario, read_csv_column, run, write_rows)
 from .spectral import Grid, SpectralField
 from .traveling import solitary_wave, suggested_domain_length
 
@@ -209,16 +209,7 @@ def _cmd_shocktime(args) -> int:
 def _cmd_classify(args) -> int:
     p = PhysicalParams(args.g, args.H)
     verdict = classify_abcd(AbcdParams(args.a, args.b, args.c, args.d), p)
-    print(
-        json.dumps(
-            {
-                "verdict": verdict.verdict,
-                "witness_wavenumber": verdict.witness_wavenumber,
-                "omega_squared_min": verdict.omega_squared_min,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(json_record(verdict), sort_keys=True))
     return 0
 
 

@@ -311,11 +311,9 @@ def _scalar_run(state, p, t_end, dt, n_out):
         return quadratic * rfft(z * z)
 
     def snapshot(zhat, t):
-        if zhat is state.zeta.hat:  # the initial state itself, not irfft(rfft(zeta))
-            return state
         return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
 
-    return integrate(state.zeta.hat, state.time, snapshot_times(t_end, n_out),
+    return integrate(state.zeta.hat, state, snapshot_times(t_end, n_out),
                      lambda zhat: dt, nonlinear_hat, snapshot, factor=lin)
 
 

@@ -195,72 +195,56 @@ def hopf_characteristic_solve(
     Raises BreakingError when t is at or past the crossing time, or when
     the sampled foot-point map is not increasing.
     """
-    return _hopf_solve(_hopf_profile(u0), p, t, query_points)
+    return _hopf_solver(u0)[0](p, t, query_points)
 
 
-@dataclass(frozen=True)
-class _HopfProfile:
-    """What the Hopf solve needs of u0 at every time: the fields u0 and
-    du = u0' (whose node values are the breaking scan), the crossing time
-    T*, the period L, and the samples of one closed period of the
-    upsampled interpolant."""
-
-    u0: SpectralField
-    du: SpectralField
-    t_star: float
-    length_scale: float
-    period: tuple
-
-
-def _hopf_profile(u0: SpectralField) -> _HopfProfile:
-    """The per-profile work of ``hopf_characteristic_solve``, done once."""
+def _hopf_solver(u0: SpectralField):
+    """The per-profile work of ``hopf_characteristic_solve``, done once:
+    u0', the crossing time T* and one closed period of the upsampled
+    interpolant.  Returns (solve, u0', T*), where ``solve(p, t,
+    query_points)`` is ``hopf_characteristic_solve`` of u0."""
     du = derivative(u0, axis=0, order=1)
+    t_star = _crossing_time(du)
     length_scale = u0.grid.length[0]
     fine = u0.upsample(max(4096, u0.grid.nodes[0]))
     # close the period so the wrap-around pair is checked too
-    period = (np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale),
-              np.append(fine.values, fine.values[0]))
-    return _HopfProfile(u0, du, _crossing_time(du), length_scale, period)
+    xs = np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale)
+    uvals = np.append(fine.values, fine.values[0])
 
+    def solve(p: PhysicalParams, t: float, query_points):
+        query = np.atleast_1d(np.asarray(query_points, dtype=float))
+        if t >= t_star:
+            raise BreakingError(f"characteristics cross at T* = {t_star}; requested t = {t}")
+        phi = xs + (p.c0 + 1.5 * uvals) * t
+        if np.any(np.diff(phi) <= 0.0):
+            raise BreakingError("foot-point map is not monotone: breaking detected")
+        # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
+        # period by whole periods; u at its foot is unchanged.
+        shift = length_scale * np.floor((query - phi[0]) / length_scale)
+        out = _foot_points(query - shift, xs, phi, u0, du, p.c0, t, 1e-10 * length_scale)
+        return out if np.ndim(query_points) else float(out[0])
 
-def _hopf_solve(prof: _HopfProfile, p: PhysicalParams, t: float, query_points):
-    """``hopf_characteristic_solve`` on a profile prepared by ``_hopf_profile``."""
-    query = np.atleast_1d(np.asarray(query_points, dtype=float))
-    if t >= prof.t_star:
-        raise BreakingError(
-            f"characteristics cross at T* = {prof.t_star}; requested t = {t}"
-        )
-
-    xs, uvals = prof.period
-    phi = xs + (p.c0 + 1.5 * uvals) * t
-    if np.any(np.diff(phi) <= 0.0):
-        raise BreakingError("foot-point map is not monotone: breaking detected")
-    # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
-    # period by whole periods; u at its foot is unchanged.
-    length_scale = prof.length_scale
-    shift = length_scale * np.floor((query - phi[0]) / length_scale)
-    out = _foot_points(query - shift, xs, phi, prof.u0, prof.du, p.c0, t,
-                       1e-10 * length_scale)
-    return out if np.ndim(query_points) else float(out[0])
+    return solve, du, t_star
 
 
 def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10) -> Trajectory:
     """The simple wave of ``state.u`` along the characteristics, zeta its elevation, at
-    snapshot_times(t_end, n_out); halts at breaking, with no state at or past it."""
+    snapshot_times(t_end, n_out); halts at breaking, with no state at or past it.
+    The first snapshot is ``state`` itself; only simple-wave data has a zeta that
+    is the elevation of its u there."""
     u0 = state.u
-    prof = _hopf_profile(u0)  # derivative, T* and upsampled period, once per run
+    solve, du, t_star = _hopf_solver(u0)  # derivative, T* and upsampled period, once per run
     xs = state.grid.axis_coordinates(0)
-    traj = Trajectory()
-    for t in snapshot_times(t_end, n_out):
+    traj = Trajectory([state])
+    for t in snapshot_times(t_end, n_out)[1:]:
         try:
-            u_t = _hopf_solve(prof, p, t, xs) if t > 0 else u0.values
+            u = SpectralField(state.grid, solve(p, t, xs))
         except BreakingError:  # at or past T*, or a non-monotone foot map
-            j = int(np.argmin(prof.du.values))
-            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * prof.t_star)
-            traj.halt = HaltEvent(reason="breaking", time=prof.t_star, location=location,
-                                  max_gradient=math.inf, breaking_time_estimate=prof.t_star)
+            j = int(np.argmin(du.values))
+            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star)
+            traj.halt = HaltEvent(reason="breaking", time=t_star, location=location,
+                                  max_gradient=math.inf, breaking_time_estimate=t_star)
             break
-        u = SpectralField(state.grid, u_t)
         traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
     return traj
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 class PhysicalParams:
     """Gravity and still-water depth, with the derived long-wave speed.
 
+    g H must be positive and finite, so that c0 = sqrt(g H) is too.
+
     Parameters
     ----------
     g : float
@@ -26,6 +28,8 @@ class PhysicalParams:
             raise ValueError(f"gravity must be positive, got {self.g}")
         if not (self.H > 0.0 and math.isfinite(self.H)):
             raise ValueError(f"depth must be positive, got {self.H}")
+        if not 0.0 < self.g * self.H < math.inf:
+            raise ValueError(f"g H must be positive and finite, got {self.g * self.H}")
 
     @property
     def c0(self) -> float:

@@ -456,15 +456,13 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     return paths, workers
 
 
-def _halt_to_dict(halt: HaltEvent | None):
-    if halt is None:
+def json_record(record) -> dict | None:
+    """The fields of a dataclass ``record`` (None stays None) as a strict-JSON
+    object: JSON has no Infinity or NaN, so a non-finite float is written as null."""
+    if record is None:
         return None
-    out = {"reason": halt.reason}
-    for name in ("time", "location", "max_gradient", "breaking_time_estimate"):
-        value = getattr(halt, name)
-        # strict JSON has no Infinity or NaN: a non-finite field is written as null
-        out[name] = value if value is not None and math.isfinite(value) else None
-    return out
+    return {name: None if isinstance(value, float) and not math.isfinite(value) else value
+            for name, value in asdict(record).items()}
 
 
 def run(scenario: Scenario, output_dir=None) -> RunResult:
@@ -495,7 +493,7 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
         "scenario": scenario.to_dict(),
         "snapshot_files": [p.name for p in snapshot_paths],
         "snapshot_times": times,
-        "halt": _halt_to_dict(halt),
+        "halt": json_record(halt),
         "exit_code": 2 if halt is not None else 0,
         "timing_seconds": time.perf_counter() - t_start,
         "diagnostics": diagnostics,

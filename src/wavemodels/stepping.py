@@ -10,17 +10,8 @@ entries.  The scalar models step zeta-hat.
 Saint-Venant and abcd step the characteristic pair w+- = zeta-hat +- s
 u-hat through ``integrate_pair``, in which their linear waves are
 diagonal and propagate exactly.  They step at PAIR_STEP_MULTIPLE times
-their advective CFL step dt0.  ``dispersive.scalar_evolve``, unless
-``DtControl.dt`` pins the step, halves its step from the coarsest 4 dt0 2^j
-within the output interval and max(4 dt0, RK4's stability step for the
-nonlinear term) until two successive runs agree to
-``dispersive.REFINE_TOL``, down to a floor of 2^-14 CFL steps.  Those runs
-depend only on the initial state, so a refinement whose 4 dt0 run has at
-least 2^18 node-steps computes them concurrently: this process computes
-the level it needs next while forked children compute up to
-min(cores, levels, 4) - 1 later ones, which are killed once two levels
-agree.  Each run is the same computation wherever it runs, so the
-trajectories are bit for bit those of running the levels one after another.
+their advective CFL step dt0.
+``dispersive.scalar_evolve`` states the scalar models' step refinement.
 """
 
 from __future__ import annotations
@@ -122,7 +113,7 @@ def snapshot_times(t_end: float, n_intervals: int) -> list[float]:
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite guard reports these
 def integrate(
     y0: np.ndarray,
-    t0: float,
+    state,
     times: list,
     step: Callable[[np.ndarray], float],
     rhs: Callable[[np.ndarray], np.ndarray],
@@ -130,7 +121,8 @@ def integrate(
     factor: np.ndarray,
     check: Callable[[np.ndarray, float], HaltEvent | None] | None = None,
 ) -> Trajectory:
-    """Advance y0 from t0 through the output offsets ``times`` (times[0] = 0).
+    """Advance y0, the array of ``state``, from t0 = state.time through the
+    output offsets ``times`` (times[0] = 0).  The first snapshot is ``state``.
 
     Each output interval is split into equal steps no larger than
     ``step(y)``, evaluated on the state at the interval's start.  ``rhs``
@@ -145,7 +137,8 @@ def integrate(
     state with a non-finite value at the end of an output interval ends
     the run with reason ``non_finite``; that state is not kept.
     """
-    traj = Trajectory([snapshot(y0, t0)])
+    traj = Trajectory([state])
+    t0 = state.time
     y = y0
     t_now = 0.0
     for t_target in times[1:]:
@@ -272,13 +265,11 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
         return None if check is None else check(ux, t)
 
     def snapshot(w, t):
-        if w is w0:  # the initial state itself, not its round trip through w+-
-            return state
         z, u, _ = fields(w)
         return type(state)(SpectralField(grid, z), SpectralField(grid, u), t)
 
     z_hat, u_hat = state.zeta.hat, state.u.hat
     w0 = np.stack([z_hat + scale * u_hat, z_hat - scale * u_hat])
     lin = ik * phase_speed
-    return integrate(w0, state.time, snapshot_times(t_end, n_out), step, rhs, snapshot,
+    return integrate(w0, state, snapshot_times(t_end, n_out), step, rhs, snapshot,
                      factor=np.stack([-lin, lin]), check=halt)

@@ -1,10 +1,14 @@
-"""Bounded property test of the ``run`` exit-code contract over scenario dicts.
+"""Bounded property tests of the CLI exit-code contract.
 
-Any config the CLI is given ends in exit 0, 1 or 2; exit 1 prints one
+Any config ``run`` is given ends in exit 0, 1 or 2; exit 1 prints one
 ``error:`` line; no snapshot written under exit 0 holds a non-finite value;
-and every accepted scenario survives a to_dict/from_dict round trip.  The
-50 examples are derandomized and small (N <= 64, t_end <= 0.5), so the
-test is reproducible and cheap.
+and every accepted scenario survives a to_dict/from_dict round trip.  Any
+argv of ``dispersion``, ``solitary``, ``shocktime`` and ``classify`` ends
+in exit 0 or 1; exit 1 prints one ``error:`` line; under exit 0 every CSV
+value is finite and every JSON line is strict JSON.  Each test's 50
+examples are derandomized and small (``run``: N <= 64 and t_end <= 0.5;
+argv: N <= 256 and at most 1000 samples), so the tests are reproducible
+and cheap.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ import pytest
 
 from wavemodels import Grid, WavemodelsError
 from wavemodels.cli import main
-from wavemodels.scenarios import MODELS, Scenario
+from wavemodels.scenarios import MODELS, SOLITARY_MODELS, Scenario
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -135,3 +139,97 @@ def test_run_ends_in_a_documented_exit_code(seed):
         except (WavemodelsError, ValueError):
             return
         assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+# Every float option of the argv fuzz is a typical value, its negative or one of these
+EXTREMES = (1e-300, -1e-300, 1e300, -1e300, 0.0)
+OUT_OF_RANGE = (0, 1, 10**6 + 1)  # node and sample counts outside every valid range
+ABCD_ROWS = [tuple(row.values()) for row in ABCD] + [(0.0, 1.0 / 6.0, 0.0, 1.0 / 6.0)]
+
+
+def argv(seed):
+    """The argv of one ``dispersion``, ``solitary``, ``shocktime`` or ``classify`` call."""
+    rng = np.random.default_rng(seed)
+
+    def number(low, high):
+        r = rng.random()
+        if r < 0.5:
+            return float(rng.uniform(low, high))
+        return -float(rng.uniform(low, high)) if r < 0.6 else float(rng.choice(EXTREMES))
+
+    def count(low, high):
+        """An even count in [low, high] (low even), or one out of range."""
+        if rng.random() < 0.8:
+            return 2 * int(rng.integers(low // 2, high // 2 + 1))
+        return int(rng.choice(OUT_OF_RANGE))
+
+    command = str(rng.choice(["dispersion", "solitary", "shocktime", "classify"]))
+    args = [command]
+
+    def option(name, value):
+        args.extend([f"--{name}", repr(value) if isinstance(value, float) else str(value)])
+
+    def abcd():  # a valid row, some of its entries replaced
+        row = ABCD_ROWS[rng.integers(len(ABCD_ROWS))]
+        for name, value in zip("abcd", row):
+            option(name, number(0.0, 0.4) if rng.random() < 0.25 else value)
+
+    if command == "dispersion":
+        option("ximax", number(0.1, 10.0))
+        option("samples", count(2, 1000))
+        option("quantity", str(rng.choice(["phase", "group", "both"])))
+    elif command == "solitary":
+        model = str(rng.choice(SOLITARY_MODELS))
+        option("model", model)
+        if rng.random() < 0.3:
+            option("speeds", ",".join(repr(number(3.2, 3.6)) for _ in range(2)))
+        else:
+            option("speed", number(3.2, 3.6))
+        if rng.random() < 0.5:
+            option("length", number(50.0, 200.0))
+        option("nodes", count(32, 256))
+        if model == "boussinesq":
+            abcd()
+    elif command == "shocktime":
+        option("builtin", str(rng.choice(["minus-sine", "gaussian-bump"])))
+        option("amplitude", number(0.1, 2.0))
+        option("width", number(0.1, 2.0))
+        option("length", number(20.0, 200.0))
+        option("nodes", count(8, 256))
+    else:
+        abcd()
+    if command != "shocktime":
+        for name, low, high in (("g", 1.0, 20.0), ("H", 0.3, 3.0)):
+            if rng.random() < 0.8:
+                option(name, number(low, high))
+    return args
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1).map(argv))
+# g H underflowing to 0 and overflowing to inf, and an omega^2 of -+inf
+@hypothesis.example(["solitary", "--model", "kdv", "--speed", "1", "--g", "1e-200", "--H", "1e-200"])
+@hypothesis.example(["dispersion", "--ximax", "1", "--samples", "3", "--g", "1e308", "--H", "1e308"])
+@hypothesis.example(["classify", "--a", "-0.3333333333333333", "--b", "0.3333333333333333",
+                     "--c", "0", "--d", "0.3333333333333333", "--H", "1e-300"])
+@hypothesis.example(["classify", "--a", "0.3333333333333333", "--b", "0", "--c", "0", "--d", "0",
+                     "--H", "1e-300"])
+def test_other_commands_end_in_a_documented_exit_code(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    for line in (out.getvalue() + err.getvalue()).splitlines():
+        if line.startswith("{"):
+            json.loads(line, parse_constant=refuse_constant)
+    if args[0] in ("dispersion", "solitary") and out.getvalue():
+        data = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(data))

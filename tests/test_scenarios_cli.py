@@ -30,7 +30,6 @@ from wavemodels import (
     kdv_soliton,
     petviashvili_solve,
     phase_velocity,
-    simple_wave_elevation,
     simple_wave_velocity,
 )
 from wavemodels import dispersive, hyperbolic, scenarios
@@ -321,7 +320,9 @@ class TestRun:
                       t_end=50.0, output_stride=10)
         result = run(sc, output_dir=tmp_path)
         zeta = SpectralField(grid, 0.5 * np.exp(-(0.1**2) * grid.axis_coordinates(0) ** 2))
-        traj = hopf_evolve(SVState(zeta, simple_wave_velocity(zeta, P)), P, 50.0, n_out=10)
+        initial = SVState(zeta, simple_wave_velocity(zeta, P))
+        traj = hopf_evolve(initial, P, 50.0, n_out=10)
+        assert traj.states[0] is initial  # the t = 0 snapshot is the state it was given
         assert traj.halt == result.halt and result.halt.reason == "breaking"
         assert len(traj.states) == len(result.snapshot_paths) >= 2
         for state, path in zip(traj.states, result.snapshot_paths):
@@ -400,7 +401,7 @@ class TestRun:
         def breaks(*args):
             raise BreakingError("foot-point map is not monotone: breaking detected")
 
-        monkeypatch.setattr(hyperbolic, "_hopf_solve", breaks)
+        monkeypatch.setattr(hyperbolic, "_foot_points", breaks)
         sc = Scenario(
             model="hopf",
             grid=Grid(200.0, 256),
@@ -763,8 +764,6 @@ def expected_matrix_columns(model, kind, file_columns):
         second = SECOND_COLUMN[model]
         if second is not None:
             columns[second] = file_columns[second] if kind == "file_explicit" else zero
-    if model == "hopf":  # hopf writes the elevation of the simple wave its u carries
-        columns["zeta_m"] = simple_wave_elevation(columns["u_m_per_s"], P)
     return {name: columns[name] for name in WRITTEN[model]}
 
 
@@ -949,6 +948,15 @@ class TestCli:
         out = json.loads(r.stdout)
         assert out["verdict"] == "ill_posed"
         assert abs(out["witness_wavenumber"] - math.sqrt(3.0)) < 0.1
+
+    @pytest.mark.parametrize("abcd, verdict", [((-1 / 3, 1 / 3, 0.0, 1 / 3), "well_posed"),
+                                               ((1 / 3, 0.0, 0.0, 0.0), "ill_posed")])
+    def test_classify_non_finite_omega_squared_is_null(self, capsys, abcd, verdict):
+        # at H = 1e-300 the scan's omega^2 overflows to +-inf, which strict JSON cannot hold
+        argv = [f"--{k}={v!r}" for k, v in zip("abcd", abcd)]
+        assert main(["classify", *argv, "--H", "1e-300"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert out["verdict"] == verdict and out["omega_squared_min"] is None
 
     def test_shocktime_builtin_minus_sine(self):
         r = cli("shocktime", "--builtin", "minus-sine")
@@ -1213,6 +1221,9 @@ class TestCli:
                          "error: grid: expected 2 per-axis values, got 1", id="short_axis_list"),
             pytest.param({"physical": {"g": -1.0}}, "error: physical: gravity must be positive",
                          id="negative_gravity"),
+            pytest.param({"physical": {"g": 1e300, "H": 1e300}},
+                         "error: physical: g H must be positive and finite, got inf",
+                         id="g_H_overflow"),
             pytest.param({"model": "boussinesq", "abcd": {"a": 0.1, "b": 0.1, "c": 0.1, "d": 0.1}},
                          "error: abcd: a+b+c+d must equal 1/3", id="abcd_sum"),
             pytest.param({"model": "boussinesq", "abcd": {"a": 1 / 3}},
@@ -1274,10 +1285,15 @@ class TestCli:
             *((["dispersion", "--ximax", "1", "--samples", n],
                f"error: argument --samples: expected an integer in [2, 1000000], got {n!r}")
               for n in ("0", "1", "1000001", "2.5", "many")),
+            # g and H are each positive and finite, but c0 = sqrt(g H) is 0 or inf
+            (["solitary", "--model", "kdv", "--speed", "1", "--g", "1e-200", "--H", "1e-200"],
+             "error: g H must be positive and finite, got 0.0"),
+            (["dispersion", "--ximax", "1", "--samples", "3", "--g", "1e308", "--H", "1e308"],
+             "error: g H must be positive and finite, got inf"),
         ],
         ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
              "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
-             "samples_2.5", "samples_many"],
+             "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow"],
     )
     def test_argument_error_exit_code(self, capsys, argv, message):
         assert main(argv) == 1

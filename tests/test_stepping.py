@@ -1,6 +1,7 @@
 """Tests for the one RK4 driver shared by every evolution model."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,14 +29,21 @@ from wavemodels.stepping import integrate, integrate_pair
 LAMBDAS = np.array([-1.0, -0.5 + 2.0j, 3.0j, 0.3, -2.5 - 0.4j])
 
 
+class Kept(NamedTuple):
+    """A stored state of the bare-array runs: its time and a copy of y."""
+
+    time: float
+    y: np.ndarray
+
+
 def keep(y, t):
-    return (t, y.copy())
+    return Kept(t, y.copy())
 
 
 def test_explicit_step_is_the_rk4_stability_polynomial():
     h = 0.7
     y0 = np.ones_like(LAMBDAS)
-    traj = integrate(y0, 0.0, [0.0, h], lambda y: h, lambda y: LAMBDAS * y, keep,
+    traj = integrate(y0, keep(y0, 0.0), [0.0, h], lambda y: h, lambda y: LAMBDAS * y, keep,
                      np.zeros_like(y0))
     z = LAMBDAS * h
     expect = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
@@ -46,7 +54,7 @@ def test_explicit_step_is_the_rk4_stability_polynomial():
 def test_factor_with_zero_nonlinearity_propagates_exactly():
     y0 = np.array([1.0, 0.5 - 0.25j, -2.0, 0.1j, 3.0])
     times = [0.0, 0.9, 1.8, 2.7]
-    traj = integrate(y0, 5.0, times, lambda y: 0.1, np.zeros_like, keep, factor=LAMBDAS)
+    traj = integrate(y0, keep(y0, 5.0), times, lambda y: 0.1, np.zeros_like, keep, factor=LAMBDAS)
     for (t, y), t_out in zip(traj.states, times):
         assert t == pytest.approx(5.0 + t_out, abs=1e-14)
         exact = y0 * np.exp(LAMBDAS * t_out)
@@ -57,7 +65,7 @@ def test_non_finite_state_halts_and_is_not_kept():
     # y' = y^2 from y(0) = 1 blows up at t = 1; at h = 0.5 RK4 overflows
     # only in the third interval
     y0 = np.array([1.0])
-    traj = integrate(y0, 0.0, [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
+    traj = integrate(y0, keep(y0, 0.0), [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
                      lambda y: y * y, keep, np.zeros_like(y0))
     assert traj.halt is not None and traj.halt.reason == "non_finite"
     assert traj.halt.time == pytest.approx(2.5)
@@ -70,7 +78,7 @@ def test_halt_from_check_keeps_the_halting_state():
         return HaltEvent("breaking", t, 0.0, float(y[0])) if y[0] > 2.0 else None
 
     y0 = np.array([1.0])
-    traj = integrate(y0, 0.0, [0.0, 1.0, 2.0], lambda y: 0.1,
+    traj = integrate(y0, keep(y0, 0.0), [0.0, 1.0, 2.0], lambda y: 0.1,
                      lambda y: y, keep, np.zeros_like(y0), check=check)
     assert traj.halt.reason == "breaking"
     t_halt, y_halt = traj.final_state
@@ -84,7 +92,7 @@ def test_cavitation_check_raises_with_partial_trajectory():
 
     y0 = np.array([1.0])
     with pytest.raises(CavitationError, match="cavitation at t") as info:
-        integrate(y0, 0.0, [0.0, 0.5, 1.0], lambda y: 0.05,
+        integrate(y0, keep(y0, 0.0), [0.0, 0.5, 1.0], lambda y: 0.05,
                   lambda y: -y, keep, np.zeros_like(y0), check=check)
     traj = info.value.partial_trajectory
     assert [t for t, _ in traj.states] == pytest.approx([0.0, 0.5])
@@ -100,7 +108,7 @@ def test_cavitation_in_a_stage_records_the_step_start():
 
     y0 = np.array([1.0])
     with pytest.raises(CavitationError) as info:
-        integrate(y0, 2.0, [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep, np.zeros_like(y0))
+        integrate(y0, keep(y0, 2.0), [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep, np.zeros_like(y0))
     traj = info.value.partial_trajectory
     assert traj.halt.reason == "cavitation"
     assert 2.5 - 1e-12 < traj.halt.time < 2.0 + np.log(2.0)
