@@ -6,6 +6,9 @@ propagated exactly, until gradient blow-up; there is no shock capturing
 past the breaking time.  Simple waves reduce to a scalar transport
 equation with straight-line characteristics, solved exactly by foot-point
 inversion, and the breaking time has the closed form T* = -2 / (3 inf u0').
+At the grid's nodes, the far field, where u0 is negligible and u is the
+translate u0(x - c0 t), is settled by one inverse FFT; Newton runs only
+where the wave is.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import BreakingError, CavitationError, ConvergenceError
 from .physics import PhysicalParams
-from .spectral import Grid, SpectralField, derivative, evaluate_fields
+from .spectral import Grid, SpectralField, derivative, evaluate_fields, translate_fields
 from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair, snapshot_times
 
 __all__ = [
@@ -168,7 +171,8 @@ def _foot_points(target, xs, phi, u0, du, c0: float, t: float, tol: float):
     and must be increasing too.  The cell of (xs, phi) holding each target
     brackets its foot, and linear interpolation in that cell is the first
     guess.  ``_newton`` steps on phi' = 1 + 1.5 t u0', evaluating u0 and
-    ``du`` = u0' together.
+    ``du`` = u0' together.  Of a query at the grid's nodes, only the
+    targets that the translation sweep of ``_hopf_solver`` left come here.
     """
     j = np.clip(np.searchsorted(phi, target, side="right") - 1, 0, xs.size - 2)
 
@@ -190,7 +194,12 @@ def hopf_characteristic_solve(
     is returned.  The map is first sampled densely, on one period of the
     interpolant of u0 upsampled to at least 4096 nodes (the map gains
     exactly L per period).  The samples bracket every foot and give the
-    first guesses.
+    first guesses.  When the queries are the grid's nodes, a translation
+    sweep comes first: one inverse FFT gives u0 and u0' at every
+    x_j - c0 t, the foot of a straight characteristic of speed c0, and a
+    node whose Newton step 1.5 t u0 / (1 + 1.5 t u0') from there is
+    within the tolerance takes u0 carried by that step.  Only the other
+    nodes, where the wave is, go through the bracketed Newton iteration.
 
     Raises BreakingError when t is at or past the crossing time, or when
     the sampled foot-point map is not increasing.
@@ -202,7 +211,10 @@ def _hopf_solver(u0: SpectralField):
     """The per-profile work of ``hopf_characteristic_solve``, done once:
     u0', the crossing time T* and one closed period of the upsampled
     interpolant.  Returns (solve, u0', T*), where ``solve(p, t,
-    query_points)`` is ``hopf_characteristic_solve`` of u0."""
+    query_points)`` is ``hopf_characteristic_solve`` of u0.  ``solve``
+    tries the translation sweep when ``query_points`` equal the grid's
+    nodes, as in ``hopf_evolve``, and passes the nodes it leaves, or any
+    other queries, to ``_foot_points``."""
     du = derivative(u0, axis=0, order=1)
     t_star = _crossing_time(du)
     length_scale = u0.grid.length[0]
@@ -218,10 +230,19 @@ def _hopf_solver(u0: SpectralField):
         phi = xs + (p.c0 + 1.5 * uvals) * t
         if np.any(np.diff(phi) <= 0.0):
             raise BreakingError("foot-point map is not monotone: breaking detected")
-        # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
-        # period by whole periods; u at its foot is unchanged.
-        shift = length_scale * np.floor((query - phi[0]) / length_scale)
-        out = _foot_points(query - shift, xs, phi, u0, du, p.c0, t, 1e-10 * length_scale)
+        tol = 1e-10 * length_scale
+        out, near = np.empty(query.size), np.full(query.size, True)
+        if np.array_equal(query, u0.grid.axis_coordinates(0)):  # settle the far field
+            ua, dua = translate_fields(p.c0 * t, u0, du)  # u0 and u0' at the feet x_j - c0 t
+            slope = 1.0 + 1.5 * t * dua
+            step = 1.5 * t * ua / np.where(slope > 0.0, slope, np.inf)
+            near = (slope <= 0.0) | (np.abs(step) > tol)
+            out = ua - dua * step  # the carry of ``_newton``
+        if np.any(near):
+            # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
+            # period by whole periods; u at its foot is unchanged.
+            shift = length_scale * np.floor((query[near] - phi[0]) / length_scale)
+            out[near] = _foot_points(query[near] - shift, xs, phi, u0, du, p.c0, t, tol)
         return out if np.ndim(query_points) else float(out[0])
 
     return solve, du, t_star
@@ -241,7 +262,9 @@ def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10
             u = SpectralField(state.grid, solve(p, t, xs))
         except BreakingError:  # at or past T*, or a non-monotone foot map
             j = int(np.argmin(du.values))
-            location = float(xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star)
+            length = state.grid.length[0]
+            location = xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star  # moved into [-L/2, L/2):
+            location = float(location - length * np.floor((location + 0.5 * length) / length))
             traj.halt = HaltEvent(reason="breaking", time=t_star, location=location,
                                   max_gradient=math.inf, breaking_time_estimate=t_star)
             break

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields", "spectral_tail"]
+__all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields", "spectral_tail",
+           "translate_fields"]
 
 
 def _as_tuple(value, dim, cast):
@@ -319,3 +320,16 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
             row[start : start + 1024] = np.einsum("mr,mr->m", coarse_phase,
                                                   fine_phase @ modes).real
     return out
+
+
+def translate_fields(shift: float, *fields: SpectralField) -> np.ndarray:
+    """Row i of the (len(fields), N) result holds f_i(x_j - shift) at the nodes of the
+    fields' one 1D grid, from one batched inverse real FFT of f-hat e^{-i k shift}.  That
+    keeps the real part of the Nyquist bin: the mode is the cosine ``evaluate_fields`` sums."""
+    grid = fields[0].grid
+    if grid.dim != 1 or not all(f.same_grid(fields[0]) for f in fields):
+        raise ValueError("translated fields must share one 1D grid")
+    # whole periods drop out exactly, so no phase k*shift exceeds pi N/2
+    shift = math.remainder(shift, grid.length[0])
+    hats = np.stack([f.hat for f in fields])
+    return np.fft.irfft(hats * np.exp(-1j * grid.wavenumbers(0) * shift), n=grid.nodes[0])

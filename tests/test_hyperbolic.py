@@ -15,6 +15,7 @@ from wavemodels import (
     SVState,
     breaking_time,
     hopf_characteristic_solve,
+    hopf_evolve,
     simple_wave_elevation,
     simple_wave_velocity,
     sv_evolve,
@@ -179,6 +180,88 @@ class TestHopfCharacteristics:
         u = hopf_characteristic_solve(u0, P, t, q)
         residual = u + 0.5 * np.sin(q - (P.c0 + 1.5 * u) * t)
         assert np.max(np.abs(residual)) < 1e-12
+
+    def test_breaking_location_lies_in_the_domain(self):
+        # the crossing point x_j + (c0 + 1.5 u0(x_j)) T* = 157.09 lies a period to the right
+        g = Grid(200.0, 1024)
+        zeta0 = SpectralField.from_function(g, lambda x: 0.005 * np.exp(-x * x))
+        traj = hopf_evolve(SVState(zeta0, simple_wave_velocity(zeta0, P)), P, 200.0)
+        assert traj.halt.time == breaking_time(traj.states[0].u) == pytest.approx(49.704, abs=1e-3)
+        assert -100.0 <= traj.halt.location < 100.0
+        assert traj.halt.location == pytest.approx(157.093 - 200.0, abs=1e-3)
+
+
+def _seed_one_profile():
+    """The initial velocity of the seed-1 ``characteristics`` benchmark run."""
+    g = Grid(200.0, 1024)
+    zeta0 = SpectralField.from_function(
+        g, lambda x: 0.04878157876032271 * np.exp(-((x + 3.7732201878239494) ** 2)))
+    return simple_wave_velocity(zeta0, P)
+
+
+def _never_called(*args):
+    raise AssertionError("called")
+
+
+def _counted_foot_points(monkeypatch):
+    """Record the target arrays that ``_foot_points`` receives, and its results."""
+    calls = []
+
+    def counted(target, *args):
+        out = foot_points(target, *args)
+        calls.append((target.copy(), out.copy()))
+        return out
+
+    foot_points = hyperbolic._foot_points
+    monkeypatch.setattr(hyperbolic, "_foot_points", counted)
+    return calls
+
+
+class TestHopfTranslationSweep:
+    """Node queries settle where one Newton step from x_j - c0 t is within tolerance."""
+
+    def test_negligible_profile_is_its_translation(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "_foot_points", _never_called)
+        g = Grid(200.0, 1024)
+        u0 = SpectralField.from_function(g, lambda x: 1e-12 * np.exp(-x * x))
+        x, t = g.axis_coordinates(0), 4.5
+        u = hopf_characteristic_solve(u0, P, t, x)
+        # the feet sit 1.5 t u0 ~ 7e-12 behind x - c0 t: u differs from the bare
+        # translation by ~4e-24 = 4e-12 max|u0|, and solves the implicit relation
+        assert np.max(np.abs(u - u0.evaluate(x - P.c0 * t))) <= 1e-11 * np.max(u0.values)
+        residual = u - u0.evaluate(x - (P.c0 + 1.5 * u) * t)
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(u0.values)
+
+    def test_seed_one_profile_sends_only_the_wave_to_newton(self, monkeypatch):
+        u0 = _seed_one_profile()
+        x, t = u0.grid.axis_coordinates(0), 0.3 * 15.0
+        calls = _counted_foot_points(monkeypatch)
+        u = hopf_characteristic_solve(u0, P, t, x)
+        assert len(calls) == 1 and 0 < calls[0][0].size <= 64
+        general = hopf_characteristic_solve(u0, P, t, np.append(x, 0.1 * u0.grid.spacing[0]))
+        assert calls[1][0].size == x.size + 1  # an off-grid query takes the general path
+        assert np.max(np.abs(u - general[:-1])) <= 1e-15
+
+    def test_profile_without_far_field_matches_general_path(self):
+        g = Grid(2 * np.pi, 1024)
+        u0 = SpectralField.from_function(g, lambda x: 0.2 * np.sin(x) + 0.1 * np.sin(3.0 * x))
+        x, t = g.axis_coordinates(0), 0.5 * breaking_time(u0)
+        u = hopf_characteristic_solve(u0, P, t, x)
+        general = hopf_characteristic_solve(u0, P, t, np.append(x, 0.1 * u0.grid.spacing[0]))
+        assert np.max(np.abs(u - general[:-1])) <= 1e-15
+
+    def test_other_queries_take_the_foot_point_path_alone(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "translate_fields", _never_called)
+        calls = _counted_foot_points(monkeypatch)
+        u0 = _seed_one_profile()
+        x, t = u0.grid.axis_coordinates(0), 4.5
+        q = np.linspace(-300.0, 300.0, 1500)
+        u = hopf_characteristic_solve(u0, P, t, q)
+        # every query, moved into the period that starts at phi(-L/2), goes to _foot_points
+        phi0 = x[0] + (P.c0 + 1.5 * u0.values[0]) * t
+        [(target, result)] = calls
+        assert np.array_equal(target, q - 200.0 * np.floor((q - phi0) / 200.0))
+        assert np.array_equal(u, result)
 
 
 class TestSVEvolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavemodels import Grid, SpectralField, derivative
-from wavemodels.spectral import evaluate_fields, spectral_tail
+from wavemodels.spectral import evaluate_fields, spectral_tail, translate_fields
 
 RNG = np.random.default_rng(20260808)
 
@@ -249,6 +249,33 @@ class TestEvaluateFields:
     def test_fields_on_different_grids_are_refused(self):
         with pytest.raises(ValueError, match="one grid"):
             evaluate_fields([0.0], random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
+
+
+class TestTranslateFields:
+    """Node values of translated fields, from one inverse real FFT."""
+
+    @pytest.mark.parametrize("shift", [0.0, 0.37, -2.9, 5.0])
+    @pytest.mark.parametrize("nodes", [4, 10, 64, 1024])
+    def test_matches_direct_sum_at_shifted_nodes(self, nodes, shift):
+        # a random field has a Nyquist mode, which must stay the cosine of the
+        # direct sum; its derivative has none
+        rng = np.random.default_rng(nodes)
+        g = Grid(7.3, nodes)
+        f = SpectralField(g, rng.standard_normal(nodes))
+        fields = (f, derivative(f))
+        x = g.axis_coordinates(0)
+        for row, field in zip(translate_fields(shift, *fields), fields):
+            ref, scale = direct_sum(field.values, 7.3, x - shift)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * scale
+
+    def test_whole_periods_drop_out_exactly(self):
+        f = random_field(Grid(200.0, 1024))
+        assert np.array_equal(translate_fields(14.0625 + 1000 * 200.0, f),
+                              translate_fields(14.0625, f))
+
+    def test_fields_on_different_grids_are_refused(self):
+        with pytest.raises(ValueError, match="one 1D grid"):
+            translate_fields(0.0, random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
 
 
 class TestDealias:
