@@ -1,6 +1,7 @@
 """CSV rows of float64 values, each value the bytes of ``b"%.17g" % v``.
 
-``csv_rows(values, leads)`` turns a 2-D block of values into its CSV lines,
+``FLOAT_FORMAT`` is the format of every float the package writes.
+``csv_rows(values, lead)`` turns a 2-D block of values into its CSV lines,
 and ``lead_text(x)`` formats a column of lead values (node coordinates)
 once, for ``csv_rows`` to repeat.  Every line is byte for byte what
 Python's ``%`` writes, which is correctly rounded (Gay's dtoa): a value
@@ -13,12 +14,11 @@ double-double S + r: 10^k is tabled as (hi + lo) 2^s with hi in [1, 2),
 from exact integers; m hi is Dekker's TwoProduct (Veltkamp split 2^27 + 1),
 m lo is added, and a fast two-sum renormalizes before ``ldexp`` scales by
 2^(e+s).  The error of S + r is below 1e-13, against the 1e-9 margins
-below.  E is lowered by one where (S - 10^16) + r < 0 and raised by one
-where N > 10^17, for at most two rounds; N = 10^17 is 10^16 at E + 1.
-Python's ``%`` formats the non-finite values, those with V within 1e-9 of
-a half-integer (a tie, which ``%`` rounds half to even, or too near one to
-decide), those with (S - 10^16) + r within 1e-9 of 0, and those whose E
-still moves after two rounds.
+below.  Python's ``%`` formats the non-finite values, those with V within
+1e-9 of a half-integer (a tie, which ``%`` rounds half to even, or too near
+one to decide), and those with (S - 10^16) + r below 1e-9 or N >= 10^17,
+where E may be off by one: one round settles every other value, and only
+values at and next to a power of ten miss it.
 
 The layout.  Each value owns a row of WIDTH bytes: its sign, the "0.000"
 that fixed notation puts before E < 0, the digit d0, a point, d1..d16 as
@@ -39,8 +39,9 @@ import functools
 
 import numpy as np
 
-__all__ = ["csv_rows", "lead_text"]
+__all__ = ["FLOAT_FORMAT", "csv_rows", "lead_text"]
 
+FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 WIDTH = 32  # bytes per value; the longest text is "-2.2250738585072014e-308"
 _D0, _POINT, _QUADS = 6, 7, 8  # columns of the row; the exponent word is 24..31
 _E_MIN, _E_MAX = -330, 330  # decimal exponents of the tables, with a margin
@@ -129,18 +130,7 @@ def _decimal(x):
     exp = np.floor(np.log10(a)).astype(np.int64)
 
     n, above, tie = _scaled(pow10, m, e, exp)
-    up, down = n > 10**17, above < 0.0
-    exp += up.astype(np.int64) - down
-    fallback = np.abs(above) < _MARGIN
-    again = np.flatnonzero((up | down) & finite)
-    if again.size:
-        n2, above2, tie2 = _scaled(pow10, m[again], e[again], exp[again])
-        n[again], tie[again] = n2, tie2
-        fallback[again] |= (n2 > 10**17) | (above2 < 0.0) | (np.abs(above2) < _MARGIN)
-    fallback |= tie > 0.5 - _MARGIN
-    carry = n == 10**17
-    n[carry] = 10**16
-    exp += carry
+    fallback = (above < _MARGIN) | (n >= 10**17) | (tie > 0.5 - _MARGIN)
     return n, exp, np.flatnonzero((fallback & finite) | ~(finite | (x == 0.0)))
 
 
@@ -191,12 +181,12 @@ def lead_text(x) -> np.ndarray:
     return text[:, text.any(axis=0)]
 
 
-def csv_rows(values, leads=()) -> bytes:
+def csv_rows(values, lead=None) -> bytes:
     """The CSV lines of the rows of a 2-D float array: a row's lead columns
-    (rows of ``lead_text`` matrices), then its values as ``%.17g``, joined
-    by ',' and ended by '\\n'."""
+    (the row of the ``lead_text`` matrix ``lead``, one row per value row),
+    then its values as ``%.17g``, joined by ',' and ended by '\\n'."""
     text = fields(values).reshape(len(values), -1)
     text[:, -1] = ord("\n")
-    if leads:
-        text = np.concatenate([*leads, text], axis=1)
+    if lead is not None:
+        text = np.concatenate([lead, text], axis=1)
     return text.tobytes().translate(None, b"\0")

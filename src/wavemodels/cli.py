@@ -23,13 +23,14 @@ import sys
 
 import numpy as np
 
+from ._format import FLOAT_FORMAT
 from .dispersive import AbcdParams, classify_abcd
 from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import (FLOAT_FORMAT, SOLITARY_MODELS, InitialData, compare, json_record,
-                        load_scenario, read_csv_column, run, write_rows)
+from .scenarios import (SOLITARY_MODELS, InitialData, compare, json_record, load_scenario,
+                        read_csv_column, run, write_rows)
 from .spectral import Grid, SpectralField
 from .traveling import solitary_wave, suggested_domain_length
 

@@ -201,20 +201,24 @@ def hopf_characteristic_solve(
     within the tolerance takes u0 carried by that step.  Only the other
     nodes, where the wave is, go through the bracketed Newton iteration.
 
-    Raises BreakingError when t is at or past the crossing time, or when
-    the sampled foot-point map is not increasing.
+    Raises BreakingError when t is at or past the crossing time T* or
+    the time at which two neighbouring samples of the map meet (never, for
+    a constant profile), and ConvergenceError when the bracketed iteration
+    is needed but c0 t swamps the sample spacing in float64.
     """
     return _hopf_solver(u0)[0](p, t, query_points)
 
 
 def _hopf_solver(u0: SpectralField):
     """The per-profile work of ``hopf_characteristic_solve``, done once:
-    u0', the crossing time T* and one closed period of the upsampled
-    interpolant.  Returns (solve, u0', T*), where ``solve(p, t,
-    query_points)`` is ``hopf_characteristic_solve`` of u0.  ``solve``
-    tries the translation sweep when ``query_points`` equal the grid's
-    nodes, as in ``hopf_evolve``, and passes the nodes it leaves, or any
-    other queries, to ``_foot_points``."""
+    u0', the crossing time T*, one closed period of the upsampled
+    interpolant, and t_s, the first time two neighbouring samples of the
+    foot-point map meet, which needs no map and so no c0 t.  Returns
+    (solve, u0', T*), where ``solve(p, t, query_points)`` is
+    ``hopf_characteristic_solve`` of u0.  ``solve`` tries the translation
+    sweep when ``query_points`` equal the grid's nodes, as in
+    ``hopf_evolve``, and passes the nodes it leaves, or any other queries,
+    to ``_foot_points``."""
     du = derivative(u0, axis=0, order=1)
     t_star = _crossing_time(du)
     length_scale = u0.grid.length[0]
@@ -222,13 +226,15 @@ def _hopf_solver(u0: SpectralField):
     # close the period so the wrap-around pair is checked too
     xs = np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale)
     uvals = np.append(fine.values, fine.values[0])
+    dx, dup = np.diff(xs), np.diff(uvals)
+    falling = dup < 0.0
+    t_sampled = float(np.min(dx[falling] / (-1.5 * dup[falling]), initial=np.inf))
 
     def solve(p: PhysicalParams, t: float, query_points):
         query = np.atleast_1d(np.asarray(query_points, dtype=float))
         if t >= t_star:
             raise BreakingError(f"characteristics cross at T* = {t_star}; requested t = {t}")
-        phi = xs + (p.c0 + 1.5 * uvals) * t
-        if np.any(np.diff(phi) <= 0.0):
+        if t >= t_sampled:
             raise BreakingError("foot-point map is not monotone: breaking detected")
         tol = 1e-10 * length_scale
         out, near = np.empty(query.size), np.full(query.size, True)
@@ -239,6 +245,10 @@ def _hopf_solver(u0: SpectralField):
             near = (slope <= 0.0) | (np.abs(step) > tol)
             out = ua - dua * step  # the carry of ``_newton``
         if np.any(near):
+            phi = xs + (p.c0 + 1.5 * uvals) * t
+            if np.any(np.diff(phi) <= 0.0):  # increasing below t_s, but not in float64
+                raise ConvergenceError(f"the foot-point map at t = {t} is below float64 "
+                                       "resolution: c0 t swamps the sample spacing")
             # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
             # period by whole periods; u at its foot is unchanged.
             shift = length_scale * np.floor((query[near] - phi[0]) / length_scale)
@@ -260,7 +270,7 @@ def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10
     for t in snapshot_times(t_end, n_out)[1:]:
         try:
             u = SpectralField(state.grid, solve(p, t, xs))
-        except BreakingError:  # at or past T*, or a non-monotone foot map
+        except BreakingError:  # at or past T* or the sampled crossing time
             j = int(np.argmin(du.values))
             length = state.grid.length[0]
             location = xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star  # moved into [-L/2, L/2):

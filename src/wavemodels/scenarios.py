@@ -41,9 +41,9 @@ from .errors import CavitationError, IllPosedError, WavemodelsError
 from .hyperbolic import SVState, hopf_evolve, simple_wave_velocity, sv_evolve
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, spectral_tail
 from .stepping import DtControl, HaltEvent, Trajectory, snapshot_times
-from .traveling import SOLITARY_METHODS, solitary_wave
+from .traveling import MAX_SPECTRAL_TAIL, SOLITARY_METHODS, solitary_wave
 
 __all__ = [
     "MODELS",
@@ -66,7 +66,6 @@ _COMPANIONS = ("zero_velocity", "from_simple_wave_relation", "explicit")
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
-FLOAT_FORMAT = "%.17g"  # all emitted floats carry 17 significant digits
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
 # Field values in the snapshots of a run (files x nodes x columns) from which
 # _write_snapshots forks writers.  Measured on a 2-core Linux machine, median
@@ -332,6 +331,8 @@ _MODELS = {
     "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
 }
 MODELS = tuple(_MODELS)
+# models stepped pseudospectrally: initial data they cannot resolve is refused
+_STEPPED = ("saint_venant", "boussinesq", "kdv", "whitham", "whitham2")
 SOLITARY_MODELS = tuple(SOLITARY_METHODS)
 
 
@@ -373,6 +374,11 @@ def _build_initial(sc: Scenario):
         else:
             second = SpectralField.zeros(grid)
 
+    for name, f in [("zeta", zeta), ("u", second)] if sc.model in _STEPPED else []:
+        tail = spectral_tail(f) if f is not None else 0.0
+        if tail > MAX_SPECTRAL_TAIL:  # a NaN tail, from an FFT that overflows, is left to the stepper
+            raise ScenarioError(f"the grid does not resolve the initial {name}: spectral tail "
+                                f"{tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes")
     if model.second is None:
         return model.state(zeta, 0.0, sc.model), solver
     return model.state(zeta, second, 0.0), solver
@@ -406,37 +412,37 @@ class RunResult:
     halt: HaltEvent | None
 
 
-def _write_blocks(write, leads, columns):
+def _write_blocks(write, lead, columns):
     """Write the CSV rows of equal-length columns through ``write``, in
     blocks of _BLOCK_ROWS rows, so a large table never sits in memory as
-    one string.  Block j leads with the text matrix ``leads[j]``, built by
-    ``_write_snapshots`` once per run (``leads`` is empty for no lead)."""
+    one string.  Each row leads with its row of the text matrix ``lead``,
+    built by ``_write_snapshots`` once per run (None for no lead)."""
     table = np.column_stack(columns)
-    for j, start in enumerate(range(0, len(table), _BLOCK_ROWS)):
-        write(csv_rows(table[start : start + _BLOCK_ROWS], leads[j : j + 1]))
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        write(csv_rows(table[block], None if lead is None else lead[block]))
 
 
 def write_rows(stream, columns):
     """Write equal-length columns to a text stream as CSV rows of
-    FLOAT_FORMAT fields."""
-    _write_blocks(lambda data: stream.write(data.decode("ascii")), (), columns)
+    ``_format.FLOAT_FORMAT`` fields."""
+    _write_blocks(lambda data: stream.write(data.decode("ascii")), None, columns)
 
 
 def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     """Write one CSV per snapshot; return (paths, number of writer processes).
 
-    The node coordinates lead every row, in meshgrid ("ij") order; each
-    block's coordinate text is built once per run.  Below
-    _FORK_WRITE_VALUES field values this process writes every file.  From
+    The node coordinates lead every row, in meshgrid ("ij") order; their
+    text is built once per run.  Below _FORK_WRITE_VALUES field values
+    this process writes every file.  From
     there on there are w = min(cores, files, 4) writers, and writer r
     writes files r, r + w, ...: writers 1..w-1 are forked children that
-    share ``snaps`` and the block leads copy-on-write, and this process
+    share ``snaps`` and the lead text copy-on-write, and this process
     writes share 0.  The bytes are the same either way.
     """
     axes = [lead_text(grid.axis_coordinates(a)) for a in range(grid.dim)]
     nodes = np.unravel_index(np.arange(math.prod(grid.shape)), grid.shape)
     lead = np.concatenate([axis[i] for axis, i in zip(axes, nodes)], axis=1)
-    leads = [lead[start : start + _BLOCK_ROWS] for start in range(0, len(lead), _BLOCK_ROWS)]
     header = (",".join(["x_m", "y_m"][: grid.dim] + names) + "\n").encode("ascii")
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
     values = sum(columns[n].size for columns in snaps for n in names)
@@ -447,7 +453,7 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
             try:
                 with open(path, "wb") as fh:
                     fh.write(header)
-                    _write_blocks(fh.write, leads, [columns[n].ravel() for n in names])
+                    _write_blocks(fh.write, lead, [columns[n].ravel() for n in names])
             except Exception as err:
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err

@@ -8,6 +8,7 @@ import pytest
 from wavemodels import (
     BreakingError,
     CavitationError,
+    ConvergenceError,
     DtControl,
     Grid,
     PhysicalParams,
@@ -189,6 +190,14 @@ class TestHopfCharacteristics:
         assert traj.halt.time == breaking_time(traj.states[0].u) == pytest.approx(49.704, abs=1e-3)
         assert -100.0 <= traj.halt.location < 100.0
         assert traj.halt.location == pytest.approx(157.093 - 200.0, abs=1e-3)
+
+    def test_feet_below_float_resolution_are_an_error_not_breaking(self):
+        # T* ~ 1e22, but at t = 1e19 the sampled foot map does not increase in float64
+        g = Grid(200.0, 256)
+        u0 = SpectralField.from_function(g, lambda x: 1e-22 * np.exp(-((0.3 * x) ** 2)))
+        assert breaking_time(u0) > 1e22
+        with pytest.raises(ConvergenceError, match="below float64 resolution"):
+            hopf_characteristic_solve(u0, P, 1e19, g.axis_coordinates(0))
 
 
 def _seed_one_profile():

@@ -255,8 +255,8 @@ class TestRun:
                 == result.snapshot_paths[0].read_bytes())
 
     def test_manifest_solver_is_null_without_traveling_wave(self, tmp_path):
-        sc = Scenario(model="kdv", grid=Grid(200.0, 256), initial=InitialData(),
-                      t_end=0.0, output_stride=1)
+        sc = Scenario(model="kdv", grid=Grid(200.0, 256),
+                      initial=InitialData(width_parameter=0.3), t_end=0.0, output_stride=1)
         manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
         assert manifest["diagnostics"]["solver"] is None
 
@@ -464,7 +464,7 @@ class TestRun:
     def test_file_initial_data_round_trip(self, tmp_path):
         grid = Grid(100.0, 128)
         xs = grid.axis_coordinates(0)
-        zeta = 0.01 * np.exp(-(xs**2))
+        zeta = 0.01 * np.exp(-((0.3 * xs) ** 2))  # resolved on the grid
         src = tmp_path / "init.csv"
         lines = ["x_m,zeta_m"] + [f"{float(x)!r},{float(z)!r}" for x, z in zip(xs, zeta)]
         src.write_text("\n".join(lines) + "\n")
@@ -681,7 +681,8 @@ class TestRefinementRun:
 
     @pytest.mark.parametrize("model", ["airy", "boussinesq"])
     def test_manifest_refinement_is_null_for_other_models(self, tmp_path, model):
-        sc = Scenario(model=model, grid=Grid(200.0, 256), t_end=1.0, output_stride=1,
+        sc = Scenario(model=model, grid=Grid(200.0, 256), initial=InitialData(width_parameter=0.3),
+                      t_end=1.0, output_stride=1,
                       abcd=AbcdParams(**GOOD_ABCD) if model == "boussinesq" else None)
         manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
         assert manifest["diagnostics"]["refinement"] is None
@@ -699,7 +700,8 @@ class TestRefinementRun:
 
         monkeypatch.setattr(dispersive, "_scalar_run", killed_in_a_child)
         cfg = tmp_path / "cfg.json"
-        write_config(cfg, model="kdv", t_end=2.0)
+        write_config(cfg, model="kdv", t_end=2.0,
+                     initial={"kind": "gaussian", "amplitude": 0.01, "width_parameter": 0.3})
         out = tmp_path / "out"
         r = cli("run", "--config", str(cfg), "--outdir", str(out))
         assert r.returncode == 1
@@ -1194,6 +1196,57 @@ class TestCli:
         assert r.stderr.startswith("error: grid does not resolve the wave at speed 3.3")
         assert len(r.stderr.splitlines()) == 1
         assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("model", ["saint_venant", "boussinesq", "kdv", "whitham",
+                                       "whitham2"])
+    def test_unresolved_initial_data_exit_code(self, tmp_path, capsys, model):
+        # exp(-x^2) on 32 nodes of L = 50: its top third of modes reaches 0.75
+        # of its peak, so a stepper would carry aliasing, not the Gaussian
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model=model, grid={"length": 50.0, "nodes": 32}, t_end=10.0,
+                     initial={"kind": "gaussian", "amplitude": 0.5, "width_parameter": 1.0},
+                     output={"stride": 2, "directory": str(out)},
+                     **({"abcd": GOOD_ABCD} if model == "boussinesq" else {}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the grid does not resolve the initial zeta: spectral tail "
+                            r"\S+ exceeds 0\.01; use more nodes\n", err)
+        assert not out.exists()
+
+    def test_unresolved_explicit_velocity_exit_code(self, tmp_path, capsys):
+        # a resolved zeta and a velocity column too narrow for the grid
+        grid = Grid(100.0, 128)
+        xs = grid.axis_coordinates(0)
+        src = tmp_path / "init.csv"
+        src.write_text("x_m,zeta_m,u_m_per_s\n" + "".join(
+            f"{float(x)!r},{0.01 * math.exp(-((0.3 * x) ** 2))!r},{0.01 * math.exp(-(x**2))!r}\n"
+            for x in xs))
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model="boussinesq", abcd=GOOD_ABCD,
+                     grid={"length": 100.0, "nodes": 128}, t_end=1.0,
+                     initial={"kind": "file", "path": str(src), "companion": "explicit"},
+                     output={"stride": 2, "directory": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid does not resolve the initial u: spectral tail ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_flat_hopf_profile_runs_to_t_end(self, tmp_path):
+        # T* is inf, and at t ~ 1e20 c0 t swamps the spacing of the sampled
+        # foot map in float64: no crossing may be read from that map
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model="hopf", t_end=1e300,
+                     initial={"kind": "simple_wave", "amplitude": 0.0},
+                     output={"stride": 2, "directory": str(out)})
+        r = cli("run", "--config", str(cfg))
+        assert (r.returncode, r.stderr) == (0, "")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halt"] is None
+        assert manifest["snapshot_files"] == [f"snapshot_{i:04d}.csv" for i in range(3)]
+        for path in out.glob("snapshot_*.csv"):
+            data = np.genfromtxt(path, delimiter=",", names=True)
+            assert not np.any(data["zeta_m"]) and not np.any(data["u_m_per_s"])
 
     def test_directory_as_config_exit_code(self, tmp_path):
         r = cli("run", "--config", str(tmp_path))
