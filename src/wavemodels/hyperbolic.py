@@ -6,9 +6,8 @@ propagated exactly, until gradient blow-up; there is no shock capturing
 past the breaking time.  Simple waves reduce to a scalar transport
 equation with straight-line characteristics, solved exactly by foot-point
 inversion, and the breaking time has the closed form T* = -2 / (3 inf u0').
-At the grid's nodes, the far field, where u0 is negligible and u is the
-translate u0(x - c0 t), is settled by one inverse FFT; Newton runs only
-where the wave is.
+The far field, where u0 is negligible and u is the translate
+u0(x - c0 t), is settled without Newton, which runs only where the wave is.
 """
 
 from __future__ import annotations
@@ -164,120 +163,93 @@ def _newton(fields, residual, x, lo, hi, tol: float):
     raise ConvergenceError(f"Newton iteration unconverged at {active.size} point(s)")
 
 
-def _foot_points(target, xs, phi, u0, du, c0: float, t: float, tol: float):
-    """u0(x0) at the feet x0 with x0 + (c0 + 1.5 u0(x0)) t = target.
-
-    ``phi`` is the foot-point map sampled at the increasing nodes ``xs``
-    and must be increasing too.  The cell of (xs, phi) holding each target
-    brackets its foot, and linear interpolation in that cell is the first
-    guess.  ``_newton`` steps on phi' = 1 + 1.5 t u0', evaluating u0 and
-    ``du`` = u0' together.  Of a query at the grid's nodes, only the
-    targets that the translation sweep of ``_hopf_solver`` left come here.
-    """
-    j = np.clip(np.searchsorted(phi, target, side="right") - 1, 0, xs.size - 2)
-
-    def residual(xa, values, active):
-        ua, dua = values
-        return xa + (c0 + 1.5 * ua) * t - target[active], 1.0 + 1.5 * t * dua
-
-    return _newton((u0, du), residual, np.interp(target, phi, xs), xs[j], xs[j + 1], tol)
-
-
 def hopf_characteristic_solve(
     u0: SpectralField, p: PhysicalParams, t: float, query_points
 ) -> np.ndarray:
     """Solve the transport equation d_t u + (c0 + 3u/2) d_x u = 0 exactly.
 
-    For each query x the unique foot point x0 with
-    x = x0 + (c0 + 1.5 u0(x0)) t is found by safeguarded Newton iteration
-    on the monotone foot-point map, to within 1e-10 L, and u(t, x) = u0(x0)
-    is returned.  The map is first sampled densely, on one period of the
-    interpolant of u0 upsampled to at least 4096 nodes (the map gains
-    exactly L per period).  The samples bracket every foot and give the
-    first guesses.  When the queries are the grid's nodes, a translation
-    sweep comes first: one inverse FFT gives u0 and u0' at every
-    x_j - c0 t, the foot of a straight characteristic of speed c0, and a
-    node whose Newton step 1.5 t u0 / (1 + 1.5 t u0') from there is
-    within the tolerance takes u0 carried by that step.  Only the other
-    nodes, where the wave is, go through the bracketed Newton iteration.
+    For each query x, u(t, x) = u0(x0) at the unique foot x0 with
+    x = x0 + (c0 + 1.5 u0(x0)) t, found to within 1e-10 L by its offset from
+    b = x - c0 t, with c0 t reduced by whole periods: no term of size c0 t
+    enters a difference.  u0 and u0' at every b come from one inverse FFT at
+    the grid's nodes, and from one ``evaluate_fields`` call elsewhere.  A
+    foot whose Newton step 1.5 t u0 / (1 + 1.5 t u0') from b is within the
+    tolerance, as in the far field, takes u0 carried by that step.  The
+    others, where the wave is, go to ``_newton`` from there, bracketed by
+    b - 1.5 t [u_max, u_min]: the mean of u0 plus and minus the sum of the
+    moduli of its other modes bounds the interpolant.
 
-    Raises BreakingError when t is at or past the crossing time T* or
-    the time at which two neighbouring samples of the map meet (never, for
-    a constant profile), and ConvergenceError when the bracketed iteration
-    is needed but c0 t swamps the sample spacing in float64.
+    Raises BreakingError at or past the crossing time of ``_hopf_solver``;
+    a constant profile never breaks.
     """
     return _hopf_solver(u0)[0](p, t, query_points)
 
 
 def _hopf_solver(u0: SpectralField):
-    """The per-profile work of ``hopf_characteristic_solve``, done once:
-    u0', the crossing time T*, one closed period of the upsampled
-    interpolant, and t_s, the first time two neighbouring samples of the
-    foot-point map meet, which needs no map and so no c0 t.  Returns
-    (solve, u0', T*), where ``solve(p, t, query_points)`` is
-    ``hopf_characteristic_solve`` of u0.  ``solve`` tries the translation
-    sweep when ``query_points`` equal the grid's nodes, as in
-    ``hopf_evolve``, and passes the nodes it leaves, or any other queries,
-    to ``_foot_points``."""
+    """The per-profile work of ``hopf_characteristic_solve``, done once: u0',
+    the bounds of u0, and the crossing time t_cross = min(T*, t_s).  t_s, the
+    first time two neighbouring samples of the interpolant of u0, upsampled
+    to at least 4096 nodes, meet along their characteristics, involves no
+    c0 t.  It repeats T* when the grid resolves u0, and comes first when the
+    interpolant is steeper between the nodes than the node scan of T* sees.
+    Returns (solve, u0', t_cross), where ``solve(p, t, query_points)`` is
+    ``hopf_characteristic_solve`` of u0."""
     du = derivative(u0, axis=0, order=1)
-    t_star = _crossing_time(du)
-    length_scale = u0.grid.length[0]
-    fine = u0.upsample(max(4096, u0.grid.nodes[0]))
-    # close the period so the wrap-around pair is checked too
-    xs = np.append(fine.grid.axis_coordinates(0), 0.5 * length_scale)
-    uvals = np.append(fine.values, fine.values[0])
-    dx, dup = np.diff(xs), np.diff(uvals)
-    falling = dup < 0.0
-    t_sampled = float(np.min(dx[falling] / (-1.5 * dup[falling]), initial=np.inf))
+    length = u0.grid.length[0]
+    fine = u0.upsample(max(4096, u0.grid.nodes[0])).values
+    rise = np.diff(np.append(fine, fine[0]))  # the closed period: the wrap-around pair too
+    t_sampled = float(np.min(length / fine.size / (-1.5 * rise[rise < 0.0]), initial=np.inf))
+    t_cross = min(_crossing_time(du), t_sampled)
+    mean = u0.hat[0].real / u0.grid.nodes[0]
+    spread = float(np.sum(np.abs(u0.hat[1:]) * u0.grid.parseval_weights[1:])) / u0.grid.nodes[0]
+    nodes, tol = u0.grid.axis_coordinates(0), 1e-10 * length
 
     def solve(p: PhysicalParams, t: float, query_points):
         query = np.atleast_1d(np.asarray(query_points, dtype=float))
-        if t >= t_star:
-            raise BreakingError(f"characteristics cross at T* = {t_star}; requested t = {t}")
-        if t >= t_sampled:
-            raise BreakingError("foot-point map is not monotone: breaking detected")
-        tol = 1e-10 * length_scale
-        out, near = np.empty(query.size), np.full(query.size, True)
-        if np.array_equal(query, u0.grid.axis_coordinates(0)):  # settle the far field
-            ua, dua = translate_fields(p.c0 * t, u0, du)  # u0 and u0' at the feet x_j - c0 t
-            slope = 1.0 + 1.5 * t * dua
-            step = 1.5 * t * ua / np.where(slope > 0.0, slope, np.inf)
-            near = (slope <= 0.0) | (np.abs(step) > tol)
-            out = ua - dua * step  # the carry of ``_newton``
+        if t >= t_cross:
+            raise BreakingError(f"characteristics cross at t = {t_cross}; requested t = {t}")
+        feet = query - math.remainder(p.c0 * t, length)  # b, on the characteristics of speed c0
+        if np.array_equal(query, nodes):
+            ua, dua = translate_fields(p.c0 * t, u0, du)
+        else:
+            ua, dua = evaluate_fields(feet, u0, du)
+        slope = 1.0 + 1.5 * t * dua
+        step = 1.5 * t * ua / np.where(slope > 0.0, slope, np.inf)
+        near = (slope <= 0.0) | (np.abs(step) > tol)
+        out = ua - dua * step  # the carry of ``_newton``
         if np.any(near):
-            phi = xs + (p.c0 + 1.5 * uvals) * t
-            if np.any(np.diff(phi) <= 0.0):  # increasing below t_s, but not in float64
-                raise ConvergenceError(f"the foot-point map at t = {t} is below float64 "
-                                       "resolution: c0 t swamps the sample spacing")
-            # phi(x0 + L) = phi(x0) + L, so every query moves into the sampled
-            # period by whole periods; u at its foot is unchanged.
-            shift = length_scale * np.floor((query[near] - phi[0]) / length_scale)
-            out[near] = _foot_points(query[near] - shift, xs, phi, u0, du, p.c0, t, tol)
+            b = feet[near]
+
+            def residual(xa, values, active):
+                return xa - b[active] + 1.5 * t * values[0], 1.0 + 1.5 * t * values[1]
+
+            out[near] = _newton((u0, du), residual, b - step[near],
+                                b - 1.5 * t * (mean + spread), b - 1.5 * t * (mean - spread), tol)
         return out if np.ndim(query_points) else float(out[0])
 
-    return solve, du, t_star
+    return solve, du, t_cross
 
 
 def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10) -> Trajectory:
     """The simple wave of ``state.u`` along the characteristics, zeta its elevation, at
-    snapshot_times(t_end, n_out); halts at breaking, with no state at or past it.
-    The first snapshot is ``state`` itself; only simple-wave data has a zeta that
-    is the elevation of its u there."""
+    snapshot_times(t_end, n_out).  A snapshot time at or past the crossing time of
+    ``_hopf_solver`` halts the run there, with no state at or past it.  The first
+    snapshot is ``state`` itself; only simple-wave data has a zeta that is the
+    elevation of its u there."""
     u0 = state.u
-    solve, du, t_star = _hopf_solver(u0)  # derivative, T* and upsampled period, once per run
+    solve, du, t_cross = _hopf_solver(u0)  # derivative, crossing time and bounds, once per run
     xs = state.grid.axis_coordinates(0)
     traj = Trajectory([state])
     for t in snapshot_times(t_end, n_out)[1:]:
-        try:
-            u = SpectralField(state.grid, solve(p, t, xs))
-        except BreakingError:  # at or past T* or the sampled crossing time
+        if t >= t_cross:
             j = int(np.argmin(du.values))
             length = state.grid.length[0]
-            location = xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_star  # moved into [-L/2, L/2):
+            location = xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_cross  # moved into [-L/2, L/2):
             location = float(location - length * np.floor((location + 0.5 * length) / length))
-            traj.halt = HaltEvent(reason="breaking", time=t_star, location=location,
-                                  max_gradient=math.inf, breaking_time_estimate=t_star)
+            traj.halt = HaltEvent(reason="breaking", time=t_cross, location=location,
+                                  max_gradient=math.inf, breaking_time_estimate=t_cross)
             break
+        u = SpectralField(state.grid, solve(p, t, xs))
         traj.states.append(SVState(simple_wave_elevation(u, p), u, t))
     return traj
 

@@ -338,7 +338,8 @@ SOLITARY_MODELS = tuple(SOLITARY_METHODS)
 
 def _build_initial(sc: Scenario):
     """Materialize the model state at t = 0 from the InitialData record;
-    returns (state, the manifest's diagnostics.solver record)."""
+    returns (state, the manifest's diagnostics.solver record).  A field that
+    holds a non-finite value is refused."""
     ini, grid, p = sc.initial, sc.grid, sc.physical
     model = _MODELS[sc.model]
     solver = None
@@ -374,8 +375,10 @@ def _build_initial(sc: Scenario):
         else:
             second = SpectralField.zeros(grid)
 
-    for name, f in [("zeta", zeta), ("u", second)] if sc.model in _STEPPED else []:
-        tail = spectral_tail(f) if f is not None else 0.0
+    for name, f in [("zeta", zeta), (model.second, second)]:
+        if f is not None and not np.all(np.isfinite(f.values)):
+            raise ScenarioError(f"the initial {name} holds a non-finite value")
+        tail = spectral_tail(f) if f is not None and sc.model in _STEPPED else 0.0
         if tail > MAX_SPECTRAL_TAIL:  # a NaN tail, from an FFT that overflows, is left to the stepper
             raise ScenarioError(f"the grid does not resolve the initial {name}: spectral tail "
                                 f"{tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes")
@@ -387,7 +390,8 @@ def _build_initial(sc: Scenario):
 def _evolve_series(sc: Scenario):
     """All snapshots of a scenario: (times, per-time column dicts, halt,
     diagnostics: the solver record, the refinement record of a scalar model
-    and the wall seconds of the build and evolve phases)."""
+    and the wall seconds of the build and evolve phases).  The first snapshot
+    that holds a non-finite value ends the series with a ``non_finite`` halt."""
     model = _MODELS[sc.model]
     t0 = time.perf_counter()
     state0, solver = _build_initial(sc)
@@ -398,6 +402,11 @@ def _evolve_series(sc: Scenario):
         traj = err.partial_trajectory
         if traj is None:  # the initial data already cavitates
             raise
+    for i, s in enumerate(traj.states):  # the exact models have no non-finite guard of their own
+        if not all(np.all(np.isfinite(getattr(s, f).values)) for f in model.writes):
+            traj.states, traj.halt = traj.states[:i], HaltEvent("non_finite", s.time, math.nan,
+                                                                math.nan)
+            break
     snaps = [{_COLUMNS[f]: getattr(s, f).values for f in model.writes} for s in traj.states]
     phase_seconds = {"build": t1 - t0, "evolve": time.perf_counter() - t1}
     return traj.times, snaps, traj.halt, {"phase_seconds": phase_seconds, "solver": solver,

@@ -8,7 +8,9 @@ in exit 0 or 1; exit 1 prints one ``error:`` line; under exit 0 every CSV
 value is finite and every JSON line is strict JSON.  Each test's 50
 examples are derandomized and small (``run``: N <= 64 and t_end <= 0.5;
 argv: N <= 256 and at most 1000 samples), so the tests are reproducible
-and cheap.
+and cheap.  The exact models (airy, acoustic, hopf) are also drawn with
+|amplitude| up to 1e308, with zeta below -H, and on grids of 1e-300 and
+1e300 m.
 """
 
 import contextlib
@@ -33,6 +35,7 @@ ABCD = [
 ]
 FILE_COLUMNS = ("x_m", "zeta_m", "u_m_per_s", "psi_m2_per_s", "zeta_t_m_per_s")
 BAD_CELLS = ("nan", "inf", "-inf", "abc", "")
+EXACT_MODELS = ("airy", "acoustic", "hopf")  # drawn at extreme amplitudes and grid lengths too
 # (section, key or None, invalid value): one of these may replace a valid entry
 INVALID = [
     ("physical", "g", "x"), ("physical", "H", -1.0), ("t_end", None, -1.0),
@@ -81,6 +84,15 @@ def config(seed, path):
         "t_end": 0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 0.5)),
         "output": {"stride": int(rng.integers(1, 4))},
     }
+    if raw["model"] in EXACT_MODELS and rng.random() < 0.6:
+        # an exact model costs the same at any amplitude and on any grid
+        extreme = rng.integers(3)
+        if extreme == 0:
+            initial["amplitude"] = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 308.0))
+        elif extreme == 1:  # zeta < -H somewhere
+            initial["amplitude"] = -raw["physical"]["H"] * float(rng.uniform(1.0, 3.0))
+        else:
+            raw["grid"]["length"] = float(rng.choice([1e-300, 1e300]))
     if raw["model"] == "boussinesq" or rng.random() < 0.5:
         raw["abcd"] = dict(ABCD[rng.integers(len(ABCD))])
     if rng.random() < 0.2:
@@ -102,7 +114,8 @@ def write_initial_file(path, raw, spoil):
         xs = Grid(raw["grid"]["length"], raw["grid"]["nodes"]).axis_coordinates(0)
     except (ValueError, TypeError):  # TypeError: the grid is not a JSON object
         xs = Grid(100.0, 16).axis_coordinates(0)
-    zeta = 0.05 * np.exp(-0.1 * xs**2)
+    with np.errstate(over="ignore"):  # x^2 overflows on a 1e300 m grid, and zeta is 0 there
+        zeta = 0.05 * np.exp(-0.1 * xs**2)
     table = [[repr(float(v)) for v in col] for col in (xs, zeta, 0.5 * zeta, 0.0 * xs, 0.0 * xs)]
     if spoil is not None:
         column, row, cell = spoil

@@ -16,7 +16,6 @@ import pytest
 
 from wavemodels import (
     AbcdParams,
-    BreakingError,
     DtControl,
     Grid,
     PhysicalParams,
@@ -32,7 +31,7 @@ from wavemodels import (
     phase_velocity,
     simple_wave_velocity,
 )
-from wavemodels import dispersive, hyperbolic, scenarios
+from wavemodels import dispersive, scenarios
 from wavemodels.cli import main
 from wavemodels.traveling import solitary_wave
 from wavemodels.scenarios import (
@@ -396,23 +395,24 @@ class TestRun:
         with pytest.raises(ScenarioError, match=r"zeta_m column, found \['x_m', 'eta_m'\]"):
             run(sc, output_dir=tmp_path / "out")
 
-    def test_hopf_breaking_below_t_star_halts(self, tmp_path, monkeypatch):
-        # the foot-point scan may detect breaking just before the computed T*
-        def breaks(*args):
-            raise BreakingError("foot-point map is not monotone: breaking detected")
-
-        monkeypatch.setattr(hyperbolic, "_foot_points", breaks)
+    def test_hopf_breaking_below_t_star_halts(self, tmp_path):
+        # 128 nodes on L = 200 do not resolve the Gaussian: the interpolant's
+        # characteristics cross at 5.392, before T* = 7.045 of the node scan
         sc = Scenario(
             model="hopf",
-            grid=Grid(200.0, 256),
+            grid=Grid(200.0, 128),
             initial=InitialData(kind="simple_wave", amplitude=0.05, width_parameter=1.0),
-            t_end=2.0,
-            output_stride=2,
+            t_end=6.0,
+            output_stride=1,
         )
         result = run(sc, output_dir=tmp_path)
         assert result.exit_code == 2
         assert result.halt.reason == "breaking"
         assert len(result.snapshot_paths) == 1  # only t = 0 precedes the halt
+        u0 = np.genfromtxt(result.snapshot_paths[0], delimiter=",", names=True)["u_m_per_s"]
+        t_star = breaking_time(SpectralField(sc.grid, u0))
+        assert result.halt.time == pytest.approx(5.392, abs=1e-3)
+        assert result.halt.time == result.halt.breaking_time_estimate < min(6.0, t_star)
 
     def test_saint_venant_cavitation_exit_code(self, tmp_path):
         # strong expansion over a shallow trough collapses the depth mid-run
@@ -1178,6 +1178,47 @@ class TestCli:
         assert err.startswith("error: time step underflow")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model, amplitude, grid, stride",
+        [("airy", 1e308, {"length": 100.0, "nodes": 128}, 2),
+         ("acoustic", 5e307, {"length": 100.0, "nodes": 128}, 2),
+         ("acoustic", -1e308, {"length": 100.0, "nodes": 64}, 2),
+         ("airy", 0.1, {"length": 1e-300, "nodes": 64}, 1),
+         ("acoustic", 0.1, {"length": 1e-300, "nodes": 64}, 1)],
+        ids=["airy_1e308", "acoustic_5e307", "acoustic_minus_1e308", "airy_tiny_length",
+             "acoustic_tiny_length"],
+    )
+    def test_exact_model_overflow_halts_non_finite(self, tmp_path, capsys, model, amplitude,
+                                                   grid, stride):
+        # the propagators' spectra overflow (or their wavenumbers, on a 1e-300 m
+        # grid): the run keeps the t = 0 snapshot and halts at the first NaN one
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model=model, grid=grid, t_end=1.0,
+                     initial={"kind": "gaussian", "amplitude": amplitude, "width_parameter": 0.5},
+                     output={"stride": stride, "directory": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halt"]["reason"] == "non_finite"
+        assert manifest["halt"]["time"] == 1.0 / stride
+        assert manifest["snapshot_files"] == ["snapshot_0000.csv"]
+        assert manifest["snapshot_times"] == [0.0]
+        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0000.csv"]
+        assert np.all(np.isfinite(np.loadtxt(out / "snapshot_0000.csv", delimiter=",",
+                                             skiprows=1)))
+
+    @pytest.mark.parametrize("amplitude", [-5.0, 1e308], ids=["below_minus_H", "float_limit"])
+    def test_non_finite_simple_wave_velocity_exit_code(self, tmp_path, capsys, amplitude):
+        # 2 sqrt(g (H + zeta)) is NaN where zeta < -H, and overflows at zeta = 1e308
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model="hopf", grid={"length": 100.0, "nodes": 64}, t_end=1.0,
+                     initial={"kind": "simple_wave", "amplitude": amplitude,
+                              "width_parameter": 0.5},
+                     output={"stride": 2, "directory": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: the initial u holds a non-finite value\n"
+        assert not out.exists()
 
     def test_unresolved_traveling_wave_run_exit_code(self, tmp_path):
         # 8 nodes on L = 100 cannot carry the speed-3.3 wave: the solved
