@@ -333,7 +333,9 @@ def scalar_evolve(
     step is halved until two successive runs agree to REFINE_TOL in the
     max norm at the final time; the finer run is returned, with
     ``refinement`` recording the runs consumed, the process count and the
-    error estimate diff / 15 (RK4's 2^4 - 1).
+    error estimate diff / 15 (RK4's 2^4 - 1).  A run that cavitates ends
+    the ladder too, returned with its halt and an error estimate of None;
+    initial data with no positive depth raises CavitationError.
 
     The runs, one per level dt = 4 dt0 2^j (dt0 = cfl dx / (c0 + 1.5 (c0/H)
     max|zeta|), the CFL step of ``integrate_pair``), are consumed from the
@@ -345,11 +347,9 @@ def scalar_evolve(
     as with any I below dt0 2^-13, raises StepSizeUnderflowError.
     When the 4 dt0 run has at least _FORK_NODE_STEPS node-steps
     (ceil(t_end / 4 dt0) x N; the derivation is at the constant), they are
-    computed on min(cores, levels, 4) processes (``_fork.in_order``): this
-    process computes the level it needs next, unless a child already has
-    it, and up to workers - 1 later levels run ahead in forked children.
-    Once two levels agree, the children still running are killed and
-    reaped.  A level is the same computation wherever it runs, so the
+    computed on min(cores, levels, 4) processes by ``_fork.in_order``,
+    later levels running ahead in forked children, which are killed once
+    the ladder ends.  A level is the same computation wherever it runs, so the
     returned trajectory, or the exception raised, is bit for bit what
     the one-process loop gives; only when each level is computed changes.
     """
@@ -390,9 +390,10 @@ def scalar_evolve(
                 )
             levels.append({"dt": dt, "substeps": resolve_substeps(interval, dt)[0], "diff": diff})
             traj = finer
-            if diff is not None and diff < REFINE_TOL:
+            cavitated = traj.halt is not None and traj.halt.reason == "cavitation"
+            if cavitated or diff is not None and diff < REFINE_TOL:
                 traj.refinement = {"workers": workers, "levels": levels,
-                                   "error_estimate": diff / 15.0}  # RK4: 2^4 - 1
+                                   "error_estimate": None if cavitated else diff / 15.0}
                 return traj
     raise StepSizeUnderflowError(
         f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dts[-1]})"

@@ -15,15 +15,8 @@ class GridMismatchError(WavemodelsError, ValueError):
 
 
 class CavitationError(WavemodelsError, RuntimeError):
-    """The water column depth H + zeta reached zero: hyperbolicity is lost.
-
-    Carries ``partial_trajectory`` when raised mid-run so callers can
-    inspect the states computed before the halt.
-    """
-
-    def __init__(self, message, partial_trajectory=None):
-        super().__init__(message)
-        self.partial_trajectory = partial_trajectory
+    """A given state, such as initial data, has no positive depth H + zeta;
+    a run whose depth reaches zero returns a ``cavitation`` halt instead."""
 
 
 class BreakingError(WavemodelsError, RuntimeError):

@@ -272,8 +272,8 @@ def sv_evolve(
     elliptic inverses), at 4 times the advective CFL step
     cfl dx / max(|u| + sqrt(g h)).  The run halts with a breaking flag
     once max|d_x u| exceeds the blow-up threshold (default
-    200 * (initial max|d_x u| + 1)); cavitation raises, with the partial
-    trajectory attached to the exception.
+    200 * (initial max|d_x u| + 1)), and with a cavitation halt once the
+    depth H + zeta reaches zero.
     """
     xs = state.grid.axis_coordinates(0)
     g0 = float(np.max(np.abs(derivative(state.u, axis=0, order=1).values)))

@@ -37,7 +37,7 @@ from . import __version__ as _package_version
 from ._fork import in_order, worker_count
 from ._format import csv_rows, lead_text
 from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, require_well_posed, scalar_evolve
-from .errors import CavitationError, IllPosedError, WavemodelsError
+from .errors import IllPosedError, WavemodelsError
 from .hyperbolic import SVState, hopf_evolve, simple_wave_velocity, sv_evolve
 from .linear import AiryState, acoustic_evolve, airy_evolve
 from .physics import PhysicalParams
@@ -396,12 +396,7 @@ def _evolve_series(sc: Scenario):
     t0 = time.perf_counter()
     state0, solver = _build_initial(sc)
     t1 = time.perf_counter()
-    try:
-        traj = model.run(sc, state0)
-    except CavitationError as err:
-        traj = err.partial_trajectory
-        if traj is None:  # the initial data already cavitates
-            raise
+    traj = model.run(sc, state0)
     for i, s in enumerate(traj.states):  # the exact models have no non-finite guard of their own
         if not all(np.all(np.isfinite(getattr(s, f).values)) for f in model.writes):
             traj.states, traj.halt = traj.states[:i], HaltEvent("non_finite", s.time, math.nan,

@@ -301,7 +301,7 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
     and per field one (M x B)(B x ceil(K/B)) matrix product and a row-wise
     dot, where the direct sum costs M*K exponentials per field.  Each
     field's product has the shape it has alone, so its values do not depend
-    on the other fields.
+    on the other fields.  A point 4L or more out of [-L/2, L/2) is wrapped.
     """
     grid = fields[0].grid
     if grid.dim != 1:
@@ -309,13 +309,16 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
     if not all(f.same_grid(fields[0]) for f in fields):
         raise ValueError("fields evaluated together must share one grid")
     points = np.atleast_1d(np.asarray(points, dtype=float))
+    shifted = points + 0.5 * grid.length[0]
+    far = np.abs(points) >= 4.5 * grid.length[0]  # a phase there may overflow
+    shifted[far] = np.remainder(shifted[far], grid.length[0])
     blocks = [f._mode_block() for f in fields]
     _, fine, coarse = blocks[0]
     out = np.empty((len(fields), points.size))
     for start in range(0, points.size, 1024):  # cap the phase-matrix sizes
-        shifted = points[start : start + 1024, None] + 0.5 * grid.length[0]
-        fine_phase = np.exp(1j * (shifted * fine))
-        coarse_phase = np.exp(1j * (shifted * coarse))
+        block = shifted[start : start + 1024, None]
+        fine_phase = np.exp(1j * (block * fine))
+        coarse_phase = np.exp(1j * (block * coarse))
         for row, (modes, _, _) in zip(out, blocks):
             row[start : start + 1024] = np.einsum("mr,mr->m", coarse_phase,
                                                   fine_phase @ modes).real

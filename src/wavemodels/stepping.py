@@ -72,7 +72,8 @@ class Trajectory:
     used, "levels": [{"dt", "substeps", "diff"}, ...], "error_estimate"},
     one level per run consumed, with its steps per output interval and diff
     the max-norm gap to the previous run at the final time (None for the
-    first run and wherever either run halted); error_estimate is diff / 15.
+    first run and wherever either run halted); error_estimate is diff / 15,
+    or None for a run that cavitated.
     """
 
     states: list = field(default_factory=list)
@@ -130,12 +131,11 @@ def integrate(
     symbol L integrated exactly (zeros give classical RK4).  ``snapshot``
     turns an array and an absolute time into a stored state.
 
-    ``check(y, t)`` runs after every step.  A cavitation halt raises
-    CavitationError; any other halt keeps the state it fired on and ends
-    the run.  CavitationError raised by ``rhs`` is re-raised with the halt
-    record.  Either way the exception carries ``partial_trajectory``.  A
-    state with a non-finite value at the end of an output interval ends
-    the run with reason ``non_finite``; that state is not kept.
+    ``check(y, t)`` runs after every step.  A halt it returns ends the run
+    as ``traj.halt``, keeping the state it fired on unless the reason is
+    ``cavitation``.  CavitationError raised by ``rhs`` is a cavitation halt
+    at the start of its step.  A non-finite state at the end of an output
+    interval ends the run with reason ``non_finite`` and is not kept.
     """
     traj = Trajectory([state])
     t0 = state.time
@@ -158,22 +158,18 @@ def integrate(
                 k3 = rhs(e_half * y + half_h * k2)
                 e_full_y = e_full * y
                 k4 = rhs(e_full_y + h_e_half * k3)
-            except CavitationError as err:
+            except CavitationError:
                 traj.halt = HaltEvent("cavitation", t0 + t_now, math.nan, math.nan)
-                raise CavitationError(
-                    f"cavitation at t = {t0 + t_now}", partial_trajectory=traj
-                ) from err
+                return traj
             # with L = 0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
             y = e_full_y + sixth_h * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
             t_now += h
             halt = None if check is None else check(y, t0 + t_now)
-            if halt is None:
-                continue
-            traj.halt = halt
-            if halt.reason == "cavitation":
-                raise CavitationError(f"cavitation at t = {halt.time}", partial_trajectory=traj)
-            traj.states.append(snapshot(y, halt.time))
-            return traj
+            if halt is not None:
+                traj.halt = halt
+                if halt.reason != "cavitation":
+                    traj.states.append(snapshot(y, halt.time))
+                return traj
         if not np.all(np.isfinite(y)):
             traj.halt = HaltEvent("non_finite", t0 + t_now, math.nan, math.nan)
             return traj

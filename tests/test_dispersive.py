@@ -462,7 +462,7 @@ class TestForkedRefinement:
         assert forked.refinement["levels"] == inline.refinement["levels"]
         self.same_states(forked, inline)
 
-    def test_a_cavitating_child_reraises_with_its_partial_trajectory(self, monkeypatch):
+    def test_a_cavitating_child_returns_the_inline_halted_trajectory(self, monkeypatch):
         run = dispersive._scalar_run
         state = self.steep("whitham2", amplitude=-0.9)
         first = []
@@ -475,18 +475,19 @@ class TestForkedRefinement:
             return run(state, p, t_end, dt, n_out)
 
         monkeypatch.setattr(dispersive, "_scalar_run", first_run_halts)
-        raised = {}
+        returned = {}
         for cores in (1, 2):
             self.force_fork(monkeypatch, cores)
-            with pytest.raises(CavitationError, match="cavitation at t") as info:
-                scalar_evolve(state, P, 3.0, n_out=6)
+            returned[cores] = scalar_evolve(state, P, 3.0, n_out=6)
             no_child_left()
-            raised[cores] = info.value
-        inline, forked = raised[1], raised[2]
-        assert str(forked) == str(inline)
-        assert forked.partial_trajectory.halt.reason == "cavitation"
-        assert len(forked.partial_trajectory) >= 2
-        self.same_states(forked.partial_trajectory, inline.partial_trajectory)
+        inline, forked = returned[1], returned[2]
+        assert forked.halt.reason == "cavitation"
+        assert len(forked) >= 2
+        assert (inline.refinement["workers"], forked.refinement["workers"]) == (1, 2)
+        assert len(forked.refinement["levels"]) == 2  # the cavitating level, from a child
+        assert forked.refinement["levels"] == inline.refinement["levels"]
+        assert forked.refinement["error_estimate"] is inline.refinement["error_estimate"] is None
+        self.same_states(forked, inline)
 
     def test_the_floor_raises_after_the_same_steps(self, monkeypatch):
         g = Grid(50.0, 64)

@@ -687,6 +687,26 @@ class TestRefinementRun:
         manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
         assert manifest["diagnostics"]["refinement"] is None
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_cavitating_whitham2_run_records_its_level(self, tmp_path, monkeypatch, cores):
+        # the coarsest level cavitates: it ends the ladder, inline and with a level forked ahead
+        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)
+        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        sc = Scenario(model="whitham2", grid=Grid(50.0, 128),
+                      initial=InitialData(amplitude=-0.9, width_parameter=1.0),
+                      t_end=3.0, output_stride=6)
+        result = run(sc, output_dir=tmp_path)
+        with pytest.raises(ChildProcessError):  # the level forked ahead was reaped
+            os.waitpid(-1, os.WNOHANG)
+        manifest = json.loads(result.manifest_path.read_text())
+        assert result.exit_code == manifest["exit_code"] == 2
+        assert manifest["halt"]["reason"] == "cavitation"
+        assert manifest["halt"]["time"] == pytest.approx(2.0833, abs=1e-3)
+        assert len(result.snapshot_paths) == 5
+        assert manifest["diagnostics"]["refinement"] == {
+            "workers": cores, "error_estimate": None,
+            "levels": [{"dt": pytest.approx(0.08491, rel=1e-4), "substeps": 6, "diff": None}]}
+
     def test_a_killed_refinement_run_is_cli_exit_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)  # fork on a small grid
         monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1288,6 +1308,19 @@ class TestCli:
         for path in out.glob("snapshot_*.csv"):
             data = np.genfromtxt(path, delimiter=",", names=True)
             assert not np.any(data["zeta_m"]) and not np.any(data["u_m_per_s"])
+
+    def test_hopf_feet_far_outside_a_tiny_period_run_to_t_end(self, tmp_path):
+        # u0 ~ 6e50 m/s is constant on a 1e-300 m grid: Newton's feet land near
+        # x ~ -1e50, where the phase k (x + L/2) of the mode sum would overflow
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, model="hopf", t_end=0.5, grid={"length": 1e-300, "nodes": 64},
+                     initial={"kind": "simple_wave", "amplitude": 1e100, "width_parameter": 0.5},
+                     output={"stride": 10, "directory": str(out)})
+        r = cli("run", "--config", str(cfg))
+        assert (r.returncode, r.stderr) == (0, "")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halt"] is None
+        assert len(manifest["snapshot_files"]) == 11
 
     def test_directory_as_config_exit_code(self, tmp_path):
         r = cli("run", "--config", str(tmp_path))

@@ -246,6 +246,18 @@ class TestEvaluateFields:
             assert np.array_equal(row, SpectralField(g, f.values).evaluate(pts))
         assert np.array_equal(evaluate_fields(pts, *fields[::-1]), together[::-1])
 
+    def test_far_points_take_the_values_of_their_period_images(self):
+        # 2^40 periods away: the nodes are exact there, and a phase k (x + L/2)
+        # summed in place would lose ~1e-2 of its angle
+        f = random_field(Grid(1.0, 16))
+        x = f.grid.axis_coordinates(0)
+        far = evaluate_fields(np.concatenate([x + 2.0**40, x - 2.0**40]), f)[0]
+        assert np.max(np.abs(far - np.tile(f.values, 2))) < 1e-13
+        # at 1e50 periods the phase itself would overflow
+        flat = SpectralField(Grid(1e-300, 64), np.full(64, 6.0e50))
+        with np.errstate(all="raise"):
+            assert np.array_equal(evaluate_fields([-1e50, 1e50], flat)[0], [6.0e50, 6.0e50])
+
     def test_fields_on_different_grids_are_refused(self):
         with pytest.raises(ValueError, match="one grid"):
             evaluate_fields([0.0], random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
