@@ -333,9 +333,11 @@ def scalar_evolve(
     step is halved until two successive runs agree to REFINE_TOL in the
     max norm at the final time; the finer run is returned, with
     ``refinement`` recording the runs consumed, the process count and the
-    error estimate diff / 15 (RK4's 2^4 - 1).  A run that cavitates ends
-    the ladder too, returned with its halt and an error estimate of None;
-    initial data with no positive depth raises CavitationError.
+    error estimate diff / 15 (RK4's 2^4 - 1).  Two successive runs that
+    cavitate after the same snapshots end the ladder too, the finer returned
+    with its halt and an error estimate of None; a coarse step's lone
+    cavitation is passed over.  Initial data with no positive depth raises
+    CavitationError.
 
     The runs, one per level dt = 4 dt0 2^j (dt0 = cfl dx / (c0 + 1.5 (c0/H)
     max|zeta|), the CFL step of ``integrate_pair``), are consumed from the
@@ -389,8 +391,9 @@ def scalar_evolve(
                     np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
                 )
             levels.append({"dt": dt, "substeps": resolve_substeps(interval, dt)[0], "diff": diff})
+            cavitated = traj is not None and len(traj.states) == len(finer.states) and all(
+                run.halt is not None and run.halt.reason == "cavitation" for run in (traj, finer))
             traj = finer
-            cavitated = traj.halt is not None and traj.halt.reason == "cavitation"
             if cavitated or diff is not None and diff < REFINE_TOL:
                 traj.refinement = {"workers": workers, "levels": levels,
                                    "error_estimate": None if cavitated else diff / 15.0}

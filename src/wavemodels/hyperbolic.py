@@ -93,35 +93,40 @@ def simple_wave_elevation(u, p: PhysicalParams):
 
 
 def breaking_time(u0: SpectralField) -> float:
-    """First crossing time of the characteristics seeded by u0.
+    """First crossing time of the characteristics seeded by the interpolant of u0.
 
-    Returns T* = -2 / (3 m) with m = inf u0', or +inf when m >= 0.  The
-    infimum is a root of u0'': the node scan finds the smallest value of
-    u0', and ``_crossing_time`` refines it.  Ties go to the smallest x.
+    Returns T* = -2 / (3 m) with m = inf u0', or +inf when m >= 0; the
+    Nyquist cosine of u0 keeps its slope.  ``_crossing`` finds m.
     """
-    return _crossing_time(derivative(u0, axis=0, order=1))
+    return _crossing(u0)[0]
 
 
-def _crossing_time(du: SpectralField) -> float:
-    """The crossing time from u0' = ``du``.
+def _crossing(u0: SpectralField) -> tuple[float, float]:
+    """(T*, x*): the crossing time of ``breaking_time`` and the foot x* of the
+    steepest characteristic, where u0' takes its infimum m.
 
-    The node x_i holding the smallest value of u0' starts the search.  When
-    u0'' goes from negative to positive over [x_i - dx, x_i + dx], read at
-    the nodes, ``_newton`` finds its root there with slope u0''' and returns
-    u0' at it.  Otherwise, as for a flat or unresolved u0', the node value
-    is kept.
+    u0' and u0'' are read at the F = 2N nodes of ``u0.upsample``, where u0's
+    Nyquist mode is interior.  u0' lies at most b = (pi N / F)^2 / 8 max|u0'|
+    below its value at the nearest node (Bernstein), so ``_newton`` refines,
+    with slope u0''', each node within 2b of the smallest value whose bracket
+    [x - dx, x + dx] holds a - to + sign change of u0''.  m is the smallest
+    value at a node or a root, the nodes and the smaller x first.
     """
-    dvals = du.values
-    i = int(np.argmin(dvals))  # first occurrence wins ties
-    m = float(dvals[i])
+    fine = u0.upsample(2 * u0.grid.nodes[0])
+    du = derivative(fine, axis=0, order=1)
     d2u = derivative(du, axis=0, order=1)
-    if d2u.values[i - 1] < 0.0 < d2u.values[(i + 1) % dvals.size]:
-        dx = du.grid.spacing[0]
-        x = du.grid.axis_coordinates(0)[i : i + 1]
-        fields = (du, d2u, derivative(du, axis=0, order=2))
-        m = min(m, float(_newton(fields, lambda xa, values, active: values[1:],
-                                 x, x - dx, x + dx, 1e-12 * dx)[0]))
-    return math.inf if m >= 0.0 else -2.0 / (3.0 * m)  # NaN stays NaN
+    values, where = du.values, fine.grid.axis_coordinates(0)
+    bound = (0.5 * math.pi) ** 2 / 8.0 * float(np.max(np.abs(values)))
+    turns = (np.roll(d2u.values, 1) < 0.0) & (np.roll(d2u.values, -1) > 0.0)
+    near = np.flatnonzero(turns & (values <= np.min(values) + 2.0 * bound))
+    if near.size:
+        dx, x = fine.grid.spacing[0], where[near]
+        roots = _newton((du, d2u, derivative(du, axis=0, order=2)),
+                        lambda xa, v, active: v[1:], x, x - dx, x + dx, 1e-12 * dx)
+        values, where = np.append(values, roots), np.append(where, x)
+    i = int(np.argmin(values))
+    m = float(values[i])
+    return (math.inf if m >= 0.0 else -2.0 / (3.0 * m)), float(where[i])  # NaN stays NaN
 
 
 def _newton(fields, residual, x, lo, hi, tol: float):
@@ -179,27 +184,20 @@ def hopf_characteristic_solve(
     b - 1.5 t [u_max, u_min]: the mean of u0 plus and minus the sum of the
     moduli of its other modes bounds the interpolant.
 
-    Raises BreakingError at or past the crossing time of ``_hopf_solver``;
-    a constant profile never breaks.
+    Raises BreakingError at or past ``breaking_time(u0)``, the one crossing
+    time of ``_crossing``; a constant profile never breaks.
     """
     return _hopf_solver(u0)[0](p, t, query_points)
 
 
 def _hopf_solver(u0: SpectralField):
     """The per-profile work of ``hopf_characteristic_solve``, done once: u0',
-    the bounds of u0, and the crossing time t_cross = min(T*, t_s).  t_s, the
-    first time two neighbouring samples of the interpolant of u0, upsampled
-    to at least 4096 nodes, meet along their characteristics, involves no
-    c0 t.  It repeats T* when the grid resolves u0, and comes first when the
-    interpolant is steeper between the nodes than the node scan of T* sees.
-    Returns (solve, u0', t_cross), where ``solve(p, t, query_points)`` is
+    the bounds of u0, and ``_crossing``'s crossing time t_cross and foot x*.
+    Returns (solve, t_cross, x*), where ``solve(p, t, query_points)`` is
     ``hopf_characteristic_solve`` of u0."""
     du = derivative(u0, axis=0, order=1)
     length = u0.grid.length[0]
-    fine = u0.upsample(max(4096, u0.grid.nodes[0])).values
-    rise = np.diff(np.append(fine, fine[0]))  # the closed period: the wrap-around pair too
-    t_sampled = float(np.min(length / fine.size / (-1.5 * rise[rise < 0.0]), initial=np.inf))
-    t_cross = min(_crossing_time(du), t_sampled)
+    t_cross, x_cross = _crossing(u0)
     mean = u0.hat[0].real / u0.grid.nodes[0]
     spread = float(np.sum(np.abs(u0.hat[1:]) * u0.grid.parseval_weights[1:])) / u0.grid.nodes[0]
     nodes, tol = u0.grid.axis_coordinates(0), 1e-10 * length
@@ -227,25 +225,24 @@ def _hopf_solver(u0: SpectralField):
                                 b - 1.5 * t * (mean + spread), b - 1.5 * t * (mean - spread), tol)
         return out if np.ndim(query_points) else float(out[0])
 
-    return solve, du, t_cross
+    return solve, t_cross, x_cross
 
 
 def hopf_evolve(state: SVState, p: PhysicalParams, t_end: float, n_out: int = 10) -> Trajectory:
     """The simple wave of ``state.u`` along the characteristics, zeta its elevation, at
-    snapshot_times(t_end, n_out).  A snapshot time at or past the crossing time of
-    ``_hopf_solver`` halts the run there, with no state at or past it.  The first
-    snapshot is ``state`` itself; only simple-wave data has a zeta that is the
-    elevation of its u there."""
+    snapshot_times(t_end, n_out).  A snapshot time at or past ``breaking_time(u0)``
+    halts the run there, with no state at or past it, at the point that the steepest
+    characteristic, from ``_crossing``'s foot x*, reaches.  The first snapshot is
+    ``state`` itself; only simple-wave data has a zeta that is the elevation of its u."""
     u0 = state.u
-    solve, du, t_cross = _hopf_solver(u0)  # derivative, crossing time and bounds, once per run
+    solve, t_cross, x_cross = _hopf_solver(u0)  # derivative, crossing and bounds, once per run
     xs = state.grid.axis_coordinates(0)
     traj = Trajectory([state])
     for t in snapshot_times(t_end, n_out)[1:]:
         if t >= t_cross:
-            j = int(np.argmin(du.values))
             length = state.grid.length[0]
-            location = xs[j] + (p.c0 + 1.5 * u0.values[j]) * t_cross  # moved into [-L/2, L/2):
-            location = float(location - length * np.floor((location + 0.5 * length) / length))
+            location = float(x_cross + (p.c0 + 1.5 * u0.evaluate(x_cross)[0]) * t_cross)
+            location -= length * math.floor((location + 0.5 * length) / length)  # into [-L/2, L/2)
             traj.halt = HaltEvent(reason="breaking", time=t_cross, location=location,
                                   max_gradient=math.inf, breaking_time_estimate=t_cross)
             break

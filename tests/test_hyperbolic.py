@@ -85,8 +85,9 @@ class TestBreakingTime:
         u0 = SpectralField.from_function(g, lambda x: -0.05 * np.sin(x))
         assert breaking_time(u0) == pytest.approx(2.0 / (3.0 * 0.05), rel=1e-10)
 
-    def test_node_scan_makes_no_off_grid_call(self, monkeypatch):
+    def test_refinement_makes_few_small_off_grid_calls(self, monkeypatch):
         # the minimum of u0' sits between nodes, so the refinement iterates
+        # on the few upsampled nodes that bracket it
         g = Grid(2 * np.pi, 512)
         u0 = SpectralField.from_function(g, lambda x: -np.sin(x - 0.3 * g.spacing[0]))
         sizes = []
@@ -99,8 +100,45 @@ class TestBreakingTime:
         monkeypatch.setattr(hyperbolic, "evaluate_fields", counted)
         monkeypatch.setattr(spectral, "evaluate_fields", counted)
         assert breaking_time(u0) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert set(sizes) == {1}  # one-point refinement calls only
-        assert 1 <= len(sizes) <= 10
+        assert 1 <= len(sizes) <= 10 and max(sizes) <= 4
+
+    def test_nyquist_cosine_keeps_its_slope(self):
+        # the interpolant 0.01 cos(32 (x + pi)) of 0.01 (-1)^j has inf u0' = -0.01 * 32,
+        # although its spectral derivative, read at the nodes, is zero
+        g = Grid(2 * np.pi, 64)
+        u0 = SpectralField(g, 0.01 * (-1.0) ** np.arange(64))
+        t_star = 2.0 / (3.0 * 0.01 * 32)
+        assert breaking_time(u0) == pytest.approx(t_star, rel=1e-12)
+        traj = hopf_evolve(SVState(simple_wave_elevation(u0, P), u0), P, 3.0)
+        assert traj.halt.reason == "breaking"
+        assert traj.halt.time == breaking_time(u0)
+        assert traj.times[-1] < t_star
+
+    def test_unresolved_profiles_break_no_later_than_their_interpolant(self):
+        # white noise, Gaussians a few nodes wide and random spectra, against a
+        # 2^16-node scan of u0', whose values lie at most (pi N / 2^16)^2 / 8 max|u0'|
+        # above inf u0' (Bernstein); the Hopf guard reads the same time
+        rng = np.random.default_rng(34)
+        for trial in range(60):
+            n, length = int(rng.choice([16, 32, 64])), float(rng.choice([2 * np.pi, 50.0, 200.0]))
+            g = Grid(length, n)
+            x = g.axis_coordinates(0)
+            if trial % 3 == 0:
+                values = rng.standard_normal(n)
+            elif trial % 3 == 1:
+                width = rng.uniform(0.3, 3.0) * g.spacing[0]
+                values = rng.uniform(-1, 1) * np.exp(-(((x - rng.uniform(-0.5, 0.5) * length)
+                                                        / width) ** 2))
+            else:
+                modes = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+                values = np.fft.irfft(modes * rng.uniform(0, 1, n // 2 + 1) ** 3, n)
+            u0 = SpectralField(g, values)
+            scan = spectral.derivative(u0.upsample(2**16), axis=0, order=1).values
+            below = (math.pi * n / 2**16) ** 2 / 8.0 * np.max(np.abs(scan))
+            t_star = breaking_time(u0)
+            assert t_star <= -2.0 / (3.0 * np.min(scan)) * (1.0 + 1e-9)
+            assert t_star >= -2.0 / (3.0 * (np.min(scan) - below)) * (1.0 - 1e-9)
+            assert hyperbolic._hopf_solver(u0)[1] == t_star
 
 
 class TestHopfCharacteristics:
