@@ -95,35 +95,34 @@ def simple_wave_elevation(u, p: PhysicalParams):
 def breaking_time(u0: SpectralField) -> float:
     """First crossing time of the characteristics seeded by the interpolant of u0.
 
-    Returns T* = -2 / (3 m) with m = inf u0', or +inf when m >= 0; the
-    Nyquist cosine of u0 keeps its slope.  ``_crossing`` finds m.
+    Returns T* = -2 / (3 m) with m = inf u0', or +inf when m >= 0; u0' is the
+    interpolant's ``derivative``, Nyquist slope included, and ``_crossing`` finds m.
     """
-    return _crossing(u0)[0]
+    return _crossing(derivative(u0, axis=0, order=1))[0]
 
 
-def _crossing(u0: SpectralField) -> tuple[float, float]:
+def _crossing(du: SpectralField) -> tuple[float, float]:
     """(T*, x*): the crossing time of ``breaking_time`` and the foot x* of the
-    steepest characteristic, where u0' takes its infimum m.
+    steepest characteristic, where u0' = ``du`` takes its infimum m.
 
-    u0' and u0'' are read at the F = 2N nodes of ``u0.upsample``, where u0's
-    Nyquist mode is interior.  u0' lies at most b = (pi N / F)^2 / 8 max|u0'|
-    below its value at the nearest node (Bernstein), so ``_newton`` refines,
-    with slope u0''', each node within 2b of the smallest value whose bracket
-    [x - dx, x + dx] holds a - to + sign change of u0''.  m is the smallest
-    value at a node or a root, the nodes and the smaller x first.
+    u0' and u0'' are read at the nodes x_j and, by ``translate_fields``, at
+    x_j + h, h = dx/2.  u0' lies at most b = (pi/2)^2 / 8 max|u0'| below its
+    value at the nearest of these 2N points (Bernstein), so ``_newton``
+    refines, with slope u0''', each point within 2b of the smallest value
+    whose bracket [x - h, x + h] holds a - to + sign change of u0''.  m is
+    the smallest value at a point or a root, the points and the smaller x first.
     """
-    fine = u0.upsample(2 * u0.grid.nodes[0])
-    du = derivative(fine, axis=0, order=1)
-    d2u = derivative(du, axis=0, order=1)
-    values, where = du.values, fine.grid.axis_coordinates(0)
+    h, d2u = 0.5 * du.grid.spacing[0], derivative(du, axis=0, order=1)
+    both = np.stack([(du.values, d2u.values), translate_fields(-h, du, d2u)], axis=-1)
+    values, curve = both.reshape(2, -1)  # at x_0, x_0 + h, x_1, ...
+    where = -0.5 * du.grid.length[0] + h * np.arange(values.size)
     bound = (0.5 * math.pi) ** 2 / 8.0 * float(np.max(np.abs(values)))
-    turns = (np.roll(d2u.values, 1) < 0.0) & (np.roll(d2u.values, -1) > 0.0)
+    turns = (np.roll(curve, 1) < 0.0) & (np.roll(curve, -1) > 0.0)
     near = np.flatnonzero(turns & (values <= np.min(values) + 2.0 * bound))
-    if near.size:
-        dx, x = fine.grid.spacing[0], where[near]
-        roots = _newton((du, d2u, derivative(du, axis=0, order=2)),
-                        lambda xa, v, active: v[1:], x, x - dx, x + dx, 1e-12 * dx)
-        values, where = np.append(values, roots), np.append(where, x)
+    x = where[near]
+    roots = _newton((du, d2u, derivative(du, axis=0, order=2)),
+                    lambda xa, v, active: v[1:], x, x - h, x + h, 1e-12 * h)
+    values, where = np.append(values, roots), np.append(where, x)
     i = int(np.argmin(values))
     m = float(values[i])
     return (math.inf if m >= 0.0 else -2.0 / (3.0 * m)), float(where[i])  # NaN stays NaN
@@ -176,13 +175,13 @@ def hopf_characteristic_solve(
     For each query x, u(t, x) = u0(x0) at the unique foot x0 with
     x = x0 + (c0 + 1.5 u0(x0)) t, found to within 1e-10 L by its offset from
     b = x - c0 t, with c0 t reduced by whole periods: no term of size c0 t
-    enters a difference.  u0 and u0' at every b come from one inverse FFT at
-    the grid's nodes, and from one ``evaluate_fields`` call elsewhere.  A
-    foot whose Newton step 1.5 t u0 / (1 + 1.5 t u0') from b is within the
-    tolerance, as in the far field, takes u0 carried by that step.  The
-    others, where the wave is, go to ``_newton`` from there, bracketed by
-    b - 1.5 t [u_max, u_min]: the mean of u0 plus and minus the sum of the
-    moduli of its other modes bounds the interpolant.
+    enters a difference.  u0 and u0', the interpolant's ``derivative``, at every
+    b come from one inverse FFT at the nodes, and from one ``evaluate_fields``
+    call elsewhere.  A foot whose Newton step 1.5 t u0 / (1 + 1.5 t u0') from
+    b is within the tolerance, as in the far field, takes u0 carried by that
+    step.  The others, where the wave is, go to ``_newton`` from there,
+    bracketed by b - 1.5 t [u_max, u_min]: the mean of u0 plus and minus the
+    sum of the moduli of its other modes bounds the interpolant.
 
     Raises BreakingError at or past ``breaking_time(u0)``, the one crossing
     time of ``_crossing``; a constant profile never breaks.
@@ -192,12 +191,12 @@ def hopf_characteristic_solve(
 
 def _hopf_solver(u0: SpectralField):
     """The per-profile work of ``hopf_characteristic_solve``, done once: u0',
-    the bounds of u0, and ``_crossing``'s crossing time t_cross and foot x*.
-    Returns (solve, t_cross, x*), where ``solve(p, t, query_points)`` is
-    ``hopf_characteristic_solve`` of u0."""
+    shared by the foot solve and ``_crossing``, the bounds of u0, and the
+    crossing time t_cross and foot x*.  Returns (solve, t_cross, x*), where
+    ``solve(p, t, query_points)`` is ``hopf_characteristic_solve`` of u0."""
     du = derivative(u0, axis=0, order=1)
     length = u0.grid.length[0]
-    t_cross, x_cross = _crossing(u0)
+    t_cross, x_cross = _crossing(du)
     mean = u0.hat[0].real / u0.grid.nodes[0]
     spread = float(np.sum(np.abs(u0.hat[1:]) * u0.grid.parseval_weights[1:])) / u0.grid.nodes[0]
     nodes, tol = u0.grid.axis_coordinates(0), 1e-10 * length

@@ -179,7 +179,8 @@ class SpectralField:
 
     ``values`` is the physical-space array; ``hat`` returns its (cached)
     ``rfftn`` on the layout of the grid symbols, and ``from_hat`` inverts
-    it.  Every operation returns a new field; nothing mutates.
+    it; a ``derivative`` keeps the spectrum it was built from, in 1D with
+    its Nyquist sine.  Every operation returns a new field; nothing mutates.
     """
 
     __slots__ = ("grid", "values", "_hat", "_modes")
@@ -222,7 +223,7 @@ class SpectralField:
         """(coefficient block, fine rates, coarse rates) of the mode sum of
         ``evaluate_fields``, built on the first call and cached, as ``hat``
         is: fields do not change.  Interior modes count twice (for their
-        conjugates) and the Nyquist mode once, as a pure cosine."""
+        conjugates) and the Nyquist mode c once, as Re(c e^{iK theta})."""
         if self._modes is None:
             coef = self.hat * self.grid.parseval_weights / self.grid.nodes[0]
             width = math.isqrt(coef.size - 1) + 1  # ceil(sqrt(K))
@@ -233,25 +234,6 @@ class SpectralField:
                            dxi * (width * np.arange(block.shape[1])))
         return self._modes
 
-    def upsample(self, nodes: int) -> "SpectralField":
-        """The trigonometric interpolant sampled on ``nodes`` points per period.
-
-        Zero-pads the real-FFT spectrum, so the values agree with
-        ``evaluate`` at the finer nodes.  The Nyquist coefficient is halved
-        because the finer grid splits that cosine between modes +-N/2.
-        """
-        if self.grid.dim != 1:
-            raise NotImplementedError("upsampling only supported in 1D")
-        n = self.grid.nodes[0]
-        if nodes < n:
-            raise ValueError(f"cannot upsample {n} nodes to {nodes}")
-        padded = np.zeros(nodes // 2 + 1, dtype=complex)
-        padded[: n // 2 + 1] = self.hat
-        if nodes > n:
-            padded[n // 2] *= 0.5
-        fine = np.fft.irfft(padded, nodes) * (nodes / n)
-        return SpectralField(Grid(self.grid.length[0], nodes), fine)
-
     def same_grid(self, other: "SpectralField") -> bool:
         return self.grid == other.grid
 
@@ -260,21 +242,29 @@ class SpectralField:
 
 
 def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
-    """Spectral derivative (i xi)^order along ``axis``.
+    """Spectral derivative (i xi)^order along ``axis``, with that spectrum as
+    its ``hat``.  Orders above 4 are outside the supported range.
 
-    The Nyquist mode is zeroed for odd orders (real-output convention).
-    Orders above 4 are outside the supported range.
+    In 1D it is the derivative of the interpolant ``evaluate_fields`` sums:
+    the Nyquist cosine keeps its slope, a sine that vanishes at the nodes
+    (``irfft`` reads only the real part of its bin).  In 2D odd orders zero
+    each axis's Nyquist mode, as ``Grid.ik`` does.
     """
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
     if not 1 <= order <= 4:
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    if order % 2 == 1:
-        factor = grid.ik[axis] ** order
-    else:
+    if order % 2 == 0:
         factor = (-grid.wavenumber_mesh()[axis] ** 2) ** (order // 2)
-    return SpectralField.from_hat(grid, factor * f.hat)
+    elif grid.dim == 1:
+        factor = (1j * grid.wavenumbers(0)) ** order
+    else:
+        factor = grid.ik[axis] ** order
+    hat = _read_only(factor * f.hat)
+    out = SpectralField.from_hat(grid, hat)
+    out._hat = hat
+    return out
 
 
 def spectral_tail(f: SpectralField) -> float:
@@ -292,16 +282,17 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
     """Trigonometric interpolants of 1D fields on one grid, at arbitrary
     coordinates: row i of the (len(fields), M) result holds field i.
 
-    Each sums over the K = N/2 + 1 real-FFT modes.  The mode numbers are
-    integers, so the sum factors exactly: with theta = 2 pi (x + L/2) / L,
-    B = ceil(sqrt(K)) and k = k1*B + k0, sum_k c_k e^{ik theta} equals
-    sum_k1 e^{i k1 B theta} sum_k0 c_{k1 B + k0} e^{i k0 theta}, over a
-    zero-padded B x ceil(K/B) coefficient block [k0, k1].  M points
-    cost M*(B + ceil(K/B)) complex exponentials, shared by every field,
-    and per field one (M x B)(B x ceil(K/B)) matrix product and a row-wise
-    dot, where the direct sum costs M*K exponentials per field.  Each
-    field's product has the shape it has alone, so its values do not depend
-    on the other fields.  A point 4L or more out of [-L/2, L/2) is wrapped.
+    Each is the real part of a sum over the K = N/2 + 1 modes of its ``hat``.
+    The mode numbers are integers, so the sum factors exactly: with
+    theta = 2 pi (x + L/2) / L, B = ceil(sqrt(K)) and k = k1*B + k0,
+    sum_k c_k e^{ik theta} equals sum_k1 e^{i k1 B theta}
+    sum_k0 c_{k1 B + k0} e^{i k0 theta}, over a zero-padded B x ceil(K/B)
+    coefficient block [k0, k1].  M points cost M*(B + ceil(K/B)) complex
+    exponentials, shared by every field, and per field one
+    (M x B)(B x ceil(K/B)) matrix product and a row-wise dot, where the
+    direct sum costs M*K exponentials per field.  Each field's product has
+    the shape it has alone, so its values do not depend on the other fields.
+    A point 4L or more out of [-L/2, L/2) is wrapped.
     """
     grid = fields[0].grid
     if grid.dim != 1:
@@ -328,7 +319,8 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
 def translate_fields(shift: float, *fields: SpectralField) -> np.ndarray:
     """Row i of the (len(fields), N) result holds f_i(x_j - shift) at the nodes of the
     fields' one 1D grid, from one batched inverse real FFT of f-hat e^{-i k shift}.  That
-    keeps the real part of the Nyquist bin: the mode is the cosine ``evaluate_fields`` sums."""
+    keeps the real part of the Nyquist bin: the mode is the Re(c e^{iK theta}) that
+    ``evaluate_fields`` sums, a derivative's Nyquist sine included."""
     grid = fields[0].grid
     if grid.dim != 1 or not all(f.same_grid(fields[0]) for f in fields):
         raise ValueError("translated fields must share one 1D grid")

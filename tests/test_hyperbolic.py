@@ -87,7 +87,7 @@ class TestBreakingTime:
 
     def test_refinement_makes_few_small_off_grid_calls(self, monkeypatch):
         # the minimum of u0' sits between nodes, so the refinement iterates
-        # on the few upsampled nodes that bracket it
+        # on the few of its 2N sample points that bracket it
         g = Grid(2 * np.pi, 512)
         u0 = SpectralField.from_function(g, lambda x: -np.sin(x - 0.3 * g.spacing[0]))
         sizes = []
@@ -133,7 +133,11 @@ class TestBreakingTime:
                 modes = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
                 values = np.fft.irfft(modes * rng.uniform(0, 1, n // 2 + 1) ** 3, n)
             u0 = SpectralField(g, values)
-            scan = spectral.derivative(u0.upsample(2**16), axis=0, order=1).values
+            # zero-padded to 2^16 nodes, where the Nyquist cosine is split between modes +-N/2
+            padded = np.zeros(2**15 + 1, dtype=complex)
+            padded[: n // 2 + 1] = u0.hat * (2**16 / n)
+            padded[n // 2] *= 0.5
+            scan = np.fft.irfft(1j * Grid(length, 2**16).wavenumbers(0) * padded, 2**16)
             below = (math.pi * n / 2**16) ** 2 / 8.0 * np.max(np.abs(scan))
             t_star = breaking_time(u0)
             assert t_star <= -2.0 / (3.0 * np.min(scan)) * (1.0 + 1e-9)
@@ -231,6 +235,20 @@ class TestHopfCharacteristics:
         assert -100.0 <= traj.halt.location < 100.0
         assert traj.halt.location == pytest.approx(157.093 - 200.0, abs=1e-3)
 
+    @pytest.mark.parametrize("sine", [0.0, 0.05])
+    def test_nyquist_data_solves_the_foot_relation_of_its_interpolant(self, sine):
+        # Newton's slope 1 + 1.5 t u0' is the derivative of its residual only if u0'
+        # keeps the slope of u0's Nyquist cosine
+        g = Grid(2 * np.pi, 64)
+        x = g.axis_coordinates(0)
+        u0 = SpectralField(g, 0.01 * (-1.0) ** np.arange(64) + sine * np.sin(x))
+        scale = np.max(np.abs(u0.values))
+        for t in (0.5 * breaking_time(u0), 0.9 * breaking_time(u0)):
+            for q in (x, np.linspace(-3.05, 3.07, 37)):
+                u = hopf_characteristic_solve(u0, P, t, q)
+                residual = u - u0.evaluate(q - math.remainder(P.c0 * t, 2 * np.pi) - 1.5 * t * u)
+                assert np.max(np.abs(residual)) <= 1e-12 * scale
+
     def test_feet_far_from_breaking_are_solved_at_any_c0_t(self):
         # T* ~ 1e22; at t = 1e19 c0 t ~ 3e19 is reduced by whole periods before
         # any difference, and the feet sit 1.5 t u0 ~ 1.5e-3 behind x - c0 t
@@ -311,12 +329,13 @@ class TestHopfTranslationSweep:
         assert np.max(np.abs(u - general[:-1])) <= 1e-15
 
     def test_other_queries_send_only_the_wave_to_newton(self, monkeypatch):
-        monkeypatch.setattr(hyperbolic, "translate_fields", _never_called)
         u0 = _seed_one_profile()
         calls = _counted_newton(monkeypatch, u0)
+        solve = hyperbolic._hopf_solver(u0)[0]  # its crossing time reads translate_fields
+        monkeypatch.setattr(hyperbolic, "translate_fields", _never_called)
         t = 4.5
         q = np.linspace(-300.0, 300.0, 1500)
-        u = hopf_characteristic_solve(u0, P, t, q)
+        u = solve(P, t, q)
         # three periods of queries: only the ~8 m of each that the wave covers
         [(guesses, result)] = calls
         assert 0 < guesses.size <= 0.05 * q.size
