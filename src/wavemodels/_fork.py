@@ -1,13 +1,11 @@
-"""Independent tasks computed in order, some of them in forked children.
+"""Shares of one job computed side by side, all but the first in forked children.
 
-``in_order(fn, items, workers, task)`` yields fn(item) for each item in
-order.  Before an item is needed, the next ``workers - 1`` items are
-started in forked children, which share this process's memory
-copy-on-write and send their result back pickled through a pipe; the item
-itself is then read from its child or, if no child has it, computed in this
-process.  The snapshot writer and the scalar step refinement both run
-through it, with ``worker_count`` deciding how many processes to use: one
-below a work gate that each caller derives from the measured fork cost.
+``fan_out(fn, workers, task)`` computes fn(0) in this process while forked
+children, which share this process's memory copy-on-write, compute
+fn(1), ..., fn(workers - 1) and send their result back pickled through a
+pipe.  The snapshot writer runs through it, with ``worker_count`` deciding
+how many processes to use: one below a work gate that the caller derives
+from the measured fork cost.
 """
 
 from __future__ import annotations
@@ -95,28 +93,21 @@ def _join(pid: int, read_fd: int, task: str):
     return value
 
 
-def in_order(fn, items, workers: int, task):
-    """Yield fn(item) for each of ``items`` in order, on ``workers`` processes.
+def fan_out(fn, workers: int, task) -> None:
+    """Compute fn(0) in this process and fn(1), ..., fn(workers - 1) in
+    forked children, which are joined in order.
 
-    This process computes the item it needs next, unless a child already
-    has it; up to workers - 1 later items run ahead in forked children.  A
-    child's exception is re-raised when its item is reached, and a child
-    killed by a signal raises WavemodelsError naming ``task(item)``.  When
-    the generator is closed, or an exception leaves it, the children still
-    running are killed and reaped.  With one worker every item is computed
-    here, only when it is needed.
+    A child's exception is re-raised, and a child killed by a signal raises
+    WavemodelsError naming ``task(r)``.  When an exception leaves, the
+    children not yet joined are killed and reaped.
     """
-    items = list(items)
-    children = {}  # item index -> (pid, read end of its pipe)
+    children = {}  # r -> (pid, read end of its pipe)
     try:
-        for j, item in enumerate(items):
-            for ahead in range(j + 1, min(j + workers, len(items))):
-                if ahead not in children:
-                    children[ahead] = _start(fn, items[ahead])
-            if j in children:
-                yield _join(*children.pop(j), task(item))
-            else:
-                yield fn(item)
+        for r in range(1, workers):
+            children[r] = _start(fn, r)
+        fn(0)
+        for r in range(1, workers):
+            _join(*children.pop(r), task(r))
     finally:
         for pid, read_fd in children.values():
             os.kill(pid, signal.SIGKILL)

@@ -20,13 +20,11 @@ characteristic variables), so only the nonlinear term constrains the step.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import in_order, worker_count
 from .errors import (
     CavitationError,
     IllPosedError,
@@ -42,8 +40,8 @@ from .stepping import (
     PAIR_STEP_MULTIPLE,
     DtControl,
     Trajectory,
-    integrate,
     integrate_pair,
+    intervals,
     resolve_substeps,
     snapshot_times,
 )
@@ -72,21 +70,6 @@ _SCAN_MU, _SCAN_SAMPLES = (1e-3, 1e3), 4001
 
 # Max-norm agreement of two successive step halvings at which scalar_evolve stops.
 REFINE_TOL = 1e-8
-
-# Node-steps (steps x nodes) of its 4 dt0 run, whatever level its ladder
-# starts at, from which scalar_evolve runs its refinement levels
-# concurrently.  Measured on a 2-core Linux machine: a
-# level read from a child costs up to two forks (its own, and the one that
-# starts the next level while it is awaited), each 3-10 ms more than inline
-# (2-3 ms to fork and join, the rest copy-on-write faults and the pickled
-# result).  A ladder that reaches 4 dt0 saves at least that run's time, at
-# >= ~95 ns per node-step (kdv at N = 2048, the cheapest model per node;
-# whitham2 costs ~250 ns).  Covering 2 x 10 ms takes 2.1e5 node-steps;
-# 2^18 = 2.6e5 rounds that up.  A 2048-node, 15 s evolve run (~6e5) forks;
-# the 1024-node, 2 s solitary-wave scenario runs (~2e4) and small test
-# grids do not.
-_FORK_NODE_STEPS = 2**18
-
 
 @dataclass(frozen=True)
 class AbcdParams:
@@ -281,7 +264,8 @@ def scalar_phase_speed(model: str, k, p: PhysicalParams):
 
 
 def _scalar_run(state, p, t_end, dt, n_out):
-    """One integrating-factor RK4 run of a scalar model at the step dt.
+    """One integrating-factor RK4 run of a scalar model at the step dt, as
+    the generator ``stepping.intervals``, one output interval at a time.
 
     The state is zeta-hat on the real-FFT modes of ``SpectralField.hat``, so
     the integrating factor exp(hL) acts on those modes only; whitham2 gets
@@ -313,7 +297,7 @@ def _scalar_run(state, p, t_end, dt, n_out):
     def snapshot(zhat, t):
         return ScalarWaveState(SpectralField(grid, irfft(zhat, n)), t, model)
 
-    return integrate(state.zeta.hat, state, snapshot_times(t_end, n_out),
+    return intervals(state.zeta.hat, state, snapshot_times(t_end, n_out),
                      lambda zhat: dt, nonlinear_hat, snapshot, factor=lin)
 
 
@@ -331,29 +315,28 @@ def scalar_evolve(
     the step is accuracy-limited, not stiffness-limited.  A pinned ``dt``
     makes one run at that step, with no accuracy check.  Otherwise the
     step is halved until two successive runs agree to REFINE_TOL in the
-    max norm at the final time; the finer run is returned, with
-    ``refinement`` recording the runs consumed, the process count and the
-    error estimate diff / 15 (RK4's 2^4 - 1).  Two successive runs that
-    cavitate after the same snapshots end the ladder too, the finer returned
-    with its halt and an error estimate of None; a coarse step's lone
-    cavitation is passed over.  Initial data with no positive depth raises
-    CavitationError.
+    max norm at every snapshot; the finer run is returned, with
+    ``refinement`` recording the runs started and the error estimate
+    diff / 15 (RK4's 2^4 - 1).  Two successive runs that cavitate in the
+    same output interval, having agreed at every snapshot before it, end
+    the ladder too, the finer returned with its halt and an error estimate
+    of None; a coarse step's lone cavitation is passed over.  Initial data
+    with no positive depth raises CavitationError.
 
     The runs, one per level dt = 4 dt0 2^j (dt0 = cfl dx / (c0 + 1.5 (c0/H)
-    max|zeta|), the CFL step of ``integrate_pair``), are consumed from the
+    max|zeta|), the CFL step of ``integrate_pair``), start from the
     coarsest one within the output interval I = t_end / n_out, so that no
     two levels take the same steps, and within max(4 dt0, h_stab):
     h_stab = 2.8 dx / (pi 1.5 (c0/H) max|zeta|) is RK4's stability step for
     the nonlinear advection at the Nyquist wavenumber, the linear part being
-    exact.  No run takes a step below dt0 2^-14: failing to agree by then,
-    as with any I below dt0 2^-13, raises StepSizeUnderflowError.
-    When the 4 dt0 run has at least _FORK_NODE_STEPS node-steps
-    (ceil(t_end / 4 dt0) x N; the derivation is at the constant), they are
-    computed on min(cores, levels, 4) processes by ``_fork.in_order``,
-    later levels running ahead in forked children, which are killed once
-    the ladder ends.  A level is the same computation wherever it runs, so the
-    returned trajectory, or the exception raised, is bit for bit what
-    the one-process loop gives; only when each level is computed changes.
+    exact.  Two levels are stepped in lockstep, one output interval at a
+    time, and compared at each snapshot.  At the first snapshot where they
+    differ by REFINE_TOL or more, or where one halts and the other does
+    not, the coarser is dropped and the next level starts; it catches up
+    with the finer one, compared against its stored snapshots, and the two
+    go on in lockstep.  No run takes a step below dt0 2^-14: failing to
+    agree by then, as with any I below dt0 2^-13, raises
+    StepSizeUnderflowError.
     """
     ctrl = dt_control or DtControl()
     grid = state.grid
@@ -364,7 +347,8 @@ def scalar_evolve(
     if t_end == 0.0:
         return Trajectory([state])
     if ctrl.dt is not None:
-        return _scalar_run(state, p, t_end, ctrl.dt, n_out)
+        *_, traj = _scalar_run(state, p, t_end, ctrl.dt, n_out)
+        return traj
 
     zmax = float(np.max(np.abs(state.zeta.values)))
     dx = grid.spacing[0]
@@ -378,26 +362,35 @@ def scalar_evolve(
     dts = [dt4 * 2.0 ** math.floor(math.log2(min(interval, max(h_stab, dt4)) / dt4))]
     while 0.5 * dts[-1] >= dt0 * 2.0**-14:
         dts.append(0.5 * dts[-1])
-    workers = worker_count(len(dts), math.ceil(t_end / dt4) * grid.nodes[0], _FORK_NODE_STEPS)
-    runs = in_order(lambda dt: _scalar_run(state, p, t_end, dt, n_out), dts, workers,
-                    lambda dt: f"the refinement run at dt = {dt}")
     levels = []
-    traj = None
-    with contextlib.closing(runs):
-        for dt, finer in zip(dts, runs):
-            diff = None  # a halted run has no final state to compare
-            if traj is not None and traj.halt is None and finer.halt is None:
-                diff = float(
-                    np.max(np.abs(finer.final_state.zeta.values - traj.final_state.zeta.values))
-                )
-            levels.append({"dt": dt, "substeps": resolve_substeps(interval, dt)[0], "diff": diff})
-            cavitated = traj is not None and len(traj.states) == len(finer.states) and all(
-                run.halt is not None and run.halt.reason == "cavitation" for run in (traj, finer))
-            traj = finer
-            if cavitated or diff is not None and diff < REFINE_TOL:
-                traj.refinement = {"workers": workers, "levels": levels,
-                                   "error_estimate": None if cavitated else diff / 15.0}
-                return traj
+    coarse = coarse_run = None  # the coarser run of the pair: its trajectory and generator
+    for dt in dts:
+        run = _scalar_run(state, p, t_end, dt, n_out)
+        fine = next(run)
+        level = {"dt": dt, "substeps": resolve_substeps(interval, dt)[0], "diff": None,
+                 "dropped_at": None}
+        levels.append(level)
+        if coarse is None:
+            coarse, coarse_run = fine, run
+            continue
+        for i, _ in enumerate(run, 1):  # the finer run has stepped output interval i
+            if len(coarse.states) == i and coarse.halt is None:
+                next(coarse_run)  # it has caught up with the coarser run: step the two together
+            if min(len(coarse.states), len(fine.states)) == i:  # a halt in interval i
+                if (len(coarse.states) == len(fine.states)
+                        and coarse.halt.reason == fine.halt.reason == "cavitation"):
+                    continue  # both cavitated in it: the finer run has ended, and agrees
+                break
+            gap = float(np.max(np.abs(fine.states[i].zeta.values - coarse.states[i].zeta.values)))
+            level["diff"] = max(gap, level["diff"] or 0.0)
+            if gap >= REFINE_TOL:
+                break
+        else:
+            fine.refinement = {"levels": levels,
+                               "error_estimate": None if fine.halt else level["diff"] / 15.0}
+            return fine
+        levels[-2]["dropped_at"] = i
+        coarse, coarse_run = fine, run
     raise StepSizeUnderflowError(
         f"step refinement did not reach tolerance {REFINE_TOL} (last dt = {dts[-1]})"
     )

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__ as _package_version
-from ._fork import in_order, worker_count
+from ._fork import fan_out, worker_count
 from ._format import csv_rows, lead_text
 from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, require_well_posed, scalar_evolve
 from .errors import IllPosedError, WavemodelsError
@@ -462,7 +462,7 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err
 
-    list(in_order(write_share, range(workers), workers, lambda r: f"the writer of {paths[r]}"))
+    fan_out(write_share, workers, lambda r: f"the writer of {paths[r]}")
     return paths, workers
 
 

@@ -1,9 +1,10 @@
 """The one RK4 driver of every evolution model, with step control and halt records.
 
-``integrate`` advances y' = L y + N(y) with the integrating-factor RK4 of
-Kassam & Trefethen (2005, SIAM J. Sci. Comput. 26) for a diagonal linear
-symbol L; with L = 0 the scheme is classical RK4.  Models supply only the
-stage right-hand side N, a step bound and a halt test.  Every 1-D model
+``intervals`` advances y' = L y + N(y), one output interval at a time, with
+the integrating-factor RK4 of Kassam & Trefethen (2005, SIAM J. Sci. Comput.
+26) for a diagonal linear symbol L (L = 0 gives classical RK4); ``integrate``
+runs it to the end.  Models supply only the stage right-hand side N, a step
+bound and a halt test.  Every 1-D model
 keeps its spectra on the layout of ``SpectralField.hat`` and the grid
 symbols, the N/2 + 1 real-FFT modes, so exp(hL) is applied to N/2 + 1
 entries.  The scalar models step zeta-hat.
@@ -31,7 +32,7 @@ MIN_STEP = 1e-14
 # Step of ``integrate_pair`` in units of the advective CFL step dt0.  Stability
 # does not bound it, accuracy does: on the Saint-Venant breaking test the
 # halt time stays within 0.3% of T* up to 4x and misses it by ~40% at 8x.
-# The scalar refinement's levels are 4 dt0 2^j; its fork gate counts the 4 dt0 run.
+# The scalar refinement's levels are 4 dt0 2^j.
 PAIR_STEP_MULTIPLE = 4.0
 
 
@@ -68,12 +69,13 @@ class HaltEvent:
 class Trajectory:
     """Snapshots of an evolution, plus the halt record if the run stopped.
 
-    ``refinement`` is set by a refined scalar run: {"workers": processes
-    used, "levels": [{"dt", "substeps", "diff"}, ...], "error_estimate"},
-    one level per run consumed, with its steps per output interval and diff
-    the max-norm gap to the previous run at the final time (None for the
-    first run and wherever either run halted); error_estimate is diff / 15,
-    or None for a run that cavitated.
+    ``refinement`` is set by a refined scalar run: {"levels": [{"dt",
+    "substeps", "diff", "dropped_at"}, ...], "error_estimate"}, one level
+    per run started, with its steps per output interval, diff its largest
+    max-norm gap to the previous run over the snapshots compared (None if
+    none was) and dropped_at the snapshot that dropped it (None for the
+    accepted pair); error_estimate is the returned run's diff / 15, or None
+    for a run that cavitated.
     """
 
     states: list = field(default_factory=list)
@@ -111,8 +113,7 @@ def snapshot_times(t_end: float, n_intervals: int) -> list[float]:
     return [t_end * j / n_intervals for j in range(n_intervals + 1)]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the non-finite guard reports these
-def integrate(
+def intervals(
     y0: np.ndarray,
     state,
     times: list,
@@ -121,9 +122,11 @@ def integrate(
     snapshot: Callable[[np.ndarray, float], object],
     factor: np.ndarray,
     check: Callable[[np.ndarray, float], HaltEvent | None] | None = None,
-) -> Trajectory:
+):
     """Advance y0, the array of ``state``, from t0 = state.time through the
-    output offsets ``times`` (times[0] = 0).  The first snapshot is ``state``.
+    output offsets ``times`` (times[0] = 0).  A generator of one
+    ``Trajectory``, yielded first holding ``state`` and then after each
+    output interval with its snapshot or halt appended; a halt ends it.
 
     Each output interval is split into equal steps no larger than
     ``step(y)``, evaluated on the state at the interval's start.  ``rhs``
@@ -141,39 +144,50 @@ def integrate(
     t0 = state.time
     y = y0
     t_now = 0.0
+    yield traj
     for t_target in times[1:]:
-        dt_raw = step(y)
-        if not dt_raw >= MIN_STEP:
-            raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
-        m, h = resolve_substeps(t_target - t_now, dt_raw)
-        half_h, sixth_h = 0.5 * h, h / 6.0
-        e_half = np.exp(half_h * factor)
-        e_full = e_half * e_half
-        two_e_half = 2.0 * e_half
-        h_e_half = h * e_half
-        for _ in range(m):
-            try:
-                k1 = rhs(y)
-                k2 = rhs(e_half * (y + half_h * k1))
-                k3 = rhs(e_half * y + half_h * k2)
-                e_full_y = e_full * y
-                k4 = rhs(e_full_y + h_e_half * k3)
-            except CavitationError:
-                traj.halt = HaltEvent("cavitation", t0 + t_now, math.nan, math.nan)
-                return traj
-            # with L = 0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
-            y = e_full_y + sixth_h * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
-            t_now += h
-            halt = None if check is None else check(y, t0 + t_now)
-            if halt is not None:
-                traj.halt = halt
-                if halt.reason != "cavitation":
-                    traj.states.append(snapshot(y, halt.time))
-                return traj
-        if not np.all(np.isfinite(y)):
-            traj.halt = HaltEvent("non_finite", t0 + t_now, math.nan, math.nan)
-            return traj
-        traj.states.append(snapshot(y, t0 + t_now))
+        # closed before each yield, so that the caller never runs under it
+        with np.errstate(over="ignore", invalid="ignore"):  # the non-finite guard reports these
+            dt_raw = step(y)
+            if not dt_raw >= MIN_STEP:
+                raise StepSizeUnderflowError(f"time step underflow: dt = {dt_raw}")
+            m, h = resolve_substeps(t_target - t_now, dt_raw)
+            half_h, sixth_h = 0.5 * h, h / 6.0
+            e_half = np.exp(half_h * factor)
+            e_full = e_half * e_half
+            two_e_half = 2.0 * e_half
+            h_e_half = h * e_half
+            for _ in range(m):
+                try:
+                    k1 = rhs(y)
+                    k2 = rhs(e_half * (y + half_h * k1))
+                    k3 = rhs(e_half * y + half_h * k2)
+                    e_full_y = e_full * y
+                    k4 = rhs(e_full_y + h_e_half * k3)
+                except CavitationError:
+                    traj.halt = HaltEvent("cavitation", t0 + t_now, math.nan, math.nan)
+                    break
+                # with L = 0 this is classical RK4 bit for bit: y + h/6 (k1 + 2k2 + 2k3 + k4)
+                y = e_full_y + sixth_h * (e_full * k1 + two_e_half * k2 + two_e_half * k3 + k4)
+                t_now += h
+                traj.halt = None if check is None else check(y, t0 + t_now)
+                if traj.halt is not None:
+                    if traj.halt.reason != "cavitation":
+                        traj.states.append(snapshot(y, traj.halt.time))
+                    break
+            else:
+                if np.all(np.isfinite(y)):
+                    traj.states.append(snapshot(y, t0 + t_now))
+                else:
+                    traj.halt = HaltEvent("non_finite", t0 + t_now, math.nan, math.nan)
+        yield traj
+        if traj.halt is not None:
+            return
+
+
+def integrate(*args, **kwargs) -> Trajectory:
+    """The trajectory of ``intervals(*args, **kwargs)`` stepped to its end."""
+    *_, traj = intervals(*args, **kwargs)
     return traj
 
 

@@ -1,8 +1,6 @@
 """Tests for the dispersive model family and its well-posedness screen."""
 
 import math
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -323,10 +321,9 @@ class TestScalarEvolve:
         tried = []
 
         def fake_run(state, p, t_end, dt, n_out):
-            # every run ends a unit away from the last, so no two ever agree
+            # every run sits a unit away from the last, so no two ever agree
             tried.append(dt)
-            values = np.full(g.nodes[0], float(len(tried)))
-            return Trajectory([ScalarWaveState(SpectralField(g, values), t_end, state.model)])
+            yield from constant_run(state, float(len(tried)), t_end, n_out)
 
         monkeypatch.setattr(dispersive, "_scalar_run", fake_run)
         with pytest.raises(StepSizeUnderflowError, match="did not reach tolerance 1e-08"):
@@ -364,11 +361,13 @@ class TestScalarEvolve:
         refined = scalar_evolve(state, P, t_end, n_out=n_out)
         levels = refined.refinement["levels"]
         assert [level["dt"] for level in levels] == list(taken)
-        assert [[level["substeps"]] * n_out for level in levels] == list(taken.values())
+        # a dropped level stops stepping: each level steps some intervals, the returned one all
+        assert all(set(steps) == {level["substeps"]} for level, steps in zip(levels, taken.values()))
+        assert len(taken[levels[-1]["dt"]]) == n_out
         assert len({level["substeps"] for level in levels}) == len(levels) >= 2
         assert levels[0]["dt"] <= t_end / n_out
         monkeypatch.undo()
-        reference = run(state, P, t_end, dt0 / 16.0, 1)
+        *_, reference = run(state, P, t_end, dt0 / 16.0, 1)
         gap = np.max(np.abs(refined.final_state.zeta.values - reference.final_state.zeta.values))
         assert gap < dispersive.REFINE_TOL
 
@@ -419,24 +418,24 @@ class TestScalarEvolve:
         refined = scalar_evolve(ScalarWaveState(z0, 0.0, model), P, 1.0, n_out=1)
         if amplitude == 0.2:  # the steep case halves below the CFL step
             assert tried[-1] < dt0
-        reference = run(ScalarWaveState(z0, 0.0, model), P, 1.0, dt0 / 32.0, 1)
+        *_, reference = run(ScalarWaveState(z0, 0.0, model), P, 1.0, dt0 / 32.0, 1)
         gap = np.max(np.abs(refined.final_state.zeta.values - reference.final_state.zeta.values))
         assert gap < 1e-8
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):  # every forked level was reaped
-        os.waitpid(-1, os.WNOHANG)
+def constant_run(state, value, t_end, n_out):
+    """A stand-in for ``dispersive._scalar_run`` whose snapshots all equal ``value``."""
+    traj = Trajectory([state])
+    yield traj
+    for t in stepping.snapshot_times(t_end, n_out)[1:]:
+        traj.states.append(ScalarWaveState(SpectralField(state.grid, np.full(state.grid.nodes[0],
+                                                                             value)), t))
+        yield traj
 
 
-class TestForkedRefinement:
-    """Refinement levels run ahead in forked children above the fork gate;
-    the gate is lowered to 0 here so that small grids fork too."""
-
-    @staticmethod
-    def force_fork(monkeypatch, cores):
-        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+class TestLockstepRefinement:
+    """The ladder steps two levels together, one output interval at a time,
+    and drops the coarser at the first snapshot where they part."""
 
     @staticmethod
     def steep(model, amplitude=0.2):
@@ -444,124 +443,143 @@ class TestForkedRefinement:
         z0 = SpectralField.from_function(g, lambda x: amplitude * np.exp(-(x**2)))
         return ScalarWaveState(z0, 0.0, model)
 
-    @staticmethod
-    def same_states(a, b):
-        assert a.times == b.times and repr(a.halt) == repr(b.halt)  # NaN != NaN
-        for sa, sb in zip(a.states, b.states, strict=True):
-            assert sa.zeta.values.tobytes() == sb.zeta.values.tobytes()
-
-    @pytest.mark.parametrize("model", ["kdv", "whitham", "whitham2"])
-    def test_forked_and_inline_runs_are_bit_identical(self, model, monkeypatch):
-        self.force_fork(monkeypatch, 1)
-        inline = scalar_evolve(self.steep(model), P, 1.0, n_out=3)
-        self.force_fork(monkeypatch, 3)
-        forked = scalar_evolve(self.steep(model), P, 1.0, n_out=3)
-        no_child_left()
-        assert (inline.refinement["workers"], forked.refinement["workers"]) == (1, 3)
-        assert len(forked.refinement["levels"]) >= 3  # levels were read from children
-        assert forked.refinement["levels"] == inline.refinement["levels"]
-        self.same_states(forked, inline)
-
-    def test_a_cavitating_child_returns_the_inline_halted_trajectory(self, monkeypatch):
-        run = dispersive._scalar_run
+    def test_two_levels_cavitating_in_one_interval_end_the_ladder(self):
+        # the -0.9 Gaussian cavitates in its second interval; the ladder ends
+        # once two levels cavitate there having agreed at t = 0.5, so the last
+        # snapshot before the halt agrees with the next finer level
         state = self.steep("whitham2", amplitude=-0.9)
-        first = []
+        traj = scalar_evolve(state, P, 3.0, n_out=6)
+        levels = traj.refinement["levels"]
+        finer = scalar_evolve(state, P, 3.0, DtControl(dt=0.5 * levels[-1]["dt"]), n_out=6)
+        assert len(traj) == len(finer) == 2
+        gap = np.max(np.abs(finer.states[1].zeta.values - traj.states[1].zeta.values))
+        assert gap < dispersive.REFINE_TOL  # it read 7.5e-5 with the final-time rule
+        assert traj.halt.reason == finer.halt.reason == "cavitation"
+        assert traj.halt.time == pytest.approx(0.7122, abs=1e-4)
+        assert traj.refinement["error_estimate"] is None
+        assert [level["dropped_at"] for level in levels] == [1] * (len(levels) - 2) + [None] * 2
+        assert levels[0]["diff"] is None and levels[-1]["diff"] < dispersive.REFINE_TOL
 
-        def first_run_halts(state, p, t_end, dt, n_out):
-            # so that the levels that cavitate, the second and third, come from children
-            if not first or dt == first[0]:
-                first.append(dt)
-                return Trajectory([state], HaltEvent("non_finite", 0.0, math.nan, math.nan))
-            return run(state, p, t_end, dt, n_out)
+    @staticmethod
+    def scripted(monkeypatch, scripts, n_out):
+        """Run the ladder on stand-in runs: level k's snapshots 1, 2, ... hold
+        the values scripts[k][0], and then it halts for the reason scripts[k][1]
+        (None for no halt).  Return the trajectory and the intervals each level stepped."""
+        g = Grid(50.0, 64)
+        stepped = []
 
-        monkeypatch.setattr(dispersive, "_scalar_run", first_run_halts)
-        returned = {}
-        for cores in (1, 2):
-            self.force_fork(monkeypatch, cores)
-            returned[cores] = scalar_evolve(state, P, 3.0, n_out=6)
-            no_child_left()
-        inline, forked = returned[1], returned[2]
-        assert forked.halt.reason == "cavitation" and forked.halt.time < 1.0
-        assert len(forked) >= 2
-        assert (inline.refinement["workers"], forked.refinement["workers"]) == (1, 2)
-        assert len(forked.refinement["levels"]) == 3  # two cavitating levels agree
-        assert forked.refinement["levels"] == inline.refinement["levels"]
-        assert forked.refinement["error_estimate"] is inline.refinement["error_estimate"] is None
-        self.same_states(forked, inline)
+        def run(state, p, t_end, dt, n_out):
+            k = len(stepped)
+            values, reason = scripts[k]
+            stepped.append(0)
+            traj = Trajectory([state])
+            yield traj
+            for j, value in enumerate(values, 1):
+                stepped[k] += 1
+                traj.states.append(ScalarWaveState(SpectralField(g, np.full(64, value)), j))
+                yield traj
+            if reason is not None:
+                stepped[k] += 1
+                traj.halt = HaltEvent(reason, len(values) + 0.5, math.nan, math.nan)
+                yield traj
 
-    def test_the_floor_raises_after_the_same_steps(self, monkeypatch):
+        monkeypatch.setattr(dispersive, "_scalar_run", run)
+        state = ScalarWaveState(SpectralField(g, np.zeros(64)), 0.0, "whitham2")
+        return scalar_evolve(state, P, float(n_out), n_out=n_out), stepped
+
+    @staticmethod
+    def records(traj):
+        return [(level["diff"], level["dropped_at"]) for level in traj.refinement["levels"]]
+
+    def test_a_new_level_catches_up_against_the_stored_snapshots(self, monkeypatch):
+        # levels 0 and 1 part at snapshot 3; level 2 is compared with level 1's
+        # stored snapshots 1-3, and then both step interval 4
+        traj, stepped = self.scripted(monkeypatch, [
+            ([0.0, 0.0, 0.0, 0.0], None), ([0.0, 0.0, 1.0, 1.0], None),
+            ([0.0, 0.0, 1.0, 1.0], None)], 4)
+        assert traj.halt is None and len(traj) == 5
+        assert self.records(traj) == [(None, 3), (1.0, None), (0.0, None)]
+        assert stepped == [3, 4, 4]
+
+    def test_a_shared_cavitation_after_a_disagreement_does_not_end_the_ladder(self, monkeypatch):
+        # levels 0 and 1 part at snapshot 1 and both cavitate in interval 2;
+        # level 2 agrees with level 1 at snapshot 1 and cavitates in interval 2
+        traj, stepped = self.scripted(monkeypatch, [
+            ([0.0], "cavitation"), ([1.0], "cavitation"), ([1.0], "cavitation")], 6)
+        assert traj.halt.reason == "cavitation" and len(stepped) == 3
+        assert traj.refinement["error_estimate"] is None
+        assert self.records(traj) == [(None, 1), (1.0, None), (0.0, None)]
+
+    @pytest.mark.parametrize("reason", ["cavitation", "non_finite"])
+    def test_only_a_shared_cavitation_ends_the_ladder(self, reason, monkeypatch):
+        # levels 0 and 1 agree at snapshot 1 and both halt in interval 2
+        full = ([0.0] * 6, None)
+        traj, stepped = self.scripted(monkeypatch, [([0.0], reason)] * 2 + [full] * 2, 6)
+        if reason == "cavitation":
+            assert traj.halt.reason == "cavitation" and len(traj) == 2
+            assert self.records(traj) == [(None, None), (0.0, None)]
+        else:  # a level that halts where the next does not is dropped there
+            assert traj.halt is None and len(traj) == 7
+            assert self.records(traj) == [(None, 2), (0.0, 2), (0.0, None), (0.0, None)]
+            assert traj.refinement["error_estimate"] == 0.0
+        assert stepped == ([2, 2] if reason == "cavitation" else [2, 2, 6, 6])
+
+    def test_the_floor_raises_after_fifteen_levels(self, monkeypatch):
         g = Grid(50.0, 64)
         state = ScalarWaveState(SpectralField.zeros(g), 0.0, "kdv")
         dt0 = TestScalarEvolve.cfl_step(g, state.zeta)
+        started = []
 
         def never_agreeing(state, p, t_end, dt, n_out):
-            # a run ends at the value dt: successive runs differ by dt/2 >> REFINE_TOL
-            return Trajectory([ScalarWaveState(SpectralField(g, np.full(64, dt)), t_end)])
-
-        consumed = {}
-        in_order = dispersive.in_order
-
-        def recording(fn, items, workers, task):
-            for traj in in_order(fn, items, workers, task):
-                consumed.setdefault(workers, []).append(traj.final_state.zeta.values[0])
-                yield traj
+            # a run sits at the value dt: successive runs differ by dt/2 >> REFINE_TOL
+            started.append(dt)
+            yield from constant_run(state, dt, t_end, n_out)
 
         monkeypatch.setattr(dispersive, "_scalar_run", never_agreeing)
-        monkeypatch.setattr(dispersive, "in_order", recording)
-        messages = []
-        for cores in (1, 2, 4):
-            self.force_fork(monkeypatch, cores)
-            with pytest.raises(StepSizeUnderflowError) as info:
-                scalar_evolve(state, P, 1.0)
-            no_child_left()
-            messages.append(str(info.value))
-        assert sorted(consumed) == [1, 2, 4]
+        with pytest.raises(StepSizeUnderflowError) as info:
+            scalar_evolve(state, P, 1.0)
         # the output interval 0.1 is just above dt0 = 0.0998: the ladder starts there
-        assert consumed[1] == [dt0 * 0.5**j for j in range(15)]
-        assert consumed[2] == consumed[4] == consumed[1]
-        assert messages == [f"step refinement did not reach tolerance 1e-08 "
-                            f"(last dt = {dt0 * 2.0**-14})"] * 3
+        assert started == [dt0 * 0.5**j for j in range(15)]
+        assert str(info.value) == (f"step refinement did not reach tolerance 1e-08 "
+                                   f"(last dt = {dt0 * 2.0**-14})")
 
-    def test_a_second_python_thread_runs_inline(self, monkeypatch):
-        self.force_fork(monkeypatch, 4)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            threaded = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
-        finally:
-            release.set()
-            thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        forked = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
-        no_child_left()
-        assert (threaded.refinement["workers"], forked.refinement["workers"]) == (1, 4)
-        self.same_states(threaded, forked)
-
-    def test_runs_below_the_gate_stay_inline(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        traj = scalar_evolve(self.steep("whitham"), P, 1.0, n_out=3)
-        assert traj.refinement["workers"] == 1
-
-    def test_refinement_records_the_levels_consumed(self, monkeypatch):
+    def test_refinement_records_the_levels_started(self, monkeypatch):
         run = dispersive._scalar_run
-        halted = []
+        started = []
 
         def second_run_halts(state, p, t_end, dt, n_out):
-            traj = run(state, p, t_end, dt, n_out)
-            if len(halted) == 1:  # inline, so the runs come in order
-                traj.halt = HaltEvent("non_finite", t_end, math.nan, math.nan)
-            halted.append(dt)
-            return traj
+            started.append(dt)
+            if len(started) != 2:
+                yield from run(state, p, t_end, dt, n_out)
+                return
+            traj = Trajectory([state])
+            yield traj
+            traj.halt = HaltEvent("non_finite", t_end / n_out, math.nan, math.nan)
+            yield traj
 
         monkeypatch.setattr(dispersive, "_scalar_run", second_run_halts)
         traj = scalar_evolve(self.steep("kdv"), P, 1.0, n_out=3)
         levels = traj.refinement["levels"]
-        assert [level["dt"] for level in levels] == halted
+        assert [level["dt"] for level in levels] == started
+        # the halted level and the ones on either side of it compare no snapshot
         assert levels[0]["diff"] is levels[1]["diff"] is levels[2]["diff"] is None
+        assert levels[0]["dropped_at"] == levels[1]["dropped_at"] == 1
         assert all(level["diff"] >= dispersive.REFINE_TOL for level in levels[3:-1])
         assert levels[-1]["diff"] < dispersive.REFINE_TOL
         assert scalar_evolve(self.steep("kdv"), P, 1.0, DtControl(dt=0.01)).refinement is None
+
+    def test_every_snapshot_of_the_accepted_pair_agrees(self):
+        # the benchmark's evolve whitham run: with the final-time rule it
+        # accepted a pair whose first snapshot differs by 1.24e-8
+        g = Grid(200.0, 2048)
+        state = ScalarWaveState(SpectralField.from_function(g, lambda x: 0.01 * np.exp(-(x**2))),
+                                0.0, "whitham")
+        traj = scalar_evolve(state, P, 15.0, n_out=10)
+        coarse = scalar_evolve(state, P, 15.0, DtControl(dt=traj.refinement["levels"][-2]["dt"]),
+                               n_out=10)
+        gaps = [np.max(np.abs(a.zeta.values - b.zeta.values))
+                for a, b in zip(traj.states, coarse.states, strict=True)]
+        assert max(gaps) < dispersive.REFINE_TOL
 
 
 class TestDispersiveShockWave:

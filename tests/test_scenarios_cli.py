@@ -31,7 +31,7 @@ from wavemodels import (
     phase_velocity,
     simple_wave_velocity,
 )
-from wavemodels import dispersive, scenarios
+from wavemodels import scenarios
 from wavemodels.cli import main
 from wavemodels.traveling import solitary_wave
 from wavemodels.scenarios import (
@@ -653,22 +653,43 @@ class TestParallelWrite:
             run(AIRY_2D, output_dir=tmp_path)
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_a_killed_writer_is_cli_exit_one(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 2)
+        parent = os.getpid()
+        write_blocks = scenarios._write_blocks
+
+        def killed_in_a_child(stream, formats, columns):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_blocks(stream, formats, columns)
+
+        monkeypatch.setattr(scenarios, "_write_blocks", killed_in_a_child)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(AIRY_2D.to_dict()))
+        out = tmp_path / "out"
+        r = cli("run", "--config", str(cfg), "--outdir", str(out))
+        assert r.returncode == 1
+        assert re.fullmatch(r"error: the writer of \S*snapshot_0001\.csv was killed by signal 9\n",
+                            r.stderr)
+        assert r.stdout == ""
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):  # every writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestRefinementRun:
-    """The manifest's diagnostics.refinement, and forked refinement levels through ``run``."""
+    """The manifest's diagnostics.refinement through ``run``."""
 
-    @pytest.mark.parametrize("model, passes", [("kdv", 7), ("whitham", 3)])
+    @pytest.mark.parametrize("model, passes", [("kdv", 7), ("whitham", 4)])
     def test_manifest_records_the_refinement(self, tmp_path, model, passes):
         # the grid, horizon and Gaussian of the benchmark's evolve runs
         sc = Scenario(model=model, grid=Grid(200.0, 2048), initial=InitialData(amplitude=0.01),
                       t_end=15.0, output_stride=10)
-        manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
-        refinement = manifest["diagnostics"]["refinement"]
-        assert set(refinement) == {"workers", "levels", "error_estimate"}
-        # its 4 dt0 level, ~300 steps of 2048 nodes, is above the fork gate
-        assert refinement["workers"] == min(len(os.sched_getaffinity(0)), 4)
+        result = run(sc, output_dir=tmp_path)
+        refinement = json.loads(result.manifest_path.read_text())["diagnostics"]["refinement"]
+        assert set(refinement) == {"levels", "error_estimate"}
         levels = refinement["levels"]
-        assert [set(level) for level in levels] == [{"dt", "substeps", "diff"}] * passes
+        assert [set(level) for level in levels] == [{"dt", "substeps", "diff", "dropped_at"}] * passes
         assert [level["dt"] for level in levels] == [
             levels[0]["dt"] * 0.5**j for j in range(passes)]
         # the ladder starts at 64 dt0 = 0.79, the coarsest within the output interval 1.5
@@ -678,7 +699,14 @@ class TestRefinementRun:
         assert levels[0]["diff"] is None
         assert all(level["diff"] >= 1e-8 for level in levels[1:-1])
         assert levels[-1]["diff"] < 1e-8
+        # every failing pair parts at the first snapshot
+        assert [level["dropped_at"] for level in levels] == [1] * (passes - 2) + [None] * 2
         assert refinement["error_estimate"] == levels[-1]["diff"] / 15.0
+        if model == "whitham":  # the relative drift of the integral of zeta^2 over the snapshots
+            zetas = [np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+                     for path in result.snapshot_paths]
+            l2 = [np.sum(z**2) for z in zetas]
+            assert len(l2) == 11 and max(abs(q - l2[0]) for q in l2) / l2[0] < 1e-8
 
     @pytest.mark.parametrize("model", ["airy", "boussinesq"])
     def test_manifest_refinement_is_null_for_other_models(self, tmp_path, model):
@@ -688,53 +716,28 @@ class TestRefinementRun:
         manifest = json.loads(run(sc, output_dir=tmp_path).manifest_path.read_text())
         assert manifest["diagnostics"]["refinement"] is None
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_a_cavitating_whitham2_run_records_its_levels(self, tmp_path, monkeypatch, cores):
-        # the coarsest level's stage overshoots into a cavitation at 2.0833; the two
-        # levels below it agree on one at 0.708-0.712 and end the ladder, inline and
-        # with levels forked ahead
-        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)
-        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    def test_a_cavitating_whitham2_run_records_its_levels(self, tmp_path):
+        # the coarsest level's stage overshoots into a cavitation at 2.0833; the
+        # levels part at t = 0.5 down to dt0 / 64, and the two levels below agree
+        # there and on a cavitation at 0.7122, which ends the ladder
         sc = Scenario(model="whitham2", grid=Grid(50.0, 128),
                       initial=InitialData(amplitude=-0.9, width_parameter=1.0),
                       t_end=3.0, output_stride=6)
         result = run(sc, output_dir=tmp_path)
-        with pytest.raises(ChildProcessError):  # the levels forked ahead were reaped
-            os.waitpid(-1, os.WNOHANG)
         manifest = json.loads(result.manifest_path.read_text())
         assert result.exit_code == manifest["exit_code"] == 2
         assert manifest["halt"]["reason"] == "cavitation"
-        assert manifest["halt"]["time"] == pytest.approx(0.7083, abs=1e-3)
+        assert manifest["halt"]["time"] == pytest.approx(0.7122, abs=1e-4)
         assert len(result.snapshot_paths) == 2
-        assert manifest["diagnostics"]["refinement"] == {
-            "workers": cores, "error_estimate": None,
-            "levels": [{"dt": pytest.approx(0.08491 / 2**j, rel=1e-4), "substeps": 6 * 2**j,
-                        "diff": None} for j in range(3)]}
-
-    def test_a_killed_refinement_run_is_cli_exit_one(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dispersive, "_FORK_NODE_STEPS", 0)  # fork on a small grid
-        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: {0, 1})
-        parent = os.getpid()
-        scalar_run = dispersive._scalar_run
-
-        def killed_in_a_child(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return scalar_run(*args)
-
-        monkeypatch.setattr(dispersive, "_scalar_run", killed_in_a_child)
-        cfg = tmp_path / "cfg.json"
-        write_config(cfg, model="kdv", t_end=2.0,
-                     initial={"kind": "gaussian", "amplitude": 0.01, "width_parameter": 0.3})
-        out = tmp_path / "out"
-        r = cli("run", "--config", str(cfg), "--outdir", str(out))
-        assert r.returncode == 1
-        assert re.fullmatch(r"error: the refinement run at dt = \S+ was killed by signal 9\n",
-                            r.stderr)
-        assert r.stdout == ""
-        assert not out.exists()
-        with pytest.raises(ChildProcessError):  # the speculative level was reaped too
-            os.waitpid(-1, os.WNOHANG)
+        refinement = manifest["diagnostics"]["refinement"]
+        assert refinement["error_estimate"] is None
+        substeps = [6, 12, 24, 48, 95, 189, 377, 754]
+        assert refinement["levels"] == [
+            {"dt": pytest.approx(0.08491 / 2**j, rel=1e-4), "substeps": substeps[j],
+             "diff": refinement["levels"][j]["diff"], "dropped_at": 1 if j < 6 else None}
+            for j in range(8)]
+        diffs = [level["diff"] for level in refinement["levels"]]
+        assert diffs[0] is None and all(d >= 1e-8 for d in diffs[1:-2]) and diffs[-1] < 1e-8
 
 
 MATRIX_GRID = Grid(100.0, 256)

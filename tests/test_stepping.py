@@ -24,7 +24,7 @@ from wavemodels import (
     sv_evolve,
 )
 from wavemodels.dispersive import _abcd_symbols
-from wavemodels.stepping import integrate, integrate_pair
+from wavemodels.stepping import integrate, integrate_pair, intervals
 
 LAMBDAS = np.array([-1.0, -0.5 + 2.0j, 3.0j, 0.3, -2.5 - 0.4j])
 
@@ -110,6 +110,27 @@ def test_cavitation_in_a_stage_records_the_step_start():
     assert traj.halt.reason == "cavitation"
     assert 2.5 - 1e-12 < traj.halt.time < 2.0 + np.log(2.0)
     assert traj.final_state[0] == pytest.approx(2.5)
+
+
+def test_intervals_yield_one_trajectory_per_interval_and_stop_at_a_halt():
+    # the y' = y^2 blow-up above: one yield for the initial state, one per
+    # interval, and none after the interval that halts
+    y0 = np.array([1.0])
+    run = intervals(y0, keep(y0, 0.0), [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
+                    lambda y: y * y, keep, np.zeros_like(y0))
+    seen = [(len(traj), traj.halt) for traj in run]
+    assert seen[:3] == [(1, None), (2, None), (3, None)]
+    assert len(seen) == 4 and seen[3][0] == 3 and seen[3][1].reason == "non_finite"
+
+
+def test_a_suspended_run_holds_no_errstate_of_its_own():
+    y0 = np.array([1.0])
+    run = intervals(y0, keep(y0, 0.0), [0.0, 0.5, 1.0], lambda y: 0.1, lambda y: -y, keep,
+                    np.zeros_like(y0))
+    with np.errstate(all="raise"):
+        for traj in run:
+            assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+    assert len(traj) == 3 and traj.halt is None
 
 
 # The steppers work on the real-FFT half spectrum.  The references below
