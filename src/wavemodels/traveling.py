@@ -60,7 +60,12 @@ class TravelingWaveSolution:
 
     A profile the grid does not resolve, its ``spectral_tail`` above
     MAX_SPECTRAL_TAIL or NaN, is refused with UnresolvedWaveError when the
-    solution is built, so no solver hands one back.
+    solution is built, so no solver hands one back.  So is a nonzero
+    profile that does not decay on the domain: |zeta| at node 0, the edge
+    farthest from the centred crest, at half of max |zeta| or more.  Every
+    profile the test suite accepts reads at most 0.0151 there; a domain a
+    few decay lengths long reads 0.63 (kdv) to 1 (the flat state
+    4H(c - c0)/(3 c0) of the Petviashvili solvers).
     """
 
     profile_zeta: SpectralField
@@ -69,6 +74,7 @@ class TravelingWaveSolution:
     residual: float
     iterations: int
     normalization_history: list = field(default_factory=list)  # M per sweep
+    physical: PhysicalParams = field(kw_only=True, repr=False)
 
     def __post_init__(self):
         tail = self.spectral_tail
@@ -76,6 +82,15 @@ class TravelingWaveSolution:
             raise UnresolvedWaveError(
                 f"grid does not resolve the wave at speed {self.speed}: spectral tail "
                 f"{tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes"
+            )
+        zeta = np.abs(self.profile_zeta.values)
+        peak = float(np.max(zeta))
+        if peak > 0.0 and zeta[0] >= 0.5 * peak:  # the zero profile at c = c0 is exempt
+            length = self.profile_zeta.grid.length[0]
+            raise UnresolvedWaveError(
+                f"the wave at speed {self.speed} does not decay on a domain of length "
+                f"{length:g}: |zeta| at its edge is {zeta[0] / peak:.3g} of its peak; use a "
+                f"length of about {suggested_domain_length(self.speed, self.physical):.6g}"
             )
 
     @property
@@ -125,10 +140,10 @@ def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSol
     if grid.dim != 1:
         raise ValueError("traveling-wave profiles are 1D")
     if speed == p.c0:
-        return TravelingWaveSolution(SpectralField.zeros(grid), None, speed, 0.0, 0)
+        return TravelingWaveSolution(SpectralField.zeros(grid), None, speed, 0.0, 0, physical=p)
     zeta = SpectralField(grid, _sech2_profile(speed, p, grid))
     res = float(np.max(np.abs(kdv_steady_residual(zeta, speed, p))))
-    return TravelingWaveSolution(zeta, None, speed, res, 0)
+    return TravelingWaveSolution(zeta, None, speed, res, 0, physical=p)
 
 
 def _sech2_profile(speed: float, p: PhysicalParams, grid: Grid) -> np.ndarray:
@@ -309,7 +324,8 @@ def petviashvili_solve(
     z = _sech2_profile(speed, p, grid) if initial_guess is None else initial_guess.values
     v, it, res, history = _petviashvili(lin, term_hat, z[None], grid.parseval_weights, tol,
                                         max_iter)
-    return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it, history)
+    return TravelingWaveSolution(SpectralField(grid, v[0]), None, speed, res, it, history,
+                                 physical=p)
 
 
 def petviashvili_continuation(
@@ -393,7 +409,7 @@ def boussinesq_solitary_solve(
         )
     if speed == p.c0:
         zeros = SpectralField.zeros(grid)
-        return TravelingWaveSolution(zeros, SpectralField.zeros(grid), speed, 0.0, 0)
+        return TravelingWaveSolution(zeros, SpectralField.zeros(grid), speed, 0.0, 0, physical=p)
 
     lin, term_hat = _boussinesq_operator(params, speed, p, grid)
     guess_z = _sech2_profile(speed, p, grid)
@@ -401,7 +417,7 @@ def boussinesq_solitary_solve(
     v, it, res, history = _petviashvili(lin, term_hat, np.stack((guess_z, guess_u)),
                                         grid.parseval_weights, tol, max_iter)
     return TravelingWaveSolution(
-        SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it, history
+        SpectralField(grid, v[0]), SpectralField(grid, v[1]), speed, res, it, history, physical=p
     )
 
 

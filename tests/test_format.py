@@ -113,3 +113,19 @@ def test_a_block_of_zeros():
     zeros = np.zeros(8192)
     zeros[1::3] = -0.0
     assert kernel(zeros) == per_value(zeros)
+
+
+def test_a_large_sample_matches_per_value_format():
+    # frexp, ldexp and log10 rounding are the numpy-dependent parts of the
+    # formatter: 10^6 random bit patterns, and zeros and values of 1 to 17
+    # significant digits, 100 at each fixed-notation exponent E in [-4, 16],
+    # each value with both signs, compared in blocks of 10^5
+    rng = np.random.default_rng(2)
+    digits = lambda k: "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, k - 1)]))
+    fixed = [0.0] + [float(f"{digits(k)}e{exp - k + 1}")
+                     for exp in range(-4, 17) for k in range(1, 18) for _ in range(100)]
+    bits = np.random.default_rng(1).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    for values in (bits, np.array(fixed)):
+        values = np.concatenate([values, -values])
+        for block in np.array_split(values, -(-values.size // 100_000)):
+            assert kernel(block) == per_value(block)

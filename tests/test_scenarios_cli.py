@@ -1362,6 +1362,10 @@ class TestCli:
                          "error: abcd: a+b+c+d must equal 1/3", id="abcd_sum"),
             pytest.param({"model": "boussinesq", "abcd": {"a": 1 / 3}},
                          "error: abcd is missing key(s): b, c, d", id="abcd_without_bcd"),
+            # 1 - a mu^2 cancels 1 + b mu^2, so omega^2 is nowhere negative
+            pytest.param({"model": "boussinesq", "abcd": {"a": 0.1, "b": -0.1, "c": 0.0,
+                                                          "d": 0.3333333333333333}},
+                         "error: abcd parameters are ill-posed: b = -0.1", id="negative_b"),
             *wrong_type_cases(),
         ],
     )
@@ -1424,10 +1428,17 @@ class TestCli:
              "error: g H must be positive and finite, got 0.0"),
             (["dispersion", "--ximax", "1", "--samples", "3", "--g", "1e308", "--H", "1e308"],
              "error: g H must be positive and finite, got inf"),
+            # on a few decay lengths the solvers reach the flat state 4H(c - c0)/(3 c0),
+            # or a sech^2 cut at 0.63 of its crest: no solitary wave
+            *((["solitary", "--model", model, "--speed", "3.3", "--length", length],
+               f"error: the wave at speed 3.3 does not decay on a domain of length {length}: ")
+              for model, length in [("whitham", "5"), ("boussinesq", "5"), ("kdv", "5"),
+                                    ("kdv", "1e-300")]),
         ],
         ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
              "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
-             "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow"],
+             "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow",
+             "whitham_flat_on_5_m", "boussinesq_flat_on_5_m", "kdv_on_5_m", "kdv_on_1e-300_m"],
     )
     def test_argument_error_exit_code(self, capsys, argv, message):
         assert main(argv) == 1

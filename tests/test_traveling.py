@@ -242,6 +242,12 @@ class TestContinuation:
         assert res.reached_speed == pytest.approx(1.05 * P.c0)
         assert all(s.spectral_tail <= MAX_SPECTRAL_TAIL for s in res.solutions)
 
+    def test_a_stage_that_does_not_decay_is_reported(self):
+        # on 5 m the first stage converges to the flat state 4H(c - c0)/(3 c0)
+        res = petviashvili_continuation("whitham", 3.4, P, Grid(5.0, 256))
+        assert res.diverged_at == 1.05 * P.c0
+        assert res.solutions == [] and res.speeds == []
+
 
 class TestPropagation:
     def test_kdv_soliton_shape_preserved_by_evolution(self):
@@ -425,7 +431,8 @@ class TestSolitaryWaveDispatch:
             kdv_soliton(3.3, P, Grid(100.0, 8))
         grid = Grid(100.0, 64)
         with pytest.raises(UnresolvedWaveError, match="spectral tail nan exceeds 0.01"):
-            TravelingWaveSolution(SpectralField(grid, np.full(64, np.nan)), None, 3.3, 0.0, 0)
+            TravelingWaveSolution(SpectralField(grid, np.full(64, np.nan)), None, 3.3, 0.0, 0,
+                                  physical=P)
 
     def test_rejects_unresolved_wave_and_unknown_model(self):
         with pytest.raises(ValueError, match="grid does not resolve the wave"):
