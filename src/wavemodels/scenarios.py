@@ -149,6 +149,10 @@ class InitialData:
                                     f"got {getattr(self, key)!r}")
         if self.width_parameter <= 0.0:
             raise ScenarioError("initial.width_parameter must be positive")
+        if self.companion == "explicit" and self.kind != "file":
+            raise ScenarioError("initial.companion 'explicit' reads the second field from the "
+                                "file's column, so it needs initial.kind 'file', "
+                                f"not {self.kind!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InitialData":
@@ -370,7 +374,7 @@ def _build_initial(sc: Scenario):
                 raise ScenarioError("the simple-wave velocity relation needs a model with a "
                                     f"velocity u or a scalar model, not {sc.model!r}")
             second = simple_wave_velocity(zeta, p)
-        elif ini.companion == "explicit" and ini.kind == "file":
+        elif ini.companion == "explicit":
             second = _file_column(ini.path, grid, _COLUMNS[model.second])
         else:
             second = SpectralField.zeros(grid)

@@ -50,6 +50,12 @@ __all__ = [
 # nodes or more, and 0.03 to 1 on 64 nodes or fewer.
 MAX_SPECTRAL_TAIL = 1e-2
 
+# The sech^2 profile solves the steady kdv equation on the line, not on a
+# period: ``kdv_soliton`` refuses it when its residual exceeds this times
+# speed x amplitude.  At c = 3.3 on 1024 nodes that ratio reads 3.0e-4 on a
+# 40 m domain and 6.9e-7 on 60 m; the test suite's largest is 2.7e-7.
+MAX_KDV_RESIDUAL = 1e-5
+
 # The models ``solitary_wave`` solves for, and how: the manifest's solver method.
 SOLITARY_METHODS = {"boussinesq": "petviashvili", "kdv": "closed_form", "whitham": "petviashvili"}
 
@@ -133,7 +139,9 @@ def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSol
 
     kappa = sqrt((3/(2 H^2))(c/c0 - 1)); the profile is centered on the
     grid (maximum at x = 0) and the family is empty below c0.  At exactly
-    c0 the zero profile is returned.
+    c0 the zero profile is returned.  A domain too short for the periodic
+    profile to match the sech^2 (residual above MAX_KDV_RESIDUAL x speed x
+    amplitude) raises UnresolvedWaveError.
     """
     if speed < p.c0:
         raise ValueError(f"no solitary wave below c0 = {p.c0}; got speed {speed}")
@@ -143,7 +151,15 @@ def kdv_soliton(speed: float, p: PhysicalParams, grid: Grid) -> TravelingWaveSol
         return TravelingWaveSolution(SpectralField.zeros(grid), None, speed, 0.0, 0, physical=p)
     zeta = SpectralField(grid, _sech2_profile(speed, p, grid))
     res = float(np.max(np.abs(kdv_steady_residual(zeta, speed, p))))
-    return TravelingWaveSolution(zeta, None, speed, res, 0, physical=p)
+    sol = TravelingWaveSolution(zeta, None, speed, res, 0, physical=p)  # tail and edge first
+    bound = MAX_KDV_RESIDUAL * speed * sol.amplitude
+    if res > bound:
+        raise UnresolvedWaveError(
+            f"the kdv wave at speed {speed} does not solve the periodic steady equation on a "
+            f"domain of length {grid.length[0]:g}: residual {res:.3g} exceeds {bound:.3g}; "
+            f"use a length of about {suggested_domain_length(speed, p):.6g}"
+        )
+    return sol
 
 
 def _sech2_profile(speed: float, p: PhysicalParams, grid: Grid) -> np.ndarray:

@@ -653,6 +653,23 @@ class TestParallelWrite:
             run(AIRY_2D, output_dir=tmp_path)
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_a_share_that_failed_in_a_child_is_written_again(self, tmp_path, monkeypatch):
+        self.cores(monkeypatch, 2)
+        _, reference = self.written(run(AIRY_2D, output_dir=tmp_path / "reference"))
+        parent = os.getpid()
+        write_blocks = scenarios._write_blocks
+
+        def full_disk_in_a_child(stream, formats, columns):
+            if os.getpid() != parent:
+                raise OSError(28, "No space left on device")
+            write_blocks(stream, formats, columns)
+
+        monkeypatch.setattr(scenarios, "_write_blocks", full_disk_in_a_child)
+        result = run(AIRY_2D, output_dir=tmp_path / "rewritten")
+        workers, files = self.written(result)
+        assert result.exit_code == 0 and workers == 2
+        assert files == reference
+
     def test_a_killed_writer_is_cli_exit_one(self, tmp_path, monkeypatch):
         self.cores(monkeypatch, 2)
         parent = os.getpid()
@@ -745,6 +762,8 @@ MATRIX_KINDS = {
     "gaussian": {"kind": "gaussian", "amplitude": 0.05, "width_parameter": 0.3},
     "file": {"kind": "file"},
     "file_explicit": {"kind": "file", "companion": "explicit"},
+    "gaussian_explicit": {"kind": "gaussian", "amplitude": 0.05, "width_parameter": 0.3,
+                          "companion": "explicit"},
     "simple_wave": {"kind": "simple_wave", "amplitude": 0.05, "width_parameter": 0.3},
     "from_simple_wave_relation": {"kind": "gaussian", "amplitude": 0.05, "width_parameter": 0.3,
                                   "companion": "from_simple_wave_relation"},
@@ -771,6 +790,9 @@ def expected_matrix_columns(model, kind, file_columns):
     """The t = 0 columns a model writes for an initial kind, or the ScenarioError message."""
     xs = MATRIX_GRID.axis_coordinates(0)
     zero = np.zeros_like(xs)
+    if kind == "gaussian_explicit":  # there is no file column to read
+        return ("initial.companion 'explicit' reads the second field from the file's column, "
+                "so it needs initial.kind 'file'")
     if kind in ("simple_wave", "from_simple_wave_relation"):
         if model in ("acoustic", "airy"):  # scalar models take zeta and ignore the relation
             return ("the simple-wave velocity relation needs a model with a velocity u or a "
@@ -1434,11 +1456,18 @@ class TestCli:
                f"error: the wave at speed 3.3 does not decay on a domain of length {length}: ")
               for model, length in [("whitham", "5"), ("boussinesq", "5"), ("kdv", "5"),
                                     ("kdv", "1e-300")]),
+            # longer, the sech^2 decays but is no periodic solution: its residual reads
+            # 4.74, 0.173 and 3.0e-4 of speed x amplitude
+            *((["solitary", "--model", "kdv", "--speed", "3.3", "--length", length],
+               "error: the kdv wave at speed 3.3 does not solve the periodic steady equation "
+               f"on a domain of length {length}: ")
+              for length in ("10", "20", "40")),
         ],
         ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
              "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
              "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow",
-             "whitham_flat_on_5_m", "boussinesq_flat_on_5_m", "kdv_on_5_m", "kdv_on_1e-300_m"],
+             "whitham_flat_on_5_m", "boussinesq_flat_on_5_m", "kdv_on_5_m", "kdv_on_1e-300_m",
+             "kdv_residual_on_10_m", "kdv_residual_on_20_m", "kdv_residual_on_40_m"],
     )
     def test_argument_error_exit_code(self, capsys, argv, message):
         assert main(argv) == 1
