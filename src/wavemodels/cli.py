@@ -29,10 +29,10 @@ from .errors import WavemodelsError
 from .hyperbolic import breaking_time
 from .linear import group_velocity, phase_velocity
 from .physics import PhysicalParams
-from .scenarios import (SOLITARY_MODELS, InitialData, compare, json_record, load_scenario,
-                        read_csv_column, run, write_rows)
+from .scenarios import (InitialData, compare, json_record, load_scenario, read_csv_field, run,
+                        write_rows)
 from .spectral import Grid, SpectralField
-from .traveling import solitary_wave, suggested_domain_length
+from .traveling import SOLITARY_METHODS, solitary_wave, suggested_domain_length
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -84,6 +84,12 @@ def _add_physical_args(parser):
     parser.add_argument("--H", type=_finite_float, default=1.0, help="still-water depth [m]")
 
 
+def _add_abcd_args(parser, required):
+    """--a .. --d; without ``required``, they default to (-1/3, 1/3, 0, 1/3)."""
+    for name, default in zip("abcd", (-1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)):
+        parser.add_argument(f"--{name}", type=_finite_float, required=required, default=default)
+
+
 @contextlib.contextmanager
 def _out_stream(path):
     """stdout for no path, else the opened file, closed on exit."""
@@ -131,25 +137,15 @@ def _cmd_dispersion(args) -> int:
     return 0
 
 
-def _solitary_grid(args, p, speed) -> Grid:
-    if args.length is not None:
-        length = args.length
-    else:
-        length = max(suggested_domain_length(speed, p), 100.0)
-    return Grid(length, args.nodes)
-
-
 def _cmd_solitary(args) -> int:
     p = PhysicalParams(args.g, args.H)
     abcd = AbcdParams(args.a, args.b, args.c, args.d) if args.model == "boussinesq" else None
-    if args.speed is None and args.speeds is None:
-        raise ValueError("solitary requires --speed R or --speeds R1,R2,...")
-    speeds = [args.speed] if args.speeds is None else args.speeds
-    if args.speeds is not None:
-        # amplitude-speed sweep: one row per speed, written once all are solved
-        sols = [solitary_wave(args.model, s, p, _solitary_grid(args, p, s), abcd)
-                for s in speeds]
-        with _out_stream(args.out) as stream:
+    speeds = args.speeds or [args.speed]
+    sols = [solitary_wave(args.model, s, p, Grid(
+        max(suggested_domain_length(s, p), 100.0) if args.length is None else args.length,
+        args.nodes), abcd) for s in speeds]
+    with _out_stream(args.out) as stream:
+        if args.speeds:  # amplitude-speed sweep: one row per speed
             stream.write("speed_m_per_s,amplitude_m,residual,iterations\n")
             write_rows(stream, [
                 speeds,
@@ -157,22 +153,13 @@ def _cmd_solitary(args) -> int:
                 [sol.residual for sol in sols],
                 [sol.iterations for sol in sols],
             ])
-        return 0
-
-    grid = _solitary_grid(args, p, args.speed)
-    sol = solitary_wave(args.model, args.speed, p, grid, abcd)
-    with _out_stream(args.out) as stream:
+            return 0
+        sol = sols[0]
         stream.write("x_m,zeta_m\n")
-        write_rows(stream, [grid.axis_coordinates(0), sol.profile_zeta.values])
-    meta = {
-        "model": args.model,
-        "speed": sol.speed,
-        "amplitude": sol.amplitude,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "spectral_tail": sol.spectral_tail,
-    }
-    print(json.dumps(meta, sort_keys=True), file=sys.stderr)
+        write_rows(stream, [sol.profile_zeta.grid.axis_coordinates(0), sol.profile_zeta.values])
+    meta = {key: getattr(sol, key)
+            for key in ("speed", "amplitude", "residual", "iterations", "spectral_tail")}
+    print(json.dumps({"model": args.model, **meta}, sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -180,26 +167,15 @@ _BUILTIN_PROFILES = ("minus-sine", "gaussian-bump")
 
 
 def _cmd_shocktime(args) -> int:
-    if args.builtin is None and args.profile is None:
-        raise ValueError("shocktime requires --profile FILE or --builtin NAME")
-    if args.builtin is not None:
-        if args.builtin == "minus-sine":
-            grid = Grid(2.0 * math.pi, args.nodes)
-            u0 = SpectralField.from_function(grid, lambda x: -args.amplitude * np.sin(x))
-        else:
-            grid = Grid(args.length, args.nodes)
-            u0 = SpectralField.from_function(
-                grid, lambda x: args.amplitude * np.exp(-((args.width * x) ** 2))
-            )
+    if args.builtin == "minus-sine":
+        grid = Grid(2.0 * math.pi, args.nodes)
+        u0 = SpectralField.from_function(grid, lambda x: -args.amplitude * np.sin(x))
+    elif args.builtin == "gaussian-bump":
+        grid = Grid(args.length, args.nodes)
+        u0 = SpectralField.from_function(
+            grid, lambda x: args.amplitude * np.exp(-((args.width * x) ** 2)))
     else:
-        xs, u = read_csv_column(args.profile, "u_m_per_s")
-        if xs.size < 4:
-            raise ValueError(f"--profile needs at least 4 rows, got {xs.size}")
-        dx = (xs[-1] - xs[0]) / (xs.size - 1)
-        if not np.max(np.abs(xs - xs[0] - dx * np.arange(xs.size))) <= 1e-8 * dx:
-            raise ValueError("--profile x_m column must be uniformly spaced and increasing")
-        length = float(xs[-1] - xs[0] + (xs[1] - xs[0]))
-        u0 = SpectralField(Grid(length, xs.size), u)
+        u0 = read_csv_field(args.profile, "u_m_per_s")
     t_break = breaking_time(u0)  # inf: the profile never breaks
     if math.isnan(t_break):
         raise ValueError("the breaking time is not a number: the profile slope is not finite")
@@ -241,23 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=_cmd_dispersion)
 
     p_sol = sub.add_parser("solitary", help="traveling-wave profiles and sweeps")
-    p_sol.add_argument("--model", choices=SOLITARY_MODELS, required=True)
-    p_sol.add_argument("--speed", type=_finite_float, default=None)
-    p_sol.add_argument("--speeds", type=_finite_floats, default=None,
-                       help="comma-separated sweep speeds")
+    p_sol.add_argument("--model", choices=SOLITARY_METHODS, required=True)
+    speed = p_sol.add_mutually_exclusive_group(required=True)
+    speed.add_argument("--speed", type=_finite_float)
+    speed.add_argument("--speeds", type=_finite_floats, help="comma-separated sweep speeds")
     p_sol.add_argument("--length", type=_finite_float, default=None)
     p_sol.add_argument("--nodes", type=int, default=1024)
-    p_sol.add_argument("--a", type=_finite_float, default=-1.0 / 3.0)
-    p_sol.add_argument("--b", type=_finite_float, default=1.0 / 3.0)
-    p_sol.add_argument("--c", type=_finite_float, default=0.0)
-    p_sol.add_argument("--d", type=_finite_float, default=1.0 / 3.0)
+    _add_abcd_args(p_sol, required=False)
     p_sol.add_argument("--out", default=None)
     _add_physical_args(p_sol)
     p_sol.set_defaults(func=_cmd_solitary)
 
     p_shock = sub.add_parser("shocktime", help="wavebreaking time of a profile")
-    p_shock.add_argument("--profile", default=None, help="CSV with x_m,u_m_per_s columns")
-    p_shock.add_argument("--builtin", choices=_BUILTIN_PROFILES, default=None)
+    source = p_shock.add_mutually_exclusive_group(required=True)
+    source.add_argument("--profile", help="CSV with x_m,u_m_per_s columns")
+    source.add_argument("--builtin", choices=_BUILTIN_PROFILES)
     p_shock.add_argument("--amplitude", type=_finite_float, default=1.0)
     p_shock.add_argument("--width", type=_finite_float, default=1.0)
     p_shock.add_argument("--length", type=_finite_float, default=80.0)
@@ -265,10 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shock.set_defaults(func=_cmd_shocktime)
 
     p_cls = sub.add_parser("classify", help="well-posedness of abcd parameters")
-    p_cls.add_argument("--a", type=_finite_float, required=True)
-    p_cls.add_argument("--b", type=_finite_float, required=True)
-    p_cls.add_argument("--c", type=_finite_float, required=True)
-    p_cls.add_argument("--d", type=_finite_float, required=True)
+    _add_abcd_args(p_cls, required=True)
     _add_physical_args(p_cls)
     p_cls.set_defaults(func=_cmd_classify)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakingError, CavitationError, ConvergenceError
+from .errors import BreakingError, CavitationError, ConvergenceError, GridMismatchError
 from .physics import PhysicalParams
 from .spectral import Grid, SpectralField, derivative, evaluate_fields, translate_fields
 from .stepping import DtControl, HaltEvent, Trajectory, integrate_pair, snapshot_times
@@ -45,7 +45,7 @@ class SVState:
 
     def __post_init__(self):
         if not self.zeta.same_grid(self.u):
-            raise ValueError("zeta and u must live on the same grid")
+            raise GridMismatchError("zeta and u must live on the same grid")
 
     @property
     def grid(self) -> Grid:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -47,24 +46,21 @@ from .traveling import MAX_SPECTRAL_TAIL, SOLITARY_METHODS, solitary_wave
 
 __all__ = [
     "MODELS",
-    "SOLITARY_MODELS",
     "InitialData",
     "Scenario",
     "ComparisonReport",
     "RunResult",
     "ScenarioError",
     "load_scenario",
-    "read_csv_column",
+    "read_csv_field",
     "run",
     "compare",
     "write_rows",
-    "OUTPUT_DIR_ENV",
 ]
 
 _KINDS = ("gaussian", "file", "traveling_wave", "simple_wave")
 _COMPANIONS = ("zero_velocity", "from_simple_wave_relation", "explicit")
 SCHEMA_VERSION = 1
-OUTPUT_DIR_ENV = "WAVEMODELS_OUTDIR"
 
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
 # Field values in the snapshots of a run (files x nodes x columns) from which
@@ -254,10 +250,13 @@ def _gaussian_field(grid: Grid, amplitude: float, width: float, center: float) -
     return SpectralField(grid, amplitude * np.exp(-(width**2) * r2))
 
 
-def read_csv_column(path, name: str):
-    """(x, values): the x_m column and the ``name`` column of a CSV file
-    whose header line names its columns, x_m first.  Every row must have one
-    cell per name, and every value of ``name`` must be finite."""
+def read_csv_field(path, name: str, grid: Grid | None = None) -> SpectralField:
+    """The ``name`` column of a CSV file whose header line names its columns,
+    x_m first, as a field.  Every row must have one cell per name, and every
+    value of ``name`` must be finite.  With a ``grid``, the x_m column must
+    be its nodes.  With none, it must hold an even number, at least 4, of
+    uniformly spaced increasing values, and the field lives on the grid
+    they span."""
     with open(path) as fh:
         if not fh.readline().strip():  # genfromtxt would warn, then fail
             raise ScenarioError(f"{path} has no header line")
@@ -274,16 +273,20 @@ def read_csv_column(path, name: str):
     if bad.size:  # genfromtxt reads a non-numeric cell as NaN
         raise ScenarioError(f"column {name} holds a non-finite or non-numeric value "
                             f"in data row {int(bad[0]) + 1} of {path}")
-    return np.asarray(data["x_m"], dtype=float), values
-
-
-def _file_column(path: str, grid: Grid, name: str) -> SpectralField:
-    """One named column of a file of initial data, checked against the grid."""
-    x, values = read_csv_column(path, name)
-    xs = grid.axis_coordinates(0)
-    # written so that a NaN in x fails it
-    if x.shape != xs.shape or not np.max(np.abs(x - xs)) <= 1e-8 * grid.spacing[0]:
-        raise ScenarioError("file x column does not match the scenario grid")
+    x = np.asarray(data["x_m"], dtype=float)
+    # each spacing test is written so that a NaN in x fails it
+    if grid is None:
+        if x.size < 4 or x.size % 2:
+            raise ScenarioError(f"{path} needs an even number of rows, at least 4, "
+                                f"got {x.size}")
+        dx = (x[-1] - x[0]) / (x.size - 1)
+        if not (dx > 0.0 and np.max(np.abs(x - x[0] - dx * np.arange(x.size))) <= 1e-8 * dx):
+            raise ScenarioError(f"{path} x_m column must be uniformly spaced and increasing")
+        grid = Grid(float(x[-1] - x[0] + (x[1] - x[0])), x.size)
+    else:
+        xs = grid.axis_coordinates(0)
+        if x.shape != xs.shape or not np.max(np.abs(x - xs)) <= 1e-8 * grid.spacing[0]:
+            raise ScenarioError("file x column does not match the scenario grid")
     return SpectralField(grid, values)
 
 
@@ -337,7 +340,6 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 # models stepped pseudospectrally: initial data they cannot resolve is refused
 _STEPPED = ("saint_venant", "boussinesq", "kdv", "whitham", "whitham2")
-SOLITARY_MODELS = tuple(SOLITARY_METHODS)
 
 
 def _build_initial(sc: Scenario):
@@ -361,7 +363,7 @@ def _build_initial(sc: Scenario):
         if ini.kind == "file":
             if ini.path is None:
                 raise ScenarioError("file initial data requires a path")
-            zeta = _file_column(ini.path, grid, "zeta_m")
+            zeta = read_csv_field(ini.path, "zeta_m", grid)
         else:  # gaussian or simple_wave
             zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
 
@@ -375,7 +377,7 @@ def _build_initial(sc: Scenario):
                                     f"velocity u or a scalar model, not {sc.model!r}")
             second = simple_wave_velocity(zeta, p)
         elif ini.companion == "explicit":
-            second = _file_column(ini.path, grid, _COLUMNS[model.second])
+            second = read_csv_field(ini.path, _COLUMNS[model.second], grid)
         else:
             second = SpectralField.zeros(grid)
 
@@ -483,12 +485,11 @@ def run(scenario: Scenario, output_dir=None) -> RunResult:
     """Run a scenario; write snapshot CSVs and a manifest.
 
     Exit code 0 on completion, 2 on a halt (breaking, cavitation, or a
-    non-finite state) with partial output.  The output directory resolves as:
-    WAVEMODELS_OUTDIR environment variable, then the ``output_dir``
-    argument, then the scenario's output.directory, then the cwd.
+    non-finite state) with partial output.  The output directory is the
+    ``output_dir`` argument, else the scenario's output.directory, else the cwd.
     """
     t_start = time.perf_counter()
-    target = os.environ.get(OUTPUT_DIR_ENV) or output_dir or scenario.output_directory or "."
+    target = output_dir or scenario.output_directory or "."
     times, snaps, halt, diagnostics = _evolve_series(scenario)
 
     t_write = time.perf_counter()

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import GridMismatchError
+
 __all__ = ["Grid", "SpectralField", "derivative", "evaluate_fields", "spectral_tail",
            "translate_fields"]
 
@@ -168,10 +170,7 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        out = 1.0
-        for h in self.spacing:
-            out *= h
-        return out
+        return math.prod(self.spacing)
 
 
 class SpectralField:
@@ -298,7 +297,7 @@ def evaluate_fields(points, *fields: SpectralField) -> np.ndarray:
     if grid.dim != 1:
         raise NotImplementedError("off-grid evaluation only supported in 1D")
     if not all(f.same_grid(fields[0]) for f in fields):
-        raise ValueError("fields evaluated together must share one grid")
+        raise GridMismatchError("fields evaluated together must share one grid")
     points = np.atleast_1d(np.asarray(points, dtype=float))
     shifted = points + 0.5 * grid.length[0]
     far = np.abs(points) >= 4.5 * grid.length[0]  # a phase there may overflow
@@ -322,8 +321,10 @@ def translate_fields(shift: float, *fields: SpectralField) -> np.ndarray:
     keeps the real part of the Nyquist bin: the mode is the Re(c e^{iK theta}) that
     ``evaluate_fields`` sums, a derivative's Nyquist sine included."""
     grid = fields[0].grid
-    if grid.dim != 1 or not all(f.same_grid(fields[0]) for f in fields):
-        raise ValueError("translated fields must share one 1D grid")
+    if grid.dim != 1:
+        raise ValueError(f"translated fields must live on a 1D grid, got dim {grid.dim}")
+    if not all(f.same_grid(fields[0]) for f in fields):
+        raise GridMismatchError("translated fields must share one 1D grid")
     # whole periods drop out exactly, so no phase k*shift exceeds pi N/2
     shift = math.remainder(shift, grid.length[0])
     hats = np.stack([f.hat for f in fields])

@@ -168,15 +168,11 @@ def _sech2_profile(speed: float, p: PhysicalParams, grid: Grid) -> np.ndarray:
     return amp / np.cosh(_decay_rate(speed, p) * grid.axis_coordinates(0)) ** 2
 
 
-def _steady_linear_symbol(model: str, speed: float, kk: np.ndarray, p: PhysicalParams):
-    if model not in ("kdv", "whitham"):
-        raise ValueError(f"unsupported traveling-wave model {model!r}")
-    return speed - scalar_phase_speed(model, kk, p)
-
-
 def _scalar_operator(model: str, speed: float, p: PhysicalParams, grid: Grid):
     """(L, N) of the once-integrated steady scalar equation L zeta = (3 c0/(4 H)) zeta^2."""
-    lin = _steady_linear_symbol(model, speed, grid.wavenumbers(0), p)
+    if model not in ("kdv", "whitham"):
+        raise ValueError(f"unsupported traveling-wave model {model!r}")
+    lin = speed - scalar_phase_speed(model, grid.wavenumbers(0), p)
     nl_coeff = 3.0 * p.c0 / (4.0 * p.H)
     return lin[None, None], lambda v: nl_coeff * np.fft.rfft(v * v)
 

@@ -24,7 +24,8 @@ import pytest
 
 from wavemodels import Grid, WavemodelsError
 from wavemodels.cli import main
-from wavemodels.scenarios import MODELS, SOLITARY_MODELS, Scenario
+from wavemodels.scenarios import MODELS, Scenario
+from wavemodels.traveling import SOLITARY_METHODS
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -192,7 +193,7 @@ def argv(seed):
         option("samples", count(2, 1000))
         option("quantity", str(rng.choice(["phase", "group", "both"])))
     elif command == "solitary":
-        model = str(rng.choice(SOLITARY_MODELS))
+        model = str(rng.choice(tuple(SOLITARY_METHODS)))
         option("model", model)
         if rng.random() < 0.3:
             option("speeds", ",".join(repr(number(3.2, 3.6)) for _ in range(2)))

@@ -6,16 +6,20 @@ The two cases that must raise no DeprecationWarning call ``main`` directly
 under an error filter, which forked writers inherit; the ``cli`` helper
 would reset the filters to print warnings instead."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavemodels import Grid, SpectralField, scenarios
-from wavemodels.cli import main
+from wavemodels.cli import build_parser, main
 
 from test_scenarios_cli import cli
 
@@ -124,7 +128,7 @@ def test_forked_and_inline_snapshot_writers_write_the_same_bytes(tmp_path, monke
         "initial": {"amplitude": 0.01}, "t_end": 15.0, "output": {"stride": 10}}))
     written = {}
     for cores in (8, 1):
-        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         out = tmp_path / f"cores_{cores}"
         assert main(["run", "--config", str(config), "--outdir", str(out)]) == 0
         files = {p.name: p.read_bytes() for p in out.glob("snapshot_*.csv")}
@@ -175,3 +179,35 @@ def test_a_traveling_wave_run_that_does_not_decay_is_refused(tmp_path):
     assert r.stderr.startswith("error: the wave at speed 3.3 does not decay on a domain of "
                                "length 5: ")
     assert not out.exists()
+
+
+def synopsis_problems(readme):
+    """What the ```sh block under ``## CLI`` in ``readme`` says that ``build_parser``
+    does not: a ``<cmd>`` or ``--flag`` on a ``wavemodels <cmd>`` line that the parser
+    lacks, and a subcommand that no line shows."""
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    problems, shown = [], set()
+    for line in block.splitlines():
+        words = line.split("#")[0].split()
+        if words[:1] != ["wavemodels"]:
+            continue
+        command = words[1]
+        shown.add(command)
+        if command not in commands:
+            problems.append(f"{command} is no subcommand")
+            continue
+        options = commands[command]._option_string_actions
+        problems += [f"{command} {flag}" for flag in re.findall(r"--[\w-]+", " ".join(words))
+                     if flag not in options]
+    return problems + [f"{command} not shown" for command in commands if command not in shown]
+
+
+def test_the_readme_cli_synopsis_names_only_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert synopsis_problems(readme) == []
+    # the check itself: a flag the parser lacks, and a subcommand left out
+    assert synopsis_problems(readme.replace("--ximax 10", "--xmax 10")) == ["dispersion --xmax"]
+    assert synopsis_problems(readme.replace("wavemodels classify", "classify")) == [
+        "classify not shown"]

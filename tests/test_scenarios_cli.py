@@ -33,9 +33,8 @@ from wavemodels import (
 )
 from wavemodels import scenarios
 from wavemodels.cli import main
-from wavemodels.traveling import solitary_wave
+from wavemodels.traveling import SOLITARY_METHODS, solitary_wave
 from wavemodels.scenarios import (
-    SOLITARY_MODELS,
     ComparisonReport,
     InitialData,
     Scenario,
@@ -364,7 +363,7 @@ class TestRun:
             assert np.array_equal(data["u_m_per_s"], u)
 
     def test_solitary_models_are_the_traveling_table(self):
-        assert SOLITARY_MODELS == ("boussinesq", "kdv", "whitham")
+        assert tuple(SOLITARY_METHODS) == ("boussinesq", "kdv", "whitham")
 
     def test_breaking_manifest_is_strict_json(self, tmp_path):
         sc = Scenario(
@@ -528,13 +527,15 @@ class TestRun:
         assert lines[0] == "x_m,y_m,zeta_m,psi_m2_per_s"
         assert len(lines) == 1 + 64 * 64
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        import wavemodels.scenarios as scen
-
-        monkeypatch.setenv(scen.OUTPUT_DIR_ENV, str(tmp_path / "env"))
-        sc = Scenario(model="airy", grid=Grid(100.0, 128), t_end=1.0, output_stride=1)
+    def test_output_dir_argument_wins_over_the_environment(self, tmp_path, monkeypatch):
+        # a WAVEMODELS_OUTDIR in the environment redirects nothing
+        monkeypatch.setenv("WAVEMODELS_OUTDIR", str(tmp_path / "env"))
+        sc = Scenario(model="airy", grid=Grid(100.0, 128), t_end=1.0, output_stride=1,
+                      output_directory=str(tmp_path / "config"))
         result = run(sc, output_dir=tmp_path / "arg")
-        assert result.manifest_path.parent == tmp_path / "env"
+        assert result.manifest_path == tmp_path / "arg" / "manifest.json"
+        assert result.manifest_path.is_file()
+        assert not (tmp_path / "env").exists() and not (tmp_path / "config").exists()
 
 
 # five snapshot files of 32 x 32 rows
@@ -553,7 +554,7 @@ class TestParallelWrite:
 
     @staticmethod
     def cores(monkeypatch, n):
-        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @staticmethod
     def written(result):
@@ -607,7 +608,7 @@ class TestParallelWrite:
             return fork()
 
         self.cores(monkeypatch, 2)
-        monkeypatch.setattr(scenarios.os, "fork", warning_fork)
+        monkeypatch.setattr(os, "fork", warning_fork)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             workers, files = self.written(run(AIRY_2D, output_dir=tmp_path))
@@ -942,7 +943,7 @@ def test_block_leads_at_block_boundaries(tmp_path, monkeypatch, grid):
     monkeypatch.setattr(scenarios, "_FORK_WRITE_VALUES", 0)
     written = {}
     for cores in (1, 2):
-        monkeypatch.setattr(scenarios.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
         (tmp_path / str(cores)).mkdir()
         paths, workers = scenarios._write_snapshots(tmp_path / str(cores), grid, names, snaps)
         assert workers == cores
@@ -1095,20 +1096,24 @@ class TestCli:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ([], "error: --profile needs at least 4 rows, got 0"),
-            (["0.0,1.0"], "error: --profile needs at least 4 rows, got 1"),
+            ([], "error: {path} needs an even number of rows, at least 4, got 0"),
+            (["0.0,1.0"], "error: {path} needs an even number of rows, at least 4, got 1"),
+            (["0,0", "1,-1", "2,0", "3,1", "4,0"],
+             "error: {path} needs an even number of rows, at least 4, got 5"),
             (["0,0", "1,-1", "2,0", "5,1"],
-             "error: --profile x_m column must be uniformly spaced and increasing"),
+             "error: {path} x_m column must be uniformly spaced and increasing"),
             (["3,0", "2,-1", "1,0", "0,1"],
-             "error: --profile x_m column must be uniformly spaced and increasing"),
+             "error: {path} x_m column must be uniformly spaced and increasing"),
+            (["1,0", "1,-1", "1,0", "1,1"],
+             "error: {path} x_m column must be uniformly spaced and increasing"),
             (["0,0", "1,nan", "2,0", "3,1"],
              "error: column u_m_per_s holds a non-finite or non-numeric value in data row 2"),
             (None, "error: {path} has no header line"),
             (["0,0", "1,-1", "2,0", "3,1,4"], "error: cannot read {path}: "
              "Some errors were detected ! Line #5 (got 3 columns instead of 2)"),
         ],
-        ids=["header_only", "one_row", "non_uniform", "decreasing", "nan_velocity", "empty",
-             "ragged"],
+        ids=["header_only", "one_row", "five_rows", "non_uniform", "decreasing", "constant",
+             "nan_velocity", "empty", "ragged"],
     )
     def test_shocktime_profile_checks(self, tmp_path, capsys, rows, message):
         profile = tmp_path / "u.csv"
@@ -1437,6 +1442,11 @@ class TestCli:
              "error: argument --amplitude: expected a finite number, got 'nan'"),
             (["solitary", "--model", "kdv", "--speeds", "3.2,inf"],
              "error: argument --speeds: expected a finite number, got 'inf'"),
+            (["solitary", "--model", "kdv", "--speed", "3.3", "--speeds", "3.4"],
+             "error: argument --speeds: not allowed with argument --speed"),
+            (["shocktime", "--builtin", "minus-sine", "--profile", "u.csv"],
+             "error: argument --profile: not allowed with argument --builtin"),
+            (["shocktime"], "error: one of the arguments --profile --builtin is required"),
             (["dispersion", "--samples", "3"],
              "error: the following arguments are required: --ximax"),
             (["dispersion", "--ximax", "2.0", "--samples", "3", "--quantity", "speed"],
@@ -1463,7 +1473,8 @@ class TestCli:
                f"on a domain of length {length}: ")
               for length in ("10", "20", "40")),
         ],
-        ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "missing_ximax",
+        ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "speed_and_speeds",
+             "builtin_and_profile", "no_profile_source", "missing_ximax",
              "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
              "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow",
              "whitham_flat_on_5_m", "boussinesq_flat_on_5_m", "kdv_on_5_m", "kdv_on_1e-300_m",

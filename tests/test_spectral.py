@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavemodels import Grid, SpectralField, derivative
+from wavemodels import Grid, GridMismatchError, SpectralField, SVState, derivative
 from wavemodels.spectral import evaluate_fields, spectral_tail, translate_fields
 
 RNG = np.random.default_rng(20260808)
@@ -291,6 +291,22 @@ class TestTranslateFields:
     def test_fields_on_different_grids_are_refused(self):
         with pytest.raises(ValueError, match="one 1D grid"):
             translate_fields(0.0, random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
+
+    def test_a_2d_grid_is_refused_as_no_grid_mismatch(self):
+        f = random_field(Grid(7.3, 8, dim=2))
+        with pytest.raises(ValueError, match="1D grid, got dim 2") as err:
+            translate_fields(0.0, f, f)
+        assert not isinstance(err.value, GridMismatchError)
+
+
+@pytest.mark.parametrize("combine", [
+    lambda a, b: SVState(a, b),
+    lambda a, b: evaluate_fields([0.0], a, b),
+    lambda a, b: translate_fields(0.0, a, b),
+], ids=["SVState", "evaluate_fields", "translate_fields"])
+def test_fields_on_two_grids_raise_grid_mismatch(combine):
+    with pytest.raises(GridMismatchError):
+        combine(random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))
 
 
 class TestDealias:
