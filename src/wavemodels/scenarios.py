@@ -23,8 +23,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import signal
 import sys
+import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -33,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from . import __version__ as _package_version
-from ._fork import fan_out, worker_count
 from ._format import csv_rows, lead_text
 from .dispersive import AbcdParams, ScalarWaveState, abcd_evolve, require_well_posed, scalar_evolve
 from .errors import IllPosedError, WavemodelsError
@@ -75,6 +78,7 @@ _BLOCK_ROWS = 4096  # rows formatted per write: bounds the memory of one string
 # (<= 4.5e4 values) write inline, and the 256^2 2-D runs (7.2e5 and 1.4e6)
 # fork, saving ~40% of the write when the second core is free.
 _FORK_WRITE_VALUES = 2**17
+_MAX_WRITERS = 4  # writer processes of one run
 
 
 class ScenarioError(WavemodelsError, ValueError):
@@ -200,6 +204,9 @@ class Scenario:
             object.__setattr__(self, "grid", default)
         if self.grid.dim != self.dim:
             raise ScenarioError(f"grid dim {self.grid.dim} does not match scenario dim {self.dim}")
+        if self.abcd is not None and self.model != "boussinesq":
+            raise ScenarioError(f"abcd parameters are read by model 'boussinesq' only, "
+                                f"not by {self.model!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -256,7 +263,7 @@ def read_csv_field(path, name: str, grid: Grid | None = None) -> SpectralField:
     value of ``name`` must be finite.  With a ``grid``, the x_m column must
     be its nodes.  With none, it must hold an even number, at least 4, of
     uniformly spaced increasing values, and the field lives on the grid
-    they span."""
+    they span, whose length must be finite."""
     with open(path) as fh:
         if not fh.readline().strip():  # genfromtxt would warn, then fail
             raise ScenarioError(f"{path} has no header line")
@@ -282,11 +289,14 @@ def read_csv_field(path, name: str, grid: Grid | None = None) -> SpectralField:
         dx = (x[-1] - x[0]) / (x.size - 1)
         if not (dx > 0.0 and np.max(np.abs(x - x[0] - dx * np.arange(x.size))) <= 1e-8 * dx):
             raise ScenarioError(f"{path} x_m column must be uniformly spaced and increasing")
-        grid = Grid(float(x[-1] - x[0] + (x[1] - x[0])), x.size)
+        length = float(x[-1] - x[0] + (x[1] - x[0]))
+        if not math.isfinite(length):
+            raise ScenarioError(f"{path} x_m column spans a length beyond the float range")
+        grid = Grid(length, x.size)
     else:
         xs = grid.axis_coordinates(0)
         if x.shape != xs.shape or not np.max(np.abs(x - xs)) <= 1e-8 * grid.spacing[0]:
-            raise ScenarioError("file x column does not match the scenario grid")
+            raise ScenarioError(f"{path} x_m column does not match the scenario grid")
     return SpectralField(grid, values)
 
 
@@ -439,16 +449,64 @@ def write_rows(stream, columns):
     _write_blocks(lambda data: stream.write(data.decode("ascii")), None, columns)
 
 
+def _fan_out(write_share, workers: int, paths: list) -> None:
+    """Call write_share(0) in this process and write_share(1), ...,
+    write_share(workers - 1) in forked children, which are reaped in order.
+
+    A child reports only its exit status.  One that exits nonzero has its
+    share written again here, which raises the failure with its own type and
+    message, or completes the share if it does not recur (the files are
+    truncated and rewritten).  A child killed by a signal raises
+    WavemodelsError naming the first file of its share.  When an exception
+    leaves, the children not yet reaped are killed and reaped.
+    """
+    children = {}  # r -> pid
+    try:
+        for r in range(1, workers):
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns that fork in a multi-threaded process may
+                # deadlock.  The only other threads are numpy's BLAS pool, which a
+                # task never calls, and the warning would be an extra stderr line.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                # The child leaves only through os._exit: it runs no atexit
+                # handler or finally clause of its caller, flushes no inherited
+                # stdio buffer and prints no traceback.
+                status = 1
+                try:
+                    write_share(r)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[r] = pid
+        write_share(0)
+        for r in range(1, workers):
+            code = os.waitstatus_to_exitcode(os.waitpid(children[r], 0)[1])
+            del children[r]
+            if code < 0:
+                raise WavemodelsError(f"the writer of {paths[r]} was killed by signal {-code}")
+            if code != 0:
+                write_share(r)
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     """Write one CSV per snapshot; return (paths, number of writer processes).
 
     The node coordinates lead every row, in meshgrid ("ij") order; their
-    text is built once per run.  Below _FORK_WRITE_VALUES field values
-    this process writes every file.  From
-    there on there are w = min(cores, files, 4) writers, and writer r
-    writes files r, r + w, ...: writers 1..w-1 are forked children that
-    share ``snaps`` and the lead text copy-on-write, and this process
-    writes share 0.  The bytes are the same either way.
+    text is built once per run.  This process writes every file below
+    _FORK_WRITE_VALUES field values, while other Python threads run (a fork
+    may deadlock on a lock one of them holds; numpy's native BLAS threads
+    are never called by a writer), and where fork or sched_getaffinity is
+    missing (anything but Linux).  Otherwise there are w = min(cores, files,
+    _MAX_WRITERS) writers, and writer r writes files r, r + w, ...: writers
+    1..w-1 are forked children that share ``snaps`` and the lead text
+    copy-on-write, and this process writes share 0.  The bytes are the same
+    either way.
     """
     axes = [lead_text(grid.axis_coordinates(a)) for a in range(grid.dim)]
     nodes = np.unravel_index(np.arange(math.prod(grid.shape)), grid.shape)
@@ -456,7 +514,10 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
     header = (",".join(["x_m", "y_m"][: grid.dim] + names) + "\n").encode("ascii")
     paths = [target / f"snapshot_{idx:04d}.csv" for idx in range(len(snaps))]
     values = sum(columns[n].size for columns in snaps for n in names)
-    workers = worker_count(len(paths), values, _FORK_WRITE_VALUES)
+    workers = 1
+    if (values >= _FORK_WRITE_VALUES and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1):
+        workers = min(len(os.sched_getaffinity(0)), len(paths), _MAX_WRITERS)
 
     def write_share(r):
         for path, columns in zip(paths[r::workers], snaps[r::workers]):
@@ -468,7 +529,7 @@ def _write_snapshots(target: Path, grid: Grid, names: list, snaps: list):
                 detail = getattr(err, "strerror", None) or repr(err)
                 raise WavemodelsError(f"cannot write {path}: {detail}") from err
 
-    fan_out(write_share, workers, lambda r: f"the writer of {paths[r]}")
+    _fan_out(write_share, workers, paths)
     return paths, workers
 
 

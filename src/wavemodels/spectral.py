@@ -77,7 +77,7 @@ class Grid:
         object.__setattr__(self, "nodes", _as_tuple(nodes, dim, _node_count))
         for L in self.length:
             if not (L > 0.0 and math.isfinite(L)):
-                raise ValueError(f"grid length must be positive, got {L}")
+                raise ValueError(f"grid length must be positive and finite, got {L}")
         for n in self.nodes:
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"node count must be even and >= 4, got {n}")

@@ -204,6 +204,28 @@ def synopsis_problems(readme):
     return problems + [f"{command} not shown" for command in commands if command not in shown]
 
 
+def layout_problems(readme, package):
+    """Where the ``## Layout`` block of ``readme`` and the modules of the
+    ``package`` directory disagree: a module other than ``__init__.py`` and
+    ``__main__.py`` with no line of its own, and a line naming no module."""
+    block = re.search(r"^## Layout\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    named = set(re.findall(r"^  (\w+\.py)\s", block, re.M))
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
+    return ([f"{name} has no line" for name in sorted(modules - named)]
+            + [f"{name} is no module" for name in sorted(named - modules)])
+
+
+def test_the_readme_layout_names_every_module():
+    root = Path(__file__).resolve().parents[1]
+    readme, package = (root / "README.md").read_text(), root / "src" / "wavemodels"
+    assert layout_problems(readme, package) == []
+    # the check itself: a module left out, and a line for a module that is gone
+    assert layout_problems(readme.replace("  errors.py ", "  "), package) == [
+        "errors.py has no line"]
+    assert layout_problems(readme.replace("  cli.py ", "  cli.py \n  gone.py "), package) == [
+        "gone.py is no module"]
+
+
 def test_the_readme_cli_synopsis_names_only_parser_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert synopsis_problems(readme) == []

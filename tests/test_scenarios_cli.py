@@ -147,6 +147,11 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="dim = 2"):
             Scenario(model="kdv", dim=2)
 
+    def test_grid_dim_must_match_scenario_dim(self):
+        # a config gives the grid the scenario's dim, so only the constructor can differ
+        with pytest.raises(ScenarioError, match="^grid dim 1 does not match scenario dim 2$"):
+            Scenario(model="airy", dim=2, grid=Grid(100.0, 16))
+
     def test_boussinesq_requires_abcd(self):
         with pytest.raises(ScenarioError, match="abcd"):
             Scenario(model="boussinesq")
@@ -1111,9 +1116,12 @@ class TestCli:
             (None, "error: {path} has no header line"),
             (["0,0", "1,-1", "2,0", "3,1,4"], "error: cannot read {path}: "
              "Some errors were detected ! Line #5 (got 3 columns instead of 2)"),
+            # uniformly spaced by 0.5e308, but the period is 2e308
+            (["-1e308,0", "-0.5e308,-1", "0,0", "0.5e308,1"],
+             "error: {path} x_m column spans a length beyond the float range"),
         ],
         ids=["header_only", "one_row", "five_rows", "non_uniform", "decreasing", "constant",
-             "nan_velocity", "empty", "ragged"],
+             "nan_velocity", "empty", "ragged", "overflowing_span"],
     )
     def test_shocktime_profile_checks(self, tmp_path, capsys, rows, message):
         profile = tmp_path / "u.csv"
@@ -1192,9 +1200,13 @@ class TestCli:
             {"model": "boussinesq", "abcd": {"a": None, "b": 1.0 / 3.0, "c": 0.0, "d": 0.0}},
             {"initial": {"kind": "file", "path": 5}},
             {"output": {"stride": 2, "directory": 5}},
+            # refused when the initial state is built, not when the config loads
+            {"model": "kdv", "initial": {"kind": "traveling_wave"}},
+            {"initial": {"kind": "file"}},
         ],
         ids=["nan_width", "infinite_t_end", "fractional_nodes", "float_dim", "string_abcd",
-             "null_abcd", "number_path", "number_directory"],
+             "null_abcd", "number_path", "number_directory", "traveling_wave_without_speed",
+             "file_without_path"],
     )
     def test_non_finite_or_fractional_input_exit_code(self, tmp_path, overrides):
         cfg = tmp_path / "bad.json"
@@ -1202,6 +1214,7 @@ class TestCli:
                              **overrides})
         r = cli("run", "--config", str(cfg))
         assert r.returncode == 1
+        assert r.stdout == ""
         assert r.stderr.startswith("error:")
         assert len(r.stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
@@ -1393,6 +1406,19 @@ class TestCli:
             pytest.param({"model": "boussinesq", "abcd": {"a": 0.1, "b": -0.1, "c": 0.0,
                                                           "d": 0.3333333333333333}},
                          "error: abcd parameters are ill-posed: b = -0.1", id="negative_b"),
+            pytest.param({"model": "kdv", "grid": {"length": 50.0, "nodes": 256},
+                          "abcd": GOOD_ABCD},
+                         "error: abcd parameters are read by model 'boussinesq' only, "
+                         "not by 'kdv'", id="abcd_for_kdv"),
+            pytest.param({"abcd": GOOD_ABCD},
+                         "error: abcd parameters are read by model 'boussinesq' only, "
+                         "not by 'airy'", id="abcd_for_airy"),
+            pytest.param({"initial": {"kind": "triangle"}},
+                         "error: initial.kind must be one of", id="unknown_initial_kind"),
+            pytest.param({"initial": {"width_parameter": 0.0}},
+                         "error: initial.width_parameter must be positive", id="zero_width"),
+            pytest.param({"t_end": -1.0}, "error: t_end must be nonnegative",
+                         id="negative_t_end"),
             *wrong_type_cases(),
         ],
     )
@@ -1404,9 +1430,10 @@ class TestCli:
             load_scenario(cfg)
         assert main(["run", "--config", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
-        err = capsys.readouterr().err
-        assert err.startswith(message)
-        assert len(err.splitlines()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "overrides, code",
@@ -1496,7 +1523,7 @@ class TestCli:
             ("kdv", "zeta_m", "abc", "column zeta_m holds a non-finite or non-numeric value"),
             ("saint_venant", "u_m_per_s", "inf",
              "column u_m_per_s holds a non-finite or non-numeric value"),
-            ("airy", "x_m", "nan", "file x column does not match the scenario grid"),
+            ("airy", "x_m", "nan", "init.csv x_m column does not match the scenario grid"),
             ("kdv", "zeta_m", None, "init.csv has no header line"),
             ("saint_venant", "u_m_per_s", "0.0,1.0",
              "init.csv: Some errors were detected ! Line #7 (got 4 columns instead of 3)"),
@@ -1665,6 +1692,32 @@ class TestCli:
         assert r.returncode == 0
         report = json.loads(r.stdout)
         assert report["summary"] < 0.05
+
+    @pytest.mark.parametrize(
+        "overrides_b, message",
+        [
+            ({"t_end": 4.0}, "error: compare requires identical t_end"),
+            ({"output": {"stride": 2}}, "error: compare requires identical output stride"),
+            # the shared simple wave breaks at t = 1.13 s, before t_end
+            ({}, "error: compare requires both runs to complete without halting"),
+        ],
+        ids=["t_end", "stride", "halting"],
+    )
+    def test_compare_refusal_exit_code(self, tmp_path, capsys, overrides_b, message):
+        ca, cb, ini, out = (tmp_path / name for name in ("a.json", "b.json", "ini.json",
+                                                         "report.json"))
+        write_config(ca, model="hopf", t_end=5.0)
+        write_config(cb, **{"model": "hopf", "t_end": 5.0, **overrides_b})
+        ini.write_text(json.dumps({"kind": "simple_wave", "amplitude": 0.5,
+                                   "width_parameter": 0.5}))
+        argv = ["compare", "--config-a", str(ca), "--config-b", str(cb), "--initial", str(ini),
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_seventeen_significant_digits(self, tmp_path):
         sc = Scenario(

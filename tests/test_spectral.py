@@ -1,5 +1,7 @@
 """Tests for the spectral substrate: grids, their symbols, transforms, derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ class TestGrid:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             Grid(0.0, 16)
+
+    def test_infinite_length_message_states_the_whole_rule(self):
+        with pytest.raises(ValueError, match=r"^grid length must be positive and finite, got inf$"):
+            Grid(math.inf, 16)
 
     def test_2d_per_axis_values(self):
         g = Grid((100.0, 50.0), (64, 32), dim=2)
