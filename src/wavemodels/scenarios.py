@@ -11,11 +11,11 @@ data and reports the relative L2 differences of zeta over time.
 Every key of the schema is one entry of the ``_SCHEMA`` table, with its
 JSON type; ``_read`` checks a JSON document and a directly built dataclass
 against it.  Every model is one row of the ``_MODELS`` table: its state
-type, the name of its second field, the fields it writes, and its run
-function.  Building the initial state, evolving it, writing its columns and
-the ``MODELS`` names all read that row, so adding a model is adding one
-row.  The models with solitary waves, and how each is solved, come from
-``traveling.SOLITARY_METHODS``.
+type, the name of its second field, the fields it writes, its run function
+and whether it is stepped.  Checking a scenario, building its initial
+state, evolving it, writing its columns and the ``MODELS`` names all read
+that row, so adding a model is adding one row.  The models with solitary
+waves, and how each is solved, come from ``traveling.SOLITARY_METHODS``.
 """
 
 from __future__ import annotations
@@ -153,6 +153,15 @@ class InitialData:
             raise ScenarioError("initial.companion 'explicit' reads the second field from the "
                                 "file's column, so it needs initial.kind 'file', "
                                 f"not {self.kind!r}")
+        if self.kind == "traveling_wave" and self.speed is None:
+            raise ScenarioError("traveling_wave initial data requires a speed")
+        if self.kind == "file" and self.path is None:
+            raise ScenarioError("file initial data requires a path")
+
+    @property
+    def relation(self) -> bool:
+        """Whether the simple-wave relation pairs zeta with a shallow-water velocity u."""
+        return self.kind == "simple_wave" or self.companion == "from_simple_wave_relation"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InitialData":
@@ -207,6 +216,12 @@ class Scenario:
         if self.abcd is not None and self.model != "boussinesq":
             raise ScenarioError(f"abcd parameters are read by model 'boussinesq' only, "
                                 f"not by {self.model!r}")
+        if self.initial.kind == "traveling_wave" and self.model not in SOLITARY_METHODS:
+            raise ScenarioError("traveling_wave initial data unsupported for model "
+                                f"{self.model!r}")
+        if self.initial.relation and _MODELS[self.model].second not in (None, "u"):
+            raise ScenarioError("the simple-wave velocity relation needs a model with a "
+                                f"velocity u or a scalar model, not {self.model!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -320,6 +335,7 @@ class _Model:
     writes: tuple
     run: Callable
     two_d: bool = False
+    stepped: bool = False  # stepped pseudospectrally: unresolved initial data is refused
 
 
 # state field -> column name, in file initial data and in the snapshot CSVs
@@ -338,53 +354,41 @@ _MODELS = {
         airy_evolve(s, sc.physical, t) for t in snapshot_times(sc.t_end, sc.output_stride)]),
         two_d=True),
     "saint_venant": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: sv_evolve(
-        s, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
+        s, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride), stepped=True),
     "hopf": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: hopf_evolve(
         s, sc.physical, sc.t_end, n_out=sc.output_stride)),
     "boussinesq": _Model(SVState, "u", ("zeta", "u"), lambda sc, s: abcd_evolve(
-        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride)),
-    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
-    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
-    "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run),
+        s, sc.abcd, sc.physical, sc.t_end, DtControl(), n_out=sc.output_stride), stepped=True),
+    "kdv": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, stepped=True),
+    "whitham": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, stepped=True),
+    "whitham2": _Model(ScalarWaveState, None, ("zeta",), _scalar_run, stepped=True),
 }
 MODELS = tuple(_MODELS)
-# models stepped pseudospectrally: initial data they cannot resolve is refused
-_STEPPED = ("saint_venant", "boussinesq", "kdv", "whitham", "whitham2")
 
 
 def _build_initial(sc: Scenario):
     """Materialize the model state at t = 0 from the InitialData record;
-    returns (state, the manifest's diagnostics.solver record).  A field that
-    holds a non-finite value is refused."""
+    returns (state, the manifest's diagnostics.solver record).  The Scenario
+    checked its own values when it was built; this refuses only what the
+    data shows: a file's cells or grid, and a non-finite or unresolved field."""
     ini, grid, p = sc.initial, sc.grid, sc.physical
     model = _MODELS[sc.model]
     solver = None
 
     if ini.kind == "traveling_wave":
-        if ini.speed is None:
-            raise ScenarioError("traveling_wave initial data requires a speed")
-        if sc.model not in SOLITARY_METHODS:
-            raise ScenarioError(f"traveling_wave initial data unsupported for model {sc.model!r}")
         sol = solitary_wave(sc.model, ini.speed, p, grid, sc.abcd)
         zeta, second = sol.profile_zeta, sol.profile_u
         solver = {"method": SOLITARY_METHODS[sc.model], "iterations": sol.iterations,
                   "residual": sol.residual, "normalization_history": sol.normalization_history}
     else:
         if ini.kind == "file":
-            if ini.path is None:
-                raise ScenarioError("file initial data requires a path")
             zeta = read_csv_field(ini.path, "zeta_m", grid)
         else:  # gaussian or simple_wave
             zeta = _gaussian_field(grid, ini.amplitude, ini.width_parameter, ini.center)
 
-        # the simple-wave relation pairs zeta with the shallow-water velocity u
-        relation = ini.kind == "simple_wave" or ini.companion == "from_simple_wave_relation"
         if model.second is None:
             second = None  # a scalar model takes zeta alone and ignores the companion
-        elif relation:
-            if model.second != "u":
-                raise ScenarioError("the simple-wave velocity relation needs a model with a "
-                                    f"velocity u or a scalar model, not {sc.model!r}")
+        elif ini.relation:
             second = simple_wave_velocity(zeta, p)
         elif ini.companion == "explicit":
             second = read_csv_field(ini.path, _COLUMNS[model.second], grid)
@@ -394,7 +398,7 @@ def _build_initial(sc: Scenario):
     for name, f in [("zeta", zeta), (model.second, second)]:
         if f is not None and not np.all(np.isfinite(f.values)):
             raise ScenarioError(f"the initial {name} holds a non-finite value")
-        tail = spectral_tail(f) if f is not None and sc.model in _STEPPED else 0.0
+        tail = spectral_tail(f) if f is not None and model.stepped else 0.0
         if tail > MAX_SPECTRAL_TAIL:  # a NaN tail, from an FFT that overflows, is left to the stepper
             raise ScenarioError(f"the grid does not resolve the initial {name}: spectral tail "
                                 f"{tail:.3g} exceeds {MAX_SPECTRAL_TAIL:g}; use more nodes")

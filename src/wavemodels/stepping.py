@@ -2,9 +2,9 @@
 
 ``intervals`` advances y' = L y + N(y), one output interval at a time, with
 the integrating-factor RK4 of Kassam & Trefethen (2005, SIAM J. Sci. Comput.
-26) for a diagonal linear symbol L (L = 0 gives classical RK4); ``integrate``
-runs it to the end.  Models supply only the stage right-hand side N, a step
-bound and a halt test.  Every 1-D model
+26) for a diagonal linear symbol L (L = 0 gives classical RK4); a run to the
+end is ``*_, traj = intervals(...)``.  Models supply only the stage
+right-hand side N, a step bound and a halt test.  Every 1-D model
 keeps its spectra on the layout of ``SpectralField.hat`` and the grid
 symbols, the N/2 + 1 real-FFT modes, so exp(hL) is applied to N/2 + 1
 entries.  The scalar models step zeta-hat.
@@ -185,12 +185,6 @@ def intervals(
             return
 
 
-def integrate(*args, **kwargs) -> Trajectory:
-    """The trajectory of ``intervals(*args, **kwargs)`` stepped to its end."""
-    *_, traj = intervals(*args, **kwargs)
-    return traj
-
-
 def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtControl, max_speed,
                    phase_speed, scale, inv_b, inv_d, check=None) -> Trajectory:
     """IF-RK4 run of a 1-D two-field wave system from ``state`` (zeta, u) to t_end.
@@ -281,5 +275,6 @@ def integrate_pair(state, depth: float, t_end: float, n_out: int, ctrl: DtContro
     z_hat, u_hat = state.zeta.hat, state.u.hat
     w0 = np.stack([z_hat + scale * u_hat, z_hat - scale * u_hat])
     lin = ik * phase_speed
-    return integrate(w0, state, snapshot_times(t_end, n_out), step, rhs, snapshot,
-                     factor=np.stack([-lin, lin]), check=halt)
+    *_, traj = intervals(w0, state, snapshot_times(t_end, n_out), step, rhs, snapshot,
+                         factor=np.stack([-lin, lin]), check=halt)
+    return traj

@@ -300,6 +300,8 @@ class TestScalarEvolve:
         g = Grid(100.0, 256)
         with pytest.raises(ValueError, match="model"):
             ScalarWaveState(SpectralField.zeros(g), 0.0, "airy")
+        with pytest.raises(ValueError, match="model must be one of .*, got 'airy'"):
+            dispersive.scalar_phase_speed("airy", g.wavenumbers(0), P)
 
     @staticmethod
     def cfl_step(g, z0):

@@ -48,6 +48,12 @@ class TestRiemannInvariants:
         assert np.max(np.abs(r.r_minus.values - (u.values - celerity))) < 1e-13
         assert r.r_plus.same_grid(zeta) and r.r_minus.same_grid(zeta)
 
+    def test_cavitating_state_is_refused(self):
+        g = Grid(10.0, 64)
+        zeta = SpectralField.from_function(g, lambda x: -2.0 * P.H * np.exp(-(x**2)))
+        with pytest.raises(CavitationError, match="non-cavitation violated: min depth"):
+            to_riemann(SVState(zeta, SpectralField.zeros(g)), P)
+
     def test_simple_wave_freezes_r_minus(self):
         g = Grid(2 * np.pi, 128)
         zeta = SpectralField.from_function(g, lambda x: 0.1 * np.sin(x))

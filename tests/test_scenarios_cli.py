@@ -188,6 +188,35 @@ class TestScenarioValidation:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": "kdv", "initial": {"kind": "traveling_wave"}},
+         "traveling_wave initial data requires a speed"),
+        ({"initial": {"kind": "file"}}, "file initial data requires a path"),
+        ({"initial": {"kind": "traveling_wave", "speed": 3.3}},
+         "traveling_wave initial data unsupported for model 'airy'"),
+        ({"model": "acoustic", "initial": {"kind": "simple_wave"}},
+         "the simple-wave velocity relation needs a model with a velocity u or a scalar model, "
+         "not 'acoustic'"),
+        # the rule comes before the file, which is read only when a run builds its state
+        ({"initial": {"kind": "file", "path": "no_such_file.csv",
+                      "companion": "from_simple_wave_relation"}},
+         "the simple-wave velocity relation needs a model with a velocity u or a scalar model, "
+         "not 'airy'"),
+    ], ids=["traveling_wave_without_speed", "file_without_path", "traveling_wave_for_airy",
+            "simple_wave_for_acoustic", "relation_before_a_missing_file"])
+    def test_rules_on_the_config_alone_refuse_it_when_it_loads(self, tmp_path, capsys, overrides,
+                                                               message):
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        write_config(cfg, **{"output": {"stride": 2, "directory": str(out)}, **overrides})
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(cfg)
+        assert str(info.value) == message
+        assert main(["run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRun:
     def test_airy_run_writes_snapshots_and_manifest(self, tmp_path):
@@ -985,6 +1014,19 @@ class TestCompare:
         with pytest.raises(ScenarioError, match="grid"):
             compare(a, b, InitialData())
 
+    def test_shared_data_that_the_second_model_refuses_runs_neither_model(self, monkeypatch):
+        runs = []
+        evolve = scenarios._evolve_series
+        monkeypatch.setattr(scenarios, "_evolve_series",
+                            lambda sc: runs.append(sc.model) or evolve(sc))
+        grid = Grid(100.0, 256)
+        a = Scenario(model="kdv", grid=grid, t_end=1.0, output_stride=1)
+        b = Scenario(model="airy", grid=grid, t_end=1.0, output_stride=1)
+        with pytest.raises(ScenarioError,
+                           match="^traveling_wave initial data unsupported for model 'airy'$"):
+            compare(a, b, InitialData(kind="traveling_wave", speed=3.3))
+        assert runs == []
+
     def test_report_serializes(self):
         report = ComparisonReport("a", "b", [0.0, 1.0], [0.0, 0.5])
         d = report.to_dict()
@@ -1200,7 +1242,7 @@ class TestCli:
             {"model": "boussinesq", "abcd": {"a": None, "b": 1.0 / 3.0, "c": 0.0, "d": 0.0}},
             {"initial": {"kind": "file", "path": 5}},
             {"output": {"stride": 2, "directory": 5}},
-            # refused when the initial state is built, not when the config loads
+            # rules on the config alone, refused when it loads
             {"model": "kdv", "initial": {"kind": "traveling_wave"}},
             {"initial": {"kind": "file"}},
         ],
@@ -1465,6 +1507,8 @@ class TestCli:
         [
             (["dispersion", "--ximax", "nan", "--samples", "3"],
              "error: argument --ximax: expected a finite number, got 'nan'"),
+            (["dispersion", "--ximax", "abc", "--samples", "3"],
+             "error: argument --ximax: expected a finite number, got 'abc'"),
             (["shocktime", "--builtin", "gaussian-bump", "--amplitude", "nan"],
              "error: argument --amplitude: expected a finite number, got 'nan'"),
             (["solitary", "--model", "kdv", "--speeds", "3.2,inf"],
@@ -1500,8 +1544,8 @@ class TestCli:
                f"on a domain of length {length}: ")
               for length in ("10", "20", "40")),
         ],
-        ids=["nan_ximax", "nan_amplitude", "infinite_sweep_speed", "speed_and_speeds",
-             "builtin_and_profile", "no_profile_source", "missing_ximax",
+        ids=["nan_ximax", "non_numeric_ximax", "nan_amplitude", "infinite_sweep_speed",
+             "speed_and_speeds", "builtin_and_profile", "no_profile_source", "missing_ximax",
              "bad_choice", "no_command", "samples_0", "samples_1", "samples_1000001",
              "samples_2.5", "samples_many", "solitary_g_H_underflow", "dispersion_g_H_overflow",
              "whitham_flat_on_5_m", "boussinesq_flat_on_5_m", "kdv_on_5_m", "kdv_on_1e-300_m",

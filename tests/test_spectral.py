@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wavemodels import Grid, GridMismatchError, SpectralField, SVState, derivative
+from wavemodels import AiryState, Grid, GridMismatchError, SpectralField, SVState, derivative
 from wavemodels.spectral import evaluate_fields, spectral_tail, translate_fields
 
 RNG = np.random.default_rng(20260808)
@@ -127,6 +127,10 @@ class TestTransformContract:
         edges = f.hat[:, [0, -1]]
         mirrored = np.conj(edges[(-np.arange(64)) % 64])
         assert np.max(np.abs(edges - mirrored)) <= 1e-10 * np.max(np.abs(edges))
+
+    def test_values_of_another_shape_are_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(32,\) does not match grid shape \(64,\)"):
+            SpectralField(Grid(7.3, 64), np.zeros(32))
 
     def test_parseval(self):
         for g in (Grid(200.0, 512), Grid((200.0, 30.0), (64, 32), dim=2)):
@@ -307,9 +311,10 @@ class TestTranslateFields:
 
 @pytest.mark.parametrize("combine", [
     lambda a, b: SVState(a, b),
+    lambda a, b: AiryState(a, b),
     lambda a, b: evaluate_fields([0.0], a, b),
     lambda a, b: translate_fields(0.0, a, b),
-], ids=["SVState", "evaluate_fields", "translate_fields"])
+], ids=["SVState", "AiryState", "evaluate_fields", "translate_fields"])
 def test_fields_on_two_grids_raise_grid_mismatch(combine):
     with pytest.raises(GridMismatchError):
         combine(random_field(Grid(7.3, 64)), random_field(Grid(7.3, 32)))

@@ -16,15 +16,18 @@ from wavemodels import (
     PhysicalParams,
     ScalarWaveState,
     SpectralField,
+    StepSizeUnderflowError,
     SVState,
     abcd_evolve,
     abcd_linear_evolve,
+    kdv_soliton,
     phase_velocity,
     scalar_evolve,
     sv_evolve,
 )
 from wavemodels.dispersive import _abcd_symbols
-from wavemodels.stepping import integrate, integrate_pair, intervals
+from wavemodels.spectral import evaluate_fields
+from wavemodels.stepping import integrate_pair, intervals
 
 LAMBDAS = np.array([-1.0, -0.5 + 2.0j, 3.0j, 0.3, -2.5 - 0.4j])
 
@@ -43,8 +46,8 @@ def keep(y, t):
 def test_explicit_step_is_the_rk4_stability_polynomial():
     h = 0.7
     y0 = np.ones_like(LAMBDAS)
-    traj = integrate(y0, keep(y0, 0.0), [0.0, h], lambda y: h, lambda y: LAMBDAS * y, keep,
-                     np.zeros_like(y0))
+    *_, traj = intervals(y0, keep(y0, 0.0), [0.0, h], lambda y: h, lambda y: LAMBDAS * y, keep,
+                         np.zeros_like(y0))
     z = LAMBDAS * h
     expect = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     assert len(traj) == 2 and traj.halt is None
@@ -54,7 +57,8 @@ def test_explicit_step_is_the_rk4_stability_polynomial():
 def test_factor_with_zero_nonlinearity_propagates_exactly():
     y0 = np.array([1.0, 0.5 - 0.25j, -2.0, 0.1j, 3.0])
     times = [0.0, 0.9, 1.8, 2.7]
-    traj = integrate(y0, keep(y0, 5.0), times, lambda y: 0.1, np.zeros_like, keep, factor=LAMBDAS)
+    *_, traj = intervals(y0, keep(y0, 5.0), times, lambda y: 0.1, np.zeros_like, keep,
+                         factor=LAMBDAS)
     for (t, y), t_out in zip(traj.states, times):
         assert t == pytest.approx(5.0 + t_out, abs=1e-14)
         exact = y0 * np.exp(LAMBDAS * t_out)
@@ -65,8 +69,8 @@ def test_non_finite_state_halts_and_is_not_kept():
     # y' = y^2 from y(0) = 1 blows up at t = 1; at h = 0.5 RK4 overflows
     # only in the third interval
     y0 = np.array([1.0])
-    traj = integrate(y0, keep(y0, 0.0), [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
-                     lambda y: y * y, keep, np.zeros_like(y0))
+    *_, traj = intervals(y0, keep(y0, 0.0), [0.0, 0.5, 1.5, 2.5, 3.5], lambda y: 0.5,
+                         lambda y: y * y, keep, np.zeros_like(y0))
     assert traj.halt is not None and traj.halt.reason == "non_finite"
     assert traj.halt.time == pytest.approx(2.5)
     assert [t for t, _ in traj.states] == pytest.approx([0.0, 0.5, 1.5])
@@ -78,8 +82,8 @@ def test_halt_from_check_keeps_the_halting_state():
         return HaltEvent("breaking", t, 0.0, float(y[0])) if y[0] > 2.0 else None
 
     y0 = np.array([1.0])
-    traj = integrate(y0, keep(y0, 0.0), [0.0, 1.0, 2.0], lambda y: 0.1,
-                     lambda y: y, keep, np.zeros_like(y0), check=check)
+    *_, traj = intervals(y0, keep(y0, 0.0), [0.0, 1.0, 2.0], lambda y: 0.1,
+                         lambda y: y, keep, np.zeros_like(y0), check=check)
     assert traj.halt.reason == "breaking"
     t_halt, y_halt = traj.final_state
     assert t_halt == traj.halt.time and y_halt[0] > 2.0
@@ -91,8 +95,8 @@ def test_cavitation_check_halts_without_keeping_its_state():
         return HaltEvent("cavitation", t, 0.0, 0.0) if y[0] < 0.5 else None
 
     y0 = np.array([1.0])
-    traj = integrate(y0, keep(y0, 0.0), [0.0, 0.5, 1.0], lambda y: 0.05,
-                     lambda y: -y, keep, np.zeros_like(y0), check=check)
+    *_, traj = intervals(y0, keep(y0, 0.0), [0.0, 0.5, 1.0], lambda y: 0.05,
+                         lambda y: -y, keep, np.zeros_like(y0), check=check)
     assert [t for t, _ in traj.states] == pytest.approx([0.0, 0.5])
     assert traj.halt.reason == "cavitation"
     assert traj.halt.time == pytest.approx(np.log(2.0), abs=0.05)
@@ -105,8 +109,8 @@ def test_cavitation_in_a_stage_records_the_step_start():
         return -y
 
     y0 = np.array([1.0])
-    traj = integrate(y0, keep(y0, 2.0), [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep,
-                     np.zeros_like(y0))
+    *_, traj = intervals(y0, keep(y0, 2.0), [0.0, 0.5, 1.0], lambda y: 0.05, rhs, keep,
+                         np.zeros_like(y0))
     assert traj.halt.reason == "cavitation"
     assert 2.5 - 1e-12 < traj.halt.time < 2.0 + np.log(2.0)
     assert traj.final_state[0] == pytest.approx(2.5)
@@ -281,3 +285,36 @@ def test_equal_a_c_system_follows_the_linear_flow_at_small_amplitude(params):
     assert traj.halt is None and np.all(np.isfinite(final))
     gap = np.max(np.abs(final - np.stack([linear.zeta.values, linear.u.values])))
     assert gap < 1e-4 * eps
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dt": 0.0}, "explicit dt must be positive"), ({"dt": -0.1}, "explicit dt must be positive"),
+    ({"cfl": 0.0}, r"cfl must lie in \(0, 1\]"), ({"cfl": 1.5}, r"cfl must lie in \(0, 1\]"),
+])
+def test_step_policy_out_of_range_is_refused(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DtControl(**kwargs)
+
+
+def test_a_step_below_the_floor_raises():
+    # unguarded, these 100 steps of 1e-15 would run
+    z0 = SpectralField.from_function(Grid(50.0, 64), lambda x: 0.01 * np.exp(-(x**2)))
+    with pytest.raises(StepSizeUnderflowError, match="time step underflow: dt = 1e-15"):
+        scalar_evolve(ScalarWaveState(z0, 0.0, "kdv"), P, 1e-13, DtControl(dt=1e-15), n_out=1)
+
+
+FIELD_2D = SpectralField.zeros(Grid(50.0, 16, dim=2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: integrate_pair(SVState(FIELD_2D, FIELD_2D), 1.0, 1.0, 1, DtControl(), None,
+                            1.0, 1.0, 1.0, 1.0), ValueError, "time stepping is 1D only"),
+    (lambda: scalar_evolve(ScalarWaveState(FIELD_2D, 0.0, "kdv"), P, 1.0), ValueError,
+     "scalar models are 1D"),
+    (lambda: kdv_soliton(3.3, P, FIELD_2D.grid), ValueError, "traveling-wave profiles are 1D"),
+    (lambda: evaluate_fields([0.0], FIELD_2D), NotImplementedError,
+     "off-grid evaluation only supported in 1D"),
+], ids=["integrate_pair", "scalar_evolve", "kdv_soliton", "evaluate_fields"])
+def test_one_dimensional_operations_refuse_a_2d_grid(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -438,6 +438,8 @@ class TestSolitaryWaveDispatch:
             solitary_wave("boussinesq", 3.3, P, Grid(100.0, 8), GOOD)
         with pytest.raises(ValueError, match="no solitary-wave solver for model 'whitham2'"):
             solitary_wave("whitham2", 3.3, P, Grid(100.0, 256))
+        with pytest.raises(ValueError, match="unsupported traveling-wave model 'whitham2'"):
+            petviashvili_solve("whitham2", 3.3, P, Grid(100.0, 256))
 
 
 def full_fft_petviashvili(lin, term_hat, v, tol=1e-12, max_iter=500):
